@@ -3,7 +3,7 @@ with a terminal event: simulation, MCMC inference for the full model and
 its ablations, and diagnostic tooling."""
 
 from .diagnostics import cpo_lpml, gelman_rubin_psrf, posterior_summary, replicate_aggregate
-from .dp import posterior_stick_update, sample_assignment, stick_to_weights, update_concentration
+from .dp import posterior_stick_update, stick_to_weights, update_concentration
 from .model import (
     BaselineHazard,
     Dataset,
@@ -14,13 +14,6 @@ from .model import (
     PowerLawHazard,
     TruncatedDP,
     cumulative_baseline_hazard,
-    participant_log_likelihood,
-    recurrent_log_intensity,
-    recurrent_log_survival,
-    terminal_log_density,
-    terminal_log_hazard,
-    terminal_log_survival,
-    total_log_likelihood,
 )
 from .sampler import (
     ChainTrace,
@@ -28,14 +21,19 @@ from .sampler import (
     ProposalScales,
     SamplerEngine,
     adapt_scale,
-    gibbs_susceptibility,
-    gibbs_tau2,
     mh_step,
     run_chain,
-    update_baseline,
-    update_kappa_block,
-    update_mu_block,
 )
-from .simulate import SimTruth, sample_piecewise_nhpp, simulate_dataset, simulate_terminal_time
+from .simulate import SimTruth, sample_piecewise_nhpp, sample_terminal_times, simulate_dataset
+
+__all__ = [
+    "cpo_lpml", "gelman_rubin_psrf", "posterior_summary", "replicate_aggregate",
+    "posterior_stick_update", "stick_to_weights", "update_concentration",
+    "BaselineHazard", "Dataset", "Hyperparams", "ParamState", "ParticipantRecord",
+    "PiecewiseConstantHazard", "PowerLawHazard", "TruncatedDP", "cumulative_baseline_hazard",
+    "ChainTrace", "McmcConfig", "ProposalScales", "SamplerEngine", "adapt_scale", "mh_step",
+    "run_chain",
+    "SimTruth", "sample_piecewise_nhpp", "sample_terminal_times", "simulate_dataset",
+]
 
 __version__ = "0.1.0"

@@ -19,6 +19,7 @@ from .io import (
     write_json,
     write_truth,
 )
+from .model import BASELINE_VARIANTS, VARIANTS
 from .sampler import McmcConfig
 from .simulate import simulate_dataset
 from .study import build_summary, fit_manifest, run_fit, run_replicate_study
@@ -88,7 +89,8 @@ def cmd_replicate_study(args) -> int:
 def cmd_summarize(args) -> int:
     fit_dir = Path(args.fit_dir)
     manifest = read_json(fit_dir / "manifest.json")
-    traces = [read_chain_trace(fit_dir / f"chain{k:02d}") for k in range(manifest["chains"])]
+    traces = [read_chain_trace(fit_dir / f"chain{k:02d}", manifest, k)
+              for k in range(manifest["chains"])]
     summary = build_summary(traces, manifest)
     write_json(summary, args.out)
     print(f"wrote {args.out}")
@@ -105,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", required=True, help="output directory")
     p_sim.add_argument("--n", type=int, default=600, help="number of participants")
     p_sim.add_argument("--j", type=int, default=20, help="number of clusters")
-    p_sim.add_argument("--baseline", choices=("piecewise", "powerlaw"), default=None)
+    p_sim.add_argument("--baseline", choices=BASELINE_VARIANTS, default=None)
     p_sim.add_argument("--seed", type=int, default=None)
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -115,8 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--out", required=True, help="output directory")
     p_fit.add_argument("--seed", type=int, default=None)
     p_fit.add_argument("--chains", type=int, default=None)
-    p_fit.add_argument("--variant", choices=("BMZ-DP", "BM-DP", "BZ-DP", "BMZ"), default=None)
-    p_fit.add_argument("--baseline", choices=("piecewise", "powerlaw"), default=None)
+    p_fit.add_argument("--variant", choices=VARIANTS, default=None)
+    p_fit.add_argument("--baseline", choices=BASELINE_VARIANTS, default=None)
     p_fit.add_argument("--threads", type=int, default=1)
     p_fit.set_defaults(func=cmd_fit)
 

@@ -12,7 +12,6 @@ import numpy as np
 __all__ = [
     "stick_to_weights",
     "posterior_stick_update",
-    "sample_assignment",
     "update_concentration",
 ]
 
@@ -52,22 +51,6 @@ def posterior_stick_update(assignment_counts: np.ndarray, concentration: float,
         return np.empty(0)
     above = counts[::-1].cumsum()[::-1] - counts  # counts assigned past each stick
     return rng.beta(1.0 + counts[:-1], concentration + above[:-1])
-
-
-def sample_assignment(per_atom_log_scores: np.ndarray, rng: np.random.Generator) -> int:
-    """Draw a 0-based category with probability ``softmax(scores)``.
-
-    Exponentiation is max-shifted for stability; at least one score must be
-    finite.
-    """
-    scores = np.asarray(per_atom_log_scores, dtype=float)
-    top = scores.max()
-    if not np.isfinite(top):
-        raise ValueError("all assignment scores are -inf: degenerate distribution")
-    w = np.exp(scores - top)
-    cum = np.cumsum(w)
-    u = rng.random() * cum[-1]
-    return int(np.searchsorted(cum, u, side="right"))
 
 
 def update_concentration(raw_sticks: np.ndarray, a: float = 1.0, b: float = 1.0,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -260,25 +259,10 @@ def write_chain_trace(trace: ChainTrace, prefix) -> None:
     np.save(str(prefix) + "_loglik.npy", trace.participant_loglik)
 
 
-@dataclass
-class StoredTrace:
-    """A chain re-read from disk; mirrors the trace accessors the
-    diagnostics need."""
-
-    columns: list
-    draws: np.ndarray
-    total_loglik: np.ndarray
-    participant_loglik: np.ndarray
-
-    def column(self, name: str) -> np.ndarray:
-        try:
-            idx = self.columns.index(name)
-        except ValueError:
-            raise KeyError(f"no trace column named {name!r}") from None
-        return self.draws[:, idx]
-
-
-def read_chain_trace(prefix) -> StoredTrace:
+def read_chain_trace(prefix, manifest: dict, chain_index: int) -> ChainTrace:
+    """Re-read chain ``chain_index`` of a fit written by
+    :func:`write_chain_trace`; the acceptance rates, final proposal scales
+    and piecewise grid come from the fit's manifest."""
     prefix = Path(prefix)
     with open(prefix.with_suffix(".csv"), newline="") as fh:
         reader = csv.reader(fh)
@@ -286,8 +270,12 @@ def read_chain_trace(prefix) -> StoredTrace:
         rows = [[float(v) for v in row] for row in reader]
     data = np.asarray(rows, dtype=float) if rows else np.empty((0, len(header)))
     part = np.load(str(prefix) + "_loglik.npy")
-    return StoredTrace(columns=header[:-1], draws=data[:, :-1],
-                       total_loglik=data[:, -1], participant_loglik=part)
+    grid = manifest["grid"]
+    return ChainTrace(columns=header[:-1], draws=data[:, :-1], participant_loglik=part,
+                      total_loglik=data[:, -1],
+                      acceptance=manifest["acceptance"][chain_index],
+                      final_scales=manifest["final_scales"][chain_index],
+                      chain_index=chain_index, grid=None if grid is None else np.asarray(grid))
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,16 @@
-"""Domain types and log-space evaluation of every hazard, survival and
-likelihood expression used by the joint recurrent/terminal event model.
+"""Domain types of the joint recurrent/terminal event model: participant
+records and datasets, baseline hazards, mixture and parameter states,
+hyperparameters, and the names of the model variants, baseline hazards and
+likelihood modes.
 
-All evaluation functions are pure and operate on immutable value objects,
-so they are safe to call from any number of concurrent workers.
+The observed-data likelihood is evaluated in one place only, the
+vectorized :class:`recurjoint.sampler.SamplerEngine`.  The closed-form
+baseline-hazard integrals here are shared by the engine and the simulator.
+Every type is an immutable value object, safe to share across workers.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
@@ -22,15 +25,15 @@ __all__ = [
     "TruncatedDP",
     "ParamState",
     "Hyperparams",
+    "VARIANTS",
+    "BASELINE_VARIANTS",
+    "LIKELIHOOD_MODES",
     "cumulative_baseline_hazard",
-    "recurrent_log_intensity",
-    "recurrent_log_survival",
-    "terminal_log_hazard",
-    "terminal_log_survival",
-    "terminal_log_density",
-    "participant_log_likelihood",
-    "total_log_likelihood",
 ]
+
+VARIANTS = ("BMZ-DP", "BM-DP", "BZ-DP", "BMZ")
+BASELINE_VARIANTS = ("piecewise", "powerlaw")
+LIKELIHOOD_MODES = ("corrected", "literal")
 
 
 def _readonly(a, dtype=float) -> np.ndarray:
@@ -159,12 +162,6 @@ class PiecewiseConstantHazard:
         if np.any(self.levels <= 0):
             raise ValueError("all hazard levels must be strictly positive")
 
-    def level_at(self, t: float) -> float:
-        """Hazard value at time t > 0 (last level extended beyond the grid)."""
-        g = int(np.searchsorted(self.grid, t, side="left")) - 1
-        g = min(max(g, 0), self.levels.size - 1)
-        return float(self.levels[g])
-
 
 @dataclass(frozen=True)
 class PowerLawHazard:
@@ -175,9 +172,6 @@ class PowerLawHazard:
     def __post_init__(self):
         if not self.shape > 0:
             raise ValueError(f"shape must be positive, got {self.shape}")
-
-    def level_at(self, t: float) -> float:
-        return self.shape * t ** (self.shape - 1.0)
 
 
 BaselineHazard = Union[PiecewiseConstantHazard, PowerLawHazard]
@@ -222,18 +216,11 @@ class TruncatedDP:
         if not self.concentration > 0:
             raise ValueError("concentration must be positive")
 
-    @property
-    def truncation_level(self) -> int:
-        return int(self.atoms.size)
-
-    def values(self) -> np.ndarray:
-        """Atom value per latent unit."""
-        return self.atoms[self.assignments]
-
 
 @dataclass(frozen=True)
 class ParamState:
-    """The full parameter vector at one MCMC iteration.
+    """A full parameter vector, the input to
+    :meth:`recurjoint.sampler.SamplerEngine.load_state`.
 
     ``unsusceptible`` is the latent zero-inflation indicator (1 marks a
     participant whose recurrent intensity is identically zero).  ``mu_dp``
@@ -273,15 +260,6 @@ class ParamState:
             raise ValueError("all shape atoms must be strictly positive")
         if not np.all(np.isin(self.unsusceptible, (0, 1))):
             raise ValueError("unsusceptible flags must be 0 or 1")
-
-    def cluster_mu(self, num_clusters: int) -> np.ndarray:
-        """Cluster-level effect per cluster (zeros when the block is absent)."""
-        if self.mu_dp is None:
-            return np.zeros(num_clusters)
-        return self.mu_dp.values()
-
-    def kappa_of(self, record_position: int) -> float:
-        return float(self.kappa_dp.atoms[self.kappa_dp.assignments[record_position]])
 
 
 @dataclass(frozen=True)
@@ -369,136 +347,3 @@ def piecewise_durations(followups: np.ndarray, baseline: PiecewiseConstantHazard
     dur = np.clip(np.minimum(r, grid[None, 1:]) - grid[None, :-1], 0.0, None)
     dur[:, -1] += np.clip(r[:, 0] - grid[-1], 0.0, None)
     return dur
-
-
-# ---------------------------------------------------------------------------
-# Recurrent process
-# ---------------------------------------------------------------------------
-
-def _mu_of(record: ParticipantRecord, state: ParamState) -> float:
-    if state.mu_dp is None:
-        return 0.0
-    return float(state.mu_dp.values()[record.cluster_index])
-
-
-def recurrent_log_intensity(t: float, record: ParticipantRecord, state: ParamState,
-                            record_position: int = 0) -> float:
-    """Log intensity of the recurrent process at time t for a susceptible
-    participant: ``log gamma + log lambda0(t) + beta'X + mu_j``.
-    """
-    if t <= 0:
-        raise ValueError(f"time must be positive, got {t}")
-    if state.unsusceptible[record_position]:
-        raise ValueError("recurrent intensity is identically zero for an unsusceptible participant")
-    gamma = float(state.gamma[record_position])
-    lam0 = state.baseline.level_at(t)
-    return math.log(gamma) + math.log(lam0) + float(state.beta @ record.covariates_x) + _mu_of(record, state)
-
-
-def recurrent_log_survival(record: ParticipantRecord, state: ParamState,
-                           record_position: int = 0) -> float:
-    """Log survival of the recurrent process at the follow-up time.
-
-    Returns 0 for the unsusceptible branch (survival identically 1).
-    """
-    if state.unsusceptible[record_position]:
-        return 0.0
-    gamma = float(state.gamma[record_position])
-    lam_cum = cumulative_baseline_hazard(record.followup_time, state.baseline)
-    eta = float(state.beta @ record.covariates_x) + _mu_of(record, state)
-    return -gamma * math.exp(eta) * lam_cum
-
-
-# ---------------------------------------------------------------------------
-# Terminal process (Weibull forms implied by the AFT model)
-# ---------------------------------------------------------------------------
-
-def _terminal_scale_exponent(record: ParticipantRecord, state: ParamState,
-                             record_position: int) -> float:
-    # d such that -log H(t) = exp(kappa * (log t + d))
-    gamma = float(state.gamma[record_position])
-    mu = _mu_of(record, state)
-    lin = state.alpha0 + float(state.alpha @ record.covariates_z) + state.xi2 * mu
-    return -state.xi1 * math.log(gamma) - lin
-
-
-def terminal_log_hazard(t: float, record: ParticipantRecord, state: ParamState,
-                        record_position: int = 0) -> float:
-    """Weibull log hazard of the terminal event at time t."""
-    if t <= 0:
-        raise ValueError(f"time must be positive, got {t}")
-    kappa = state.kappa_of(record_position)
-    d = _terminal_scale_exponent(record, state, record_position)
-    return math.log(kappa) - math.log(t) + kappa * (math.log(t) + d)
-
-
-def terminal_log_survival(t: float, record: ParticipantRecord, state: ParamState,
-                          record_position: int = 0) -> float:
-    """Weibull log survival of the terminal event at time t (nonpositive)."""
-    if t <= 0:
-        raise ValueError(f"time must be positive, got {t}")
-    kappa = state.kappa_of(record_position)
-    d = _terminal_scale_exponent(record, state, record_position)
-    return -math.exp(kappa * (math.log(t) + d))
-
-
-def terminal_log_density(t: float, record: ParticipantRecord, state: ParamState,
-                         record_position: int = 0) -> float:
-    """Log density of the terminal event time: log hazard + log survival."""
-    return (terminal_log_hazard(t, record, state, record_position)
-            + terminal_log_survival(t, record, state, record_position))
-
-
-# ---------------------------------------------------------------------------
-# Observed-data likelihood
-# ---------------------------------------------------------------------------
-
-def participant_log_likelihood(record: ParticipantRecord, state: ParamState,
-                               likelihood_mode: str = "corrected",
-                               record_position: int = 0) -> float:
-    """Observed-data log likelihood contribution of one participant.
-
-    In ``corrected`` mode (default) the terminal-event factor applies to
-    every participant, so an unsusceptible one still contributes its
-    terminal density or survival.  ``literal`` mode reproduces the published
-    likelihood display exactly, where an unsusceptible participant
-    contributes a factor of one.  The Bernoulli prior on the susceptibility
-    indicator is not part of this function.
-    """
-    if likelihood_mode not in ("corrected", "literal"):
-        raise ValueError(f"unknown likelihood_mode {likelihood_mode!r}")
-    d_flag = int(state.unsusceptible[record_position])
-    if d_flag and record.num_events > 0:
-        raise ValueError("participants with recurrent events cannot be unsusceptible")
-
-    rt = record.followup_time
-    if record.event_indicator:
-        terminal = terminal_log_density(rt, record, state, record_position)
-    else:
-        terminal = terminal_log_survival(rt, record, state, record_position)
-
-    recurrent = 0.0
-    if not d_flag:
-        for t in record.recurrent_times:
-            recurrent += recurrent_log_intensity(float(t), record, state, record_position)
-        recurrent += recurrent_log_survival(record, state, record_position)
-
-    if likelihood_mode == "literal" and d_flag:
-        return 0.0
-    return terminal + recurrent
-
-
-def total_log_likelihood(dataset: Dataset, state: ParamState,
-                         likelihood_mode: str = "corrected") -> float:
-    """Sum of participant log likelihoods, accumulated in record order so
-    the result is bit-reproducible.
-    """
-    n = len(dataset)
-    if state.gamma.size != n or state.unsusceptible.size != n:
-        raise ValueError("state dimensions do not match the dataset")
-    if state.kappa_dp.assignments.size != n:
-        raise ValueError("shape-mixture assignments do not match the dataset")
-    total = 0.0
-    for pos, record in enumerate(dataset.records):
-        total += participant_log_likelihood(record, state, likelihood_mode, pos)
-    return total

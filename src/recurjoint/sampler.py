@@ -1,6 +1,10 @@
 """MH-within-Gibbs kernel for the joint zero-inflated recurrent/terminal
 event model, plus the chain driver and proposal adaptation.
 
+:class:`SamplerEngine` is the only library code that evaluates the
+observed-data likelihood (:meth:`SamplerEngine.participant_loglik`) or takes
+a block step; the chain driver, traces and CPO/LPML all read it.
+
 One sweep visits, in a fixed order: beta; alpha; alpha0; tau2; gamma;
 (cluster-effect assignments, sticks, concentration, atoms); the latent
 susceptibility indicators; the baseline hazard; (shape assignments, sticks,
@@ -23,18 +27,14 @@ import numpy as np
 
 from .dp import posterior_stick_update, stick_to_weights, update_concentration
 from .model import (
-    BaselineHazard,
+    BASELINE_VARIANTS,
+    LIKELIHOOD_MODES,
+    VARIANTS,
     Dataset,
     Hyperparams,
     ParamState,
-    ParticipantRecord,
     PiecewiseConstantHazard,
-    PowerLawHazard,
-    TruncatedDP,
-    cumulative_baseline_hazard,
     piecewise_durations,
-    terminal_log_density,
-    terminal_log_survival,
 )
 
 __all__ = [
@@ -44,18 +44,9 @@ __all__ = [
     "ChainTrace",
     "mh_step",
     "adapt_scale",
-    "gibbs_tau2",
-    "gibbs_susceptibility",
-    "update_mu_block",
-    "update_kappa_block",
-    "update_baseline",
     "run_chain",
     "SamplerEngine",
 ]
-
-VARIANTS = ("BMZ-DP", "BM-DP", "BZ-DP", "BMZ")
-BASELINE_VARIANTS = ("piecewise", "powerlaw")
-LIKELIHOOD_MODES = ("corrected", "literal")
 
 ADAPT_RATE_COEF = 0.5
 TARGET_SCALAR = 0.44
@@ -144,9 +135,6 @@ class ChainTrace:
     total_loglik: np.ndarray
     acceptance: dict
     final_scales: dict
-    variant: str
-    baseline_variant: str
-    seed: int
     chain_index: int
     grid: np.ndarray | None
     scale_history: list | None = None
@@ -209,47 +197,6 @@ def mh_step(current, scale: float, target_log_density: Callable, rng: np.random.
 def adapt_scale(rate: float, scale: float, target: float = TARGET_SCALAR) -> float:
     """Burn-in proposal-scale adaptation: ``scale * exp(0.5 * (rate - target))``."""
     return scale * math.exp(ADAPT_RATE_COEF * (rate - target))
-
-
-def gibbs_tau2(cluster_log_gammas: np.ndarray, a0: float, b0: float,
-               rng: np.random.Generator) -> float:
-    """Exact conjugate draw of one cluster's frailty variance from
-    ``IG(a0 + n/2, b0 + sum(log gamma)^2 / 2)``.
-
-    An empty cluster yields a prior draw.
-    """
-    lg = np.asarray(cluster_log_gammas, dtype=float)
-    shape = a0 + lg.size / 2.0
-    rate = b0 + 0.5 * float(lg @ lg)
-    return rate / max(float(rng.gamma(shape, 1.0)), 1e-300)
-
-
-def gibbs_susceptibility(record: ParticipantRecord, state: ParamState, p_ij: float,
-                         rng: np.random.Generator, likelihood_mode: str = "corrected",
-                         record_position: int = 0) -> int:
-    """Draw the latent zero-inflation indicator for one participant.
-
-    Participants with observed recurrent events are susceptible with
-    probability one.  Otherwise the posterior odds reduce to
-    ``p : (1-p) * S(followup)`` in corrected mode; literal mode keeps the
-    terminal factor on the susceptible side only.
-    """
-    if record.num_events > 0:
-        return 0
-    gamma = float(state.gamma[record_position])
-    mu = 0.0 if state.mu_dp is None else float(state.mu_dp.values()[record.cluster_index])
-    eta = float(state.beta @ record.covariates_x) + mu
-    log_s = -gamma * math.exp(eta) * cumulative_baseline_hazard(record.followup_time, state.baseline)
-    logit = math.log(p_ij) - math.log1p(-p_ij) - log_s
-    if likelihood_mode == "literal":
-        if record.event_indicator:
-            terminal = terminal_log_density(record.followup_time, record, state, record_position)
-        else:
-            terminal = terminal_log_survival(record.followup_time, record, state, record_position)
-        logit -= terminal
-    with np.errstate(over="ignore"):
-        prob_one = float(1.0 / (1.0 + np.exp(-logit)))
-    return int(rng.random() < prob_one)
 
 
 def _categorical_rows(scores: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -869,42 +816,26 @@ class SamplerEngine:
         self.update_zeta(rng, post_burn_in)
         self.update_coef_variances(rng)
 
-    # -- state conversion -----------------------------------------------------------------------
-
-    @staticmethod
-    def _uniform_sticks(k: int) -> np.ndarray:
-        # stick fractions producing exactly uniform weights; used where the
-        # parametric variant carries atoms without mixture structure
-        return 1.0 / np.arange(k, 1, -1, dtype=float)
-
-    def snapshot(self) -> ParamState:
-        if self.mu_mode == "dp":
-            mu_dp = TruncatedDP(self.eta, self.mu_sticks,
-                                stick_to_weights(self.mu_sticks, self.level_mu),
-                                self.m, self.phi_mu)
-        elif self.mu_mode == "param":
-            k = max(self.eta.size, 1)
-            sticks = self._uniform_sticks(k)
-            atoms = self.eta if self.eta.size else np.zeros(1)
-            mu_dp = TruncatedDP(atoms, sticks, stick_to_weights(sticks, k), self.m, 1.0)
-        else:
-            mu_dp = None
-        kappa_dp = TruncatedDP(self.theta, self.kappa_sticks,
-                               stick_to_weights(self.kappa_sticks, self.level_kappa),
-                               self.v, self.phi_kappa)
-        if self.baseline_variant == "piecewise":
-            baseline = PiecewiseConstantHazard(self.grid, self.lam)
-        else:
-            baseline = PowerLawHazard(self.psi)
-        return ParamState(
-            beta=self.beta, alpha=self.alpha, alpha0=float(self.alpha0),
-            xi1=float(self.xi1), xi2=float(self.xi2),
-            zeta=None if self.zeta is None else self.zeta,
-            gamma=self.gamma, tau2=self.tau2, unsusceptible=self.d_flags,
-            mu_dp=mu_dp, kappa_dp=kappa_dp, baseline=baseline,
-            sigma2_beta=float(self.s2b), sigma2_alpha=float(self.s2a))
+    # -- state loading --------------------------------------------------------------------------
 
     def load_state(self, state: ParamState) -> None:
+        """Replace the chain state by ``state`` and rebuild every cache.
+
+        Rejects a state sized for another dataset, and one that flags a
+        participant with recurrent events as unsusceptible."""
+        sizes = (("gamma", state.gamma.size, self.n),
+                 ("unsusceptible", state.unsusceptible.size, self.n),
+                 ("shape-mixture assignments", state.kappa_dp.assignments.size, self.n),
+                 ("tau2", state.tau2.size, self.j))
+        for name, got, want in sizes:
+            if got != want:
+                raise ValueError(f"state dimensions do not match the dataset: {name} has "
+                                 f"{got} entries, expected {want}")
+        with_events = np.flatnonzero((state.unsusceptible == 1) & (self.q_events > 0))
+        if with_events.size:
+            rec = self.dataset.records[int(with_events[0])]
+            raise ValueError("participants with recurrent events cannot be unsusceptible: "
+                             f"participant {rec.participant_index} in cluster {rec.cluster_index}")
         self.beta = np.array(state.beta, dtype=float)
         self.alpha = np.array(state.alpha, dtype=float)
         self.alpha0 = float(state.alpha0)
@@ -990,56 +921,6 @@ class SamplerEngine:
 
 
 # ---------------------------------------------------------------------------
-# Public block operations (single-step wrappers over the engine)
-# ---------------------------------------------------------------------------
-
-def _engine_for(dataset, state, hyper, *, variant, likelihood_mode="corrected",
-                scales=None) -> SamplerEngine:
-    baseline_variant = ("piecewise" if isinstance(state.baseline, PiecewiseConstantHazard)
-                        else "powerlaw")
-    grid = state.baseline.grid if isinstance(state.baseline, PiecewiseConstantHazard) else None
-    eng = SamplerEngine(dataset, hyper, variant=variant, baseline_variant=baseline_variant,
-                        likelihood_mode=likelihood_mode, scales=scales, grid=grid)
-    eng.load_state(state)
-    return eng
-
-
-def update_mu_block(dataset: Dataset, state: ParamState, hyper: Hyperparams,
-                    rng: np.random.Generator, *, variant: str = "BMZ-DP",
-                    likelihood_mode: str = "corrected",
-                    scales: ProposalScales | None = None) -> TruncatedDP:
-    """One full cluster-effect block update; returns the new mixture state."""
-    if variant == "BZ-DP":
-        raise ValueError("the cluster-effect block does not exist under BZ-DP")
-    eng = _engine_for(dataset, state, hyper, variant=variant,
-                      likelihood_mode=likelihood_mode, scales=scales)
-    eng.update_mu_block(rng)
-    return eng.snapshot().mu_dp
-
-
-def update_kappa_block(dataset: Dataset, state: ParamState, hyper: Hyperparams,
-                       rng: np.random.Generator, *, variant: str = "BMZ-DP",
-                       likelihood_mode: str = "corrected",
-                       scales: ProposalScales | None = None) -> TruncatedDP:
-    """One full shape-parameter block update; returns the new mixture state."""
-    eng = _engine_for(dataset, state, hyper, variant=variant,
-                      likelihood_mode=likelihood_mode, scales=scales)
-    eng.update_kappa_block(rng)
-    return eng.snapshot().kappa_dp
-
-
-def update_baseline(dataset: Dataset, state: ParamState, hyper: Hyperparams,
-                    rng: np.random.Generator, *, variant: str = "BMZ-DP",
-                    likelihood_mode: str = "corrected",
-                    scales: ProposalScales | None = None) -> BaselineHazard:
-    """One baseline-hazard block update; returns the new baseline."""
-    eng = _engine_for(dataset, state, hyper, variant=variant,
-                      likelihood_mode=likelihood_mode, scales=scales)
-    eng.update_baseline_block(rng)
-    return eng.snapshot().baseline
-
-
-# ---------------------------------------------------------------------------
 # Chain driver
 # ---------------------------------------------------------------------------
 
@@ -1089,7 +970,6 @@ def run_chain(dataset: Dataset, config: McmcConfig, hyper: Hyperparams,
     return ChainTrace(
         columns=columns, draws=draws, participant_loglik=part_ll, total_loglik=total_ll,
         acceptance=eng.acceptance_rates(), final_scales=dict(eng.scales),
-        variant=config.variant, baseline_variant=config.baseline_variant,
-        seed=seed, chain_index=chain_index,
+        chain_index=chain_index,
         grid=None if eng.grid is None else eng.grid.copy(),
         scale_history=scale_history)

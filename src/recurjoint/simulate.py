@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import (
+    BASELINE_VARIANTS,
     BaselineHazard,
     Dataset,
     ParticipantRecord,
@@ -31,7 +32,6 @@ __all__ = [
     "SimTruth",
     "sample_piecewise_nhpp",
     "sample_terminal_times",
-    "simulate_terminal_time",
     "simulate_dataset",
     "TRUE_BETA",
     "TRUE_ALPHA",
@@ -83,18 +83,6 @@ class SimTruth:
     cluster_mu: np.ndarray
     uncensored_time: np.ndarray
     susceptibility_prob: np.ndarray
-
-    def parameter_truth(self) -> dict:
-        """Named generating values for the replicate-study scoring."""
-        out = {f"beta_{i + 1}": float(v) for i, v in enumerate(self.beta)}
-        out.update({f"alpha_{i + 1}": float(v) for i, v in enumerate(self.alpha)})
-        out["alpha0"] = float(self.alpha0)
-        out["xi1"] = float(self.xi1)
-        out["xi2"] = float(self.xi2)
-        out.update({f"zeta_{i + 1}": float(v) for i, v in enumerate(self.zeta)})
-        if self.baseline_variant == "powerlaw":
-            out["psi"] = float(self.baseline.shape)
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -150,14 +138,6 @@ def sample_terminal_times(location: np.ndarray, kappa: np.ndarray,
     return np.exp(location + eps / np.asarray(kappa, dtype=float))
 
 
-def simulate_terminal_time(covariates_z: np.ndarray, gamma: float, mu: float,
-                           kappa: float, truth: SimTruth, rng: np.random.Generator) -> float:
-    """One survival time under the accelerated failure time model."""
-    location = (truth.alpha0 + float(truth.alpha @ np.asarray(covariates_z))
-                + truth.xi1 * math.log(gamma) + truth.xi2 * mu)
-    return float(sample_terminal_times(np.array([location]), np.array([kappa]), rng)[0])
-
-
 # ---------------------------------------------------------------------------
 # Full study generator
 # ---------------------------------------------------------------------------
@@ -174,7 +154,7 @@ def simulate_dataset(n: int, j: int, baseline_variant: str = "piecewise",
     """
     if n % j:
         raise ValueError(f"participants ({n}) must divide evenly into clusters ({j})")
-    if baseline_variant not in ("piecewise", "powerlaw"):
+    if baseline_variant not in BASELINE_VARIANTS:
         raise ValueError(f"unknown baseline_variant {baseline_variant!r}")
     rng = np.random.default_rng(seed)
     per_cluster = n // j

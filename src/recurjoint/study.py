@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import re
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -167,7 +168,7 @@ def _study_task(args) -> dict:
         }
     except Exception as exc:  # a failed replicate is recorded, not fatal
         return {"ok": False, "replicate": replicate, "variant": variant,
-                "error": f"{type(exc).__name__}: {exc}"}
+                "error": f"{type(exc).__name__}: {exc}", "traceback": traceback.format_exc()}
 
 
 def run_replicate_study(study: dict, threads: int = 1) -> tuple:
@@ -193,7 +194,8 @@ def run_replicate_study(study: dict, threads: int = 1) -> tuple:
     for variant in study["variants"]:
         rows = [res for res in results if res["variant"] == variant]
         ok_rows = [res for res in rows if res["ok"]]
-        failures += [{"replicate": res["replicate"], "variant": variant, "error": res["error"]}
+        failures += [{"replicate": res["replicate"], "variant": variant, "error": res["error"],
+                      "traceback": res["traceback"]}
                      for res in rows if not res["ok"]]
         per_param = {}
         for res in sorted(ok_rows, key=lambda r: r["replicate"]):

@@ -9,11 +9,13 @@ sys.path.insert(0, str(Path(__file__).parent))
 from recurjoint.dp import stick_to_weights
 from recurjoint.model import (
     Dataset,
+    Hyperparams,
     ParamState,
     ParticipantRecord,
     PiecewiseConstantHazard,
     TruncatedDP,
 )
+from recurjoint.sampler import SamplerEngine
 
 
 def make_record(followup=1.0, delta=0, times=(), x=(0.0, 0.0, 0.0), z=(0.0, 0.0, 0.0),
@@ -59,6 +61,23 @@ def make_state(n=1, j=1, beta=(0.0, 0.0, 0.0), alpha=(0.0, 0.0, 0.0), alpha0=0.0
         kappa_dp=make_dp(kappa_atoms, np.zeros(n, dtype=int) if kappa_assign is None
                          else kappa_assign),
         baseline=baseline)
+
+
+def engine_for(records, state, mode="corrected", num_clusters=1, hyper=None):
+    """A BMZ-DP sampler engine over ``records`` holding ``state``."""
+    dataset = Dataset(records=tuple(records), num_clusters=num_clusters)
+    piecewise = isinstance(state.baseline, PiecewiseConstantHazard)
+    eng = SamplerEngine(dataset, hyper or Hyperparams(fixed_p=0.5), variant="BMZ-DP",
+                        baseline_variant="piecewise" if piecewise else "powerlaw",
+                        likelihood_mode=mode)
+    eng.load_state(state)
+    return eng
+
+
+def engine_loglik(records, state, mode="corrected", num_clusters=1):
+    """Per-record observed-data log likelihood of ``state``, as the sampler
+    engine evaluates it."""
+    return engine_for(records, state, mode, num_clusters).participant_loglik()
 
 
 @pytest.fixture

@@ -13,9 +13,10 @@ from recurjoint.io import (
     write_chain_trace,
     write_dataset,
 )
-from recurjoint.model import Dataset
+from recurjoint.model import Dataset, Hyperparams
 from recurjoint.sampler import McmcConfig, run_chain
 from recurjoint.simulate import simulate_dataset
+from recurjoint.study import fit_manifest, run_replicate_study
 from conftest import make_record
 
 
@@ -88,14 +89,19 @@ class TestEventsFile:
 class TestTraceFiles:
     def test_round_trip(self, tmp_path):
         dataset, _ = simulate_dataset(30, 3, seed=5)
-        trace = run_chain(dataset, McmcConfig(iterations=40, burn_in=20, seed=3,
-                                              adapt_window=10), __import__("recurjoint").Hyperparams())
-        write_chain_trace(trace, tmp_path / "chain00")
-        back = read_chain_trace(tmp_path / "chain00")
+        config = McmcConfig(iterations=40, burn_in=20, seed=3, adapt_window=10)
+        trace = run_chain(dataset, config, Hyperparams(), chain_index=1)
+        write_chain_trace(trace, tmp_path / "chain01")
+        manifest = json.loads(json.dumps(fit_manifest([trace, trace], config, Hyperparams())))
+        back = read_chain_trace(tmp_path / "chain01", manifest, 1)
         assert back.columns == trace.columns
         assert np.array_equal(back.draws, trace.draws)
         assert np.array_equal(back.total_loglik, trace.total_loglik)
         assert np.array_equal(back.participant_loglik, trace.participant_loglik)
+        assert back.acceptance == trace.acceptance
+        assert back.final_scales == trace.final_scales
+        assert np.array_equal(back.grid, trace.grid)
+        assert back.chain_index == 1
 
 
 class TestConfigDocuments:
@@ -229,6 +235,19 @@ class TestCliCommands:
             assert "avg_mean" in agg[p]
         assert (outs[0] / "report.json").read_bytes() == (outs[1] / "report.json").read_bytes()
         assert (outs[0] / "timing.json").exists()
+
+    def test_replicate_study_failure_keeps_traceback(self):
+        study = {"n": 20, "j": 2, "replicates": 1, "variants": ["BMZ-DP", "BMZ"], "seed": 3,
+                 "hyper": {"a0": -1}, "mcmc": {"iterations": 20, "burn_in": 10}}
+        report, _ = run_replicate_study(study)
+        failures = report["failures"]
+        assert [(f["replicate"], f["variant"]) for f in failures] == [(0, "BMZ-DP"), (0, "BMZ")]
+        for failure in failures:
+            assert failure["error"] == "ValueError: a0 must be strictly positive"
+            assert failure["traceback"].startswith("Traceback (most recent call last)")
+            assert "in __post_init__" in failure["traceback"]
+            assert "in _study_task" in failure["traceback"]
+        assert report["variants"]["BMZ"]["failures"] == 1
 
     def test_error_exit_code(self, tmp_path, capsys):
         assert main(["fit", "--data", str(tmp_path / "missing.csv"),

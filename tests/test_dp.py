@@ -4,10 +4,15 @@ from scipy import stats
 
 from recurjoint.dp import (
     posterior_stick_update,
-    sample_assignment,
     stick_to_weights,
     update_concentration,
 )
+from recurjoint.sampler import _categorical_rows
+
+
+def draw_rows(scores, rows, rng):
+    """``rows`` category draws from the softmax of one score vector."""
+    return _categorical_rows(np.tile(np.asarray(scores, dtype=float), (rows, 1)), rng)
 
 
 class TestStickToWeights:
@@ -81,28 +86,27 @@ class TestPosteriorStickUpdate:
 
 class TestSampleAssignment:
     def test_deterministic_when_one_finite(self, rng):
-        scores = np.array([0.0, -np.inf, -np.inf])
-        assert all(sample_assignment(scores, rng) == 0 for _ in range(50))
+        assert np.all(draw_rows([0.0, -np.inf, -np.inf], 50, rng) == 0)
 
     def test_uniform_scores(self, rng):
-        draws = np.array([sample_assignment(np.zeros(4), rng) for _ in range(100_000)])
+        draws = draw_rows(np.zeros(4), 100_000, rng)
         freqs = np.bincount(draws, minlength=4) / draws.size
         np.testing.assert_allclose(freqs, 0.25, atol=0.01)
 
     def test_weighted_scores(self, rng):
-        scores = np.log(np.array([0.7, 0.3]))
-        draws = np.array([sample_assignment(scores, rng) for _ in range(100_000)])
+        draws = draw_rows(np.log(np.array([0.7, 0.3])), 100_000, rng)
         assert (draws == 0).mean() == pytest.approx(0.7, abs=0.01)
 
     def test_all_minus_inf_rejected(self, rng):
-        with pytest.raises(ValueError, match="degenerate"):
-            sample_assignment(np.array([-np.inf, -np.inf]), rng)
+        scores = np.array([[0.0, 1.0], [-np.inf, -np.inf]])
+        with pytest.raises(ValueError, match="entirely -inf"):
+            _categorical_rows(scores, rng)
 
     def test_frequencies_match_weights(self, rng):
         sticks = rng.uniform(0.2, 0.8, 4)
         weights = stick_to_weights(sticks, 5)
         scores = np.log(weights) + 3.7  # constant likelihood
-        draws = np.array([sample_assignment(scores, rng) for _ in range(100_000)])
+        draws = draw_rows(scores, 100_000, rng)
         observed = np.bincount(draws, minlength=5)
         p = stats.chisquare(observed, weights * draws.size).pvalue
         assert p > 0.001

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 import oracles
-from recurjoint.model import Hyperparams
-from recurjoint.sampler import BASELINE_VARIANTS, LIKELIHOOD_MODES, VARIANTS, SamplerEngine
+from recurjoint.model import BASELINE_VARIANTS, LIKELIHOOD_MODES, VARIANTS, Hyperparams
+from recurjoint.sampler import SamplerEngine
 from recurjoint.simulate import simulate_dataset
 
 CASES = list(itertools.product(VARIANTS, BASELINE_VARIANTS, LIKELIHOOD_MODES))

@@ -6,21 +6,43 @@ import pytest
 from scipy import integrate
 
 import oracles
-from conftest import make_dp, make_record, make_state
+from conftest import engine_for, engine_loglik, make_record, make_state
 from recurjoint.model import (
     Dataset,
-    ParticipantRecord,
+    Hyperparams,
     PiecewiseConstantHazard,
     PowerLawHazard,
     cumulative_baseline_hazard,
-    participant_log_likelihood,
-    recurrent_log_intensity,
-    recurrent_log_survival,
-    terminal_log_density,
-    terminal_log_hazard,
-    terminal_log_survival,
-    total_log_likelihood,
 )
+from recurjoint.sampler import SamplerEngine
+
+
+def loglik(rec, state, mode="corrected"):
+    return float(engine_loglik([rec], state, mode)[0])
+
+
+def unsusceptible(state):
+    return dataclasses.replace(state, unsusceptible=np.ones_like(state.unsusceptible))
+
+
+def event_log_gain(t, rec, state):
+    """The recurrent log intensity at ``t``: what one event at ``t`` adds to
+    a participant's engine log likelihood."""
+    with_event = dataclasses.replace(rec, recurrent_times=np.array([t]))
+    return loglik(with_event, state) - loglik(rec, state)
+
+
+def recurrent_surv(rec, state):
+    """The recurrent log survival at follow-up: a no-event participant's
+    log likelihood minus its unsusceptible, terminal-only value."""
+    return loglik(rec, state) - loglik(rec, unsusceptible(state))
+
+
+def terminal_ll(t, state, delta, z=(0.0, 0.0, 0.0)):
+    """The terminal log density (``delta=1``) or log survival (``delta=0``)
+    at ``t``: in corrected mode an unsusceptible participant with no events
+    contributes the terminal factor alone."""
+    return loglik(make_record(followup=t, delta=delta, z=z), unsusceptible(state))
 
 
 class TestRecordValidation:
@@ -81,7 +103,9 @@ class TestCumulativeBaselineHazard:
                 t = float(rng.uniform(0.01, 4.5))
             deriv = (cumulative_baseline_hazard(t + h, base)
                      - cumulative_baseline_hazard(t - h, base)) / (2 * h)
-            assert deriv == pytest.approx(base.level_at(t), abs=1e-6)
+            level = oracles.hazard_level(t, {"variant": "piecewise", "grid": grid,
+                                             "levels": levels})
+            assert deriv == pytest.approx(level, abs=1e-6)
 
     def test_monotone_nondecreasing(self, rng):
         base = PiecewiseConstantHazard(np.array([0.0, 1.0, 2.0]), np.array([2.0, 2.3]))
@@ -95,12 +119,12 @@ class TestRecurrentProcess:
         base = PiecewiseConstantHazard(np.array([0.0, 1.0]), np.array([2.0]))
         state = make_state(baseline=base)
         rec = make_record()
-        assert recurrent_log_intensity(0.5, rec, state) == pytest.approx(math.log(2.0), abs=1e-15)
+        assert event_log_gain(0.5, rec, state) == pytest.approx(math.log(2.0), abs=1e-15)
 
     def test_intensity_composition(self):
         state = make_state(gamma=(math.e,), beta=(1.0, 0.0, 0.0), mu_atoms=(-1.0,))
         rec = make_record(x=(1.0, 0.0, 0.0))
-        assert recurrent_log_intensity(0.5, rec, state) == pytest.approx(1.0, abs=1e-12)
+        assert event_log_gain(0.5, rec, state) == pytest.approx(1.0, abs=1e-12)
 
     def test_intensity_random_oracle(self, rng):
         grid = np.array([0.0, 0.4, 1.0])
@@ -116,20 +140,21 @@ class TestRecurrentProcess:
             expected = math.log(oracles.recurrent_intensity(
                 t, gamma, [0.4, 0.3, 0.2], x, mu,
                 {"variant": "piecewise", "grid": grid, "levels": levels}))
-            assert recurrent_log_intensity(t, rec, state) == pytest.approx(expected, abs=1e-12)
-
-    def test_intensity_rejects_unsusceptible(self):
-        state = make_state(unsusceptible=(1,))
-        with pytest.raises(ValueError, match="unsusceptible"):
-            recurrent_log_intensity(0.5, make_record(), state)
+            assert event_log_gain(t, rec, state) == pytest.approx(expected, abs=1e-12)
 
     def test_survival_unit_case(self):
         state = make_state()
-        assert recurrent_log_survival(make_record(followup=1.0), state) == pytest.approx(-1.0, abs=1e-15)
+        assert recurrent_surv(make_record(followup=1.0), state) == pytest.approx(-1.0, abs=1e-15)
 
     def test_survival_unsusceptible_branch_is_one(self):
-        state = make_state(unsusceptible=(1,))
-        assert recurrent_log_survival(make_record(), state) == 0.0
+        # the recurrent branch contributes exactly nothing: the log
+        # likelihood is the terminal factor, whatever beta, mu and the levels
+        rec = make_record(x=(0.3, -0.2, 0.1))
+        a = unsusceptible(make_state())
+        b = unsusceptible(make_state(beta=(1.0, 2.0, 3.0), mu_atoms=(0.7,),
+                                     baseline=PiecewiseConstantHazard(np.array([0.0, 1.0]),
+                                                                      np.array([5.0]))))
+        assert loglik(rec, a) == loglik(rec, b) == -1.0
 
     def test_survival_compositional_oracle(self, rng):
         base = PiecewiseConstantHazard(np.array([0.0, 0.7, 1.8]), np.array([1.4, 0.9]))
@@ -142,19 +167,18 @@ class TestRecurrentProcess:
             rec = make_record(followup=followup, x=x)
             expected = (-gamma * math.exp(float(np.dot((0.4, 0.3, 0.2), x)) + mu)
                         * cumulative_baseline_hazard(followup, base))
-            assert recurrent_log_survival(rec, state) == pytest.approx(expected, abs=1e-12)
+            assert recurrent_surv(rec, state) == pytest.approx(expected, abs=1e-12)
 
 
 class TestTerminalProcess:
     def test_standard_exponential(self):
-        state = make_state()
-        assert terminal_log_survival(1.0, make_record(), state) == pytest.approx(-1.0, abs=1e-15)
+        assert terminal_ll(1.0, make_state(), 0) == pytest.approx(-1.0, abs=1e-15)
 
     def test_xi1_zero_removes_frailty(self):
-        rec = make_record()
         a = make_state(gamma=(0.5,), xi1=0.0)
         b = make_state(gamma=(2.7,), xi1=0.0)
-        assert terminal_log_survival(1.7, rec, a) == terminal_log_survival(1.7, rec, b)
+        assert terminal_ll(1.7, a, 0) == terminal_ll(1.7, b, 0)
+        assert terminal_ll(1.7, a, 1) == terminal_ll(1.7, b, 1)
 
     def test_survival_formula_oracle(self, rng):
         for _ in range(25):
@@ -164,37 +188,35 @@ class TestTerminalProcess:
             t = float(rng.uniform(0.05, 3.0))
             state = make_state(alpha=(0.2, 0.3, 0.4), alpha0=0.15, xi1=0.1, xi2=-0.5,
                                gamma=(gamma,), mu_atoms=(mu,), kappa_atoms=(2.2,))
-            rec = make_record(z=z)
             expected = math.log(oracles.terminal_survival(
                 t, 2.2, gamma, 0.15, [0.2, 0.3, 0.4], z, 0.1, -0.5, mu))
-            assert terminal_log_survival(t, rec, state) == pytest.approx(expected, abs=1e-12)
+            assert terminal_ll(t, state, 0, z) == pytest.approx(expected, abs=1e-12)
 
     def test_rejects_nonpositive_time(self):
-        state = make_state()
+        # the engine takes log(t) of every follow-up time; records guard it
         with pytest.raises(ValueError, match="positive"):
-            terminal_log_survival(0.0, make_record(), state)
+            make_record(followup=0.0)
         with pytest.raises(ValueError, match="positive"):
-            terminal_log_density(-1.0, make_record(), state)
+            make_record(followup=-1.0, delta=1)
 
     def test_survival_tends_to_one_and_decreases(self):
         state = make_state(alpha=(0.2, 0.3, 0.4), alpha0=0.15, xi1=0.1, xi2=-0.5,
                            gamma=(1.4,), mu_atoms=(0.3,), kappa_atoms=(2.2,))
-        rec = make_record(z=(0.1, -0.2, 0.05))
-        assert abs(terminal_log_survival(1e-9, rec, state)) < 1e-6
+        z = (0.1, -0.2, 0.05)
+        assert abs(terminal_ll(1e-9, state, 0, z)) < 1e-6
         ts = np.linspace(0.01, 5.0, 200)
-        values = [terminal_log_survival(t, rec, state) for t in ts]
+        values = [terminal_ll(t, state, 0, z) for t in ts]
         assert np.all(np.diff(values) < 0)
+        assert terminal_ll(50.0, state, 0, z) < -100.0
 
     def test_density_exp1_at_one(self):
-        state = make_state()
-        assert terminal_log_density(1.0, make_record(), state) == pytest.approx(-1.0, abs=1e-15)
+        assert terminal_ll(1.0, make_state(), 1) == pytest.approx(-1.0, abs=1e-15)
 
     def test_density_integrates_to_one_at_truth(self):
         state = make_state(alpha=(0.2, 0.3, 0.4), alpha0=0.15, xi1=0.1, xi2=-0.5,
                            gamma=(1.3,), mu_atoms=(0.2,), kappa_atoms=(2.2,))
-        rec = make_record(z=(0.05, -0.1, 0.08))
-        total, err = integrate.quad(
-            lambda t: math.exp(terminal_log_density(t, rec, state)), 0.0, 200.0)
+        z = (0.05, -0.1, 0.08)
+        total, err = integrate.quad(lambda t: math.exp(terminal_ll(t, state, 1, z)), 0.0, 200.0)
         assert total == pytest.approx(1.0, abs=1e-6)
 
     def test_density_integrates_to_one_random_draws(self, rng):
@@ -205,20 +227,21 @@ class TestTerminalProcess:
                                gamma=(float(rng.uniform(0.3, 2.0)),),
                                mu_atoms=(float(rng.normal(0, 0.4)),),
                                kappa_atoms=(float(rng.uniform(0.6, 8.2)),))
-            rec = make_record(z=rng.normal(0, 0.3, 3))
-            total, _ = integrate.quad(
-                lambda t: math.exp(terminal_log_density(t, rec, state)), 0.0, np.inf, limit=200)
+            z = rng.normal(0, 0.3, 3)
+            total, _ = integrate.quad(lambda t: math.exp(terminal_ll(t, state, 1, z)),
+                                      0.0, np.inf, limit=200)
             assert total == pytest.approx(1.0, abs=1e-6)
 
     def test_density_is_hazard_times_survival(self, rng):
         state = make_state(alpha=(0.2, 0.3, 0.4), alpha0=0.15, xi1=0.1, xi2=-0.5,
                            gamma=(0.8,), mu_atoms=(-0.2,), kappa_atoms=(3.3,))
-        rec = make_record(z=(0.1, 0.2, -0.1))
+        z = (0.1, 0.2, -0.1)
         for _ in range(20):
             t = float(rng.uniform(0.05, 4.0))
-            combined = (terminal_log_hazard(t, rec, state)
-                        + terminal_log_survival(t, rec, state))
-            assert terminal_log_density(t, rec, state) == pytest.approx(combined, abs=1e-12)
+            log_hazard = math.log(oracles.terminal_hazard(
+                t, 3.3, 0.8, 0.15, [0.2, 0.3, 0.4], z, 0.1, -0.5, -0.2))
+            combined = log_hazard + terminal_ll(t, state, 0, z)
+            assert terminal_ll(t, state, 1, z) == pytest.approx(combined, abs=1e-12)
 
 
 def _random_tiny_instance(rng):
@@ -252,23 +275,27 @@ class TestParticipantLikelihood:
     def test_forced_arithmetic_survivor(self):
         state = make_state()
         rec = make_record(followup=1.0, delta=0)
-        assert participant_log_likelihood(rec, state) == pytest.approx(-2.0, abs=1e-15)
+        assert loglik(rec, state) == pytest.approx(-2.0, abs=1e-15)
 
     def test_unsusceptible_keeps_terminal_factor(self):
         state = make_state(unsusceptible=(1,))
         rec = make_record(followup=1.0, delta=1)
-        assert participant_log_likelihood(rec, state) == pytest.approx(-1.0, abs=1e-15)
+        assert loglik(rec, state) == pytest.approx(-1.0, abs=1e-15)
 
     def test_literal_mode_drops_unsusceptible_contribution(self):
         state = make_state(unsusceptible=(1,))
         rec = make_record(followup=1.0, delta=1)
-        assert participant_log_likelihood(rec, state, "literal") == 0.0
+        assert loglik(rec, state, "literal") == 0.0
 
     def test_rejects_unsusceptible_with_events(self):
-        state = make_state(unsusceptible=(1,))
-        rec = make_record(times=(0.4,))
-        with pytest.raises(ValueError, match="unsusceptible"):
-            participant_log_likelihood(rec, state)
+        records = [make_record(cluster=c, participant=i, times=(0.4,) if (c, i) == (1, 3) else ())
+                   for c in range(2) for i in range(5)]
+        flags = np.zeros(10, dtype=np.int8)
+        flags[8] = 1
+        state = make_state(n=10, j=2, gamma=np.ones(10), unsusceptible=flags, mu_assign=(0, 0),
+                           kappa_assign=np.zeros(10, dtype=int))
+        with pytest.raises(ValueError, match="unsusceptible: participant 3 in cluster 1"):
+            engine_for(records, state, num_clusters=2)
 
     def test_against_brute_force_oracle(self):
         rng = np.random.default_rng(7)
@@ -278,7 +305,7 @@ class TestParticipantLikelihood:
                             list(rec.recurrent_times), rec.covariates_x, rec.covariates_z)
             for mode in ("corrected", "literal"):
                 expected = math.log(oracles.participant_likelihood(record_tuple, params, mode))
-                got = participant_log_likelihood(rec, state, mode)
+                got = loglik(rec, state, mode)
                 assert got == pytest.approx(expected, abs=1e-10)
 
     def test_order_normalized_times(self, rng):
@@ -286,24 +313,28 @@ class TestParticipantLikelihood:
         rec = make_record(times=np.sort(times))
         rec2 = make_record(times=np.sort(times[::-1]))
         state = make_state(beta=(0.2, 0.1, -0.1), gamma=(1.3,))
-        assert participant_log_likelihood(rec, state) == participant_log_likelihood(rec2, state)
+        assert loglik(rec, state) == loglik(rec2, state)
 
 
 class TestTotalLikelihood:
     def test_empty_dataset(self):
-        ds = Dataset(records=(), num_clusters=0, dim_x=3, dim_z=3, dim_u=4)
         state = make_state(n=0, j=0, gamma=(), tau2=(), unsusceptible=(),
                            mu_assign=np.empty(0, dtype=int), kappa_assign=np.empty(0, dtype=int))
-        assert total_log_likelihood(ds, state) == 0.0
+        ds = Dataset(records=(), num_clusters=0, dim_x=3, dim_z=3, dim_u=4)
+        eng = SamplerEngine(ds, Hyperparams(fixed_p=0.5))
+        eng.load_state(state)
+        assert eng.participant_loglik().shape == (0,)
+        assert eng.total_loglik() == 0.0
 
     def test_two_identical_records_double(self):
         a = make_record(followup=0.8, delta=1, times=(0.2, 0.5), participant=0)
         b = make_record(followup=0.8, delta=1, times=(0.2, 0.5), participant=1)
-        ds = Dataset(records=(a, b), num_clusters=1)
         state = make_state(n=2, beta=(0.3, 0.1, 0.0), gamma=(1.2, 1.2),
                            kappa_atoms=(1.7,), kappa_assign=(0, 0))
-        single = participant_log_likelihood(a, state, record_position=0)
-        assert total_log_likelihood(ds, state) == single + single
+        eng = engine_for((a, b), state)
+        single, second = eng.participant_loglik()
+        assert single == second
+        assert eng.total_loglik() == single + single
 
     def test_sum_matches_per_record_oracle(self):
         rng = np.random.default_rng(13)
@@ -315,7 +346,6 @@ class TestTotalLikelihood:
             gammas.append(params["gamma"])
             kappas.append(params["kappa"])
             dflags.append(params["d_flag"])
-        ds = Dataset(records=tuple(records), num_clusters=1)
         grid = np.array([0.0, 0.5, 1.2])
         levels = np.array([1.1, 2.2])
         base = PiecewiseConstantHazard(grid, levels)
@@ -323,6 +353,7 @@ class TestTotalLikelihood:
                            xi1=0.1, xi2=-0.5, gamma=gammas, unsusceptible=dflags,
                            mu_atoms=(0.25,), kappa_atoms=kappas,
                            kappa_assign=np.arange(30), baseline=base)
+        ll = engine_loglik(records, state)
         expected = 0.0
         for i, rec in enumerate(records):
             params = {"beta": state.beta, "alpha": state.alpha, "alpha0": 0.15, "xi1": 0.1,
@@ -331,14 +362,21 @@ class TestTotalLikelihood:
                       "baseline": {"variant": "piecewise", "grid": grid, "levels": levels}}
             record_tuple = (rec.followup_time, rec.event_indicator,
                             list(rec.recurrent_times), rec.covariates_x, rec.covariates_z)
-            expected += math.log(oracles.participant_likelihood(record_tuple, params))
-        assert total_log_likelihood(ds, state) == pytest.approx(expected, abs=1e-9)
+            expected_i = math.log(oracles.participant_likelihood(record_tuple, params))
+            assert ll[i] == pytest.approx(expected_i, abs=1e-10)
+            expected += expected_i
+        assert float(ll.sum()) == pytest.approx(expected, abs=1e-9)
 
     def test_dimension_mismatch_rejected(self):
-        ds = Dataset(records=(make_record(),), num_clusters=1)
-        state = make_state(n=2, gamma=(1.0, 1.0), kappa_assign=(0, 0))
-        with pytest.raises(ValueError, match="dimensions"):
-            total_log_likelihood(ds, state)
+        cases = [
+            ("gamma", make_state(n=2, gamma=(1.0, 1.0), unsusceptible=(0,), kappa_assign=(0,))),
+            ("unsusceptible", make_state(unsusceptible=(0, 0))),
+            ("shape-mixture assignments", make_state(kappa_assign=(0, 0))),
+            ("tau2", make_state(j=2, tau2=(1.0, 1.0), mu_assign=(0,))),
+        ]
+        for field, state in cases:
+            with pytest.raises(ValueError, match=f"dimensions do not match the dataset: {field} "):
+                engine_for((make_record(),), state)
 
     def test_factorization_without_shared_effects(self):
         rng = np.random.default_rng(3)
@@ -348,19 +386,17 @@ class TestTotalLikelihood:
                                x=rng.normal(0, 0.3, 3), z=rng.normal(0, 0.3, 3),
                                participant=i)
                    for i in range(12)]
-        ds = Dataset(records=tuple(records), num_clusters=1)
 
-        def state_with(beta, alpha, alpha0, kappa):
-            return make_state(n=12, beta=beta, alpha=alpha, alpha0=alpha0, xi1=0.0, xi2=0.0,
-                              gamma=np.full(12, 1.1), mu_atoms=(0.0,),
-                              kappa_atoms=(kappa,), kappa_assign=np.zeros(12, dtype=int))
+        def total(beta, alpha, alpha0, kappa):
+            state = make_state(n=12, beta=beta, alpha=alpha, alpha0=alpha0, xi1=0.0, xi2=0.0,
+                               gamma=np.full(12, 1.1), mu_atoms=(0.0,),
+                               kappa_atoms=(kappa,), kappa_assign=np.zeros(12, dtype=int))
+            return engine_for(records, state).total_loglik()
 
         beta_a, beta_b = (0.4, 0.3, 0.2), (-0.1, 0.6, 0.0)
         term_a, term_b = ((0.2, 0.3, 0.4), 0.15, 2.2), ((0.0, -0.2, 0.1), -0.3, 1.1)
         # with xi1 = xi2 = 0 and mu = 0 the likelihood factorizes, so the
         # terminal-block difference cannot depend on the recurrent block
-        diff_1 = (total_log_likelihood(ds, state_with(beta_a, *term_a))
-                  - total_log_likelihood(ds, state_with(beta_a, *term_b)))
-        diff_2 = (total_log_likelihood(ds, state_with(beta_b, *term_a))
-                  - total_log_likelihood(ds, state_with(beta_b, *term_b)))
+        diff_1 = total(beta_a, *term_a) - total(beta_a, *term_b)
+        diff_2 = total(beta_b, *term_a) - total(beta_b, *term_b)
         assert diff_1 == pytest.approx(diff_2, abs=1e-9)

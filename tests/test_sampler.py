@@ -4,29 +4,21 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import make_dp, make_record, make_state, uniform_sticks
-from recurjoint.dp import stick_to_weights
+from conftest import engine_for, make_dp, make_record, make_state
 from recurjoint.model import (
     Dataset,
     Hyperparams,
     ParamState,
     PiecewiseConstantHazard,
-    PowerLawHazard,
-    TruncatedDP,
 )
 from recurjoint.sampler import (
     McmcConfig,
     ProposalScales,
     SamplerEngine,
     adapt_scale,
-    gibbs_susceptibility,
-    gibbs_tau2,
     metropolis_decision,
     mh_step,
     run_chain,
-    update_baseline,
-    update_kappa_block,
-    update_mu_block,
 )
 from recurjoint.simulate import KAPPA_VALUES, simulate_dataset
 
@@ -130,59 +122,82 @@ class TestAdaptScale:
         assert 0.2 <= rate <= 0.6
 
 
+def tau2_draws(cluster_log_gammas, a0, b0, clusters, calls, rng):
+    """``calls`` engine tau2 updates over ``clusters`` clusters that each
+    hold the log frailties ``cluster_log_gammas``: clusters x calls draws."""
+    lg = np.asarray(cluster_log_gammas, dtype=float)
+    records = [make_record(cluster=c, participant=i)
+               for c in range(clusters) for i in range(lg.size)]
+    n = len(records)
+    state = make_state(n=n, j=clusters, gamma=np.tile(np.exp(lg), clusters),
+                       kappa_assign=np.zeros(n, dtype=int))
+    eng = engine_for(records, state, num_clusters=clusters,
+                     hyper=Hyperparams(a0=a0, b0=b0, fixed_p=0.5))
+    draws = []
+    for _ in range(calls):
+        eng.update_tau2(rng)
+        draws.append(eng.tau2.copy())
+    return np.concatenate(draws)
+
+
 class TestGibbsTau2:
     def test_conjugate_mean(self, rng):
-        draws = np.array([gibbs_tau2(np.zeros(2), 1.0, 1.0, rng) for _ in range(100_000)])
+        draws = tau2_draws(np.zeros(2), 1.0, 1.0, clusters=500, calls=200, rng=rng)
         assert draws.mean() == pytest.approx(1.0, abs=0.02)
 
-    def test_empty_cluster_prior_draw(self, rng):
-        draws = np.array([gibbs_tau2(np.empty(0), 3.0, 2.0, rng) for _ in range(50_000)])
-        assert draws.mean() == pytest.approx(1.0, abs=0.02)  # IG(3,2) mean b/(a-1)
+    def test_zero_log_frailties_add_only_shape(self, rng):
+        # a cluster always holds a record (Dataset rejects an empty one), and
+        # log frailties of zero leave the rate at b0: IG(3 + 1/2, 2), mean 0.8
+        with pytest.raises(ValueError, match="at least one record"):
+            Dataset(records=(make_record(cluster=1),), num_clusters=2)
+        draws = tau2_draws(np.zeros(1), 3.0, 2.0, clusters=500, calls=100, rng=rng)
+        assert draws.mean() == pytest.approx(0.8, abs=0.02)
 
     def test_distribution_ks(self, rng):
         lg = rng.normal(0, 0.6, 7)
         a0, b0 = 1.5, 0.8
-        draws = np.array([gibbs_tau2(lg, a0, b0, rng) for _ in range(10_000)])
+        draws = tau2_draws(lg, a0, b0, clusters=500, calls=20, rng=rng)
         dist = stats.invgamma(a0 + 3.5, scale=b0 + 0.5 * float(lg @ lg))
         assert stats.kstest(draws, dist.cdf).pvalue > 0.01
 
 
+def susceptibility_draws(rec, n, rng):
+    """One engine susceptibility update over ``n`` copies of ``rec`` under
+    unit frailty, zero predictors, a unit hazard and p = 0.5: n draws."""
+    state = make_state(n=n, gamma=np.ones(n), kappa_assign=np.zeros(n, dtype=int))
+    eng = engine_for((rec,) * n, state)
+    eng.update_susceptibility(rng)
+    return eng.d_flags
+
+
 class TestGibbsSusceptibility:
     def test_events_force_susceptible(self, rng):
-        state = make_state()
-        rec = make_record(times=(0.3,))
-        assert all(gibbs_susceptibility(rec, state, 0.5, rng) == 0 for _ in range(20))
+        assert np.all(susceptibility_draws(make_record(times=(0.3,)), 20, rng) == 0)
 
     def test_forced_probability(self, rng):
         # gamma=1, zero linear predictors, unit hazard over unit follow-up:
         # S = exp(-1), so P(D=1) = 1 / (1 + exp(-1))
-        state = make_state()
-        rec = make_record(followup=1.0)
-        draws = np.array([gibbs_susceptibility(rec, state, 0.5, rng) for _ in range(100_000)])
+        draws = susceptibility_draws(make_record(followup=1.0), 100_000, rng)
         assert draws.mean() == pytest.approx(1 / (1 + math.exp(-1)), abs=0.01)
 
     def test_no_hazard_means_prior(self, rng):
-        state = make_state()
-        rec = make_record(followup=1e-12)
-        draws = np.array([gibbs_susceptibility(rec, state, 0.5, rng) for _ in range(100_000)])
+        draws = susceptibility_draws(make_record(followup=1e-12), 100_000, rng)
         assert draws.mean() == pytest.approx(0.5, abs=0.01)
 
 
 class TestMuBlock:
     def test_dominant_atom_counts_and_stick(self, rng):
         dataset, truth = simulate_dataset(40, 4, seed=5)
-        atoms = np.array([0.0, 40.0, 41.0])
-        sticks = uniform_sticks(3)
         state = truth_state(dataset, truth)
         state = ParamState(**{**state.__dict__,
-                              "mu_dp": TruncatedDP(atoms, sticks, stick_to_weights(sticks, 3),
-                                                   np.zeros(4, dtype=int), 1.0)})
-        hyper = Hyperparams(update_concentrations=False)
+                              "mu_dp": make_dp([0.0, 40.0, 41.0], np.zeros(4, dtype=int))})
+        eng = SamplerEngine(dataset, Hyperparams(update_concentrations=False), variant="BMZ-DP")
         first_sticks = []
         for _ in range(800):
-            new = update_mu_block(dataset, state, hyper, rng)
-            assert np.all(new.assignments == 0)
-            first_sticks.append(new.raw_sticks[0])
+            eng.load_state(state)
+            eng.update_mu_block(rng)
+            assert np.all(eng.m == 0)
+            first_sticks.append(eng.mu_sticks[0])
         # counts (J, 0, 0) make the first stick Beta(1 + J, phi)
         assert np.mean(first_sticks) == pytest.approx(5 / 6, abs=0.01)
 
@@ -243,9 +258,13 @@ class TestMuBlock:
 
     def test_bz_dp_has_no_block(self, rng):
         dataset, truth = simulate_dataset(20, 2, seed=1)
-        with pytest.raises(ValueError, match="BZ-DP"):
-            update_mu_block(dataset, truth_state(dataset, truth), Hyperparams(), rng,
-                            variant="BZ-DP")
+        eng = SamplerEngine(dataset, Hyperparams(), variant="BZ-DP")
+        eng.load_state(truth_state(dataset, truth))
+        before = rng.bit_generator.state
+        eng.update_mu_block(rng, post=True)
+        assert rng.bit_generator.state == before
+        assert eng.eta.size == 0 and "eta" not in eng.acceptance_rates()
+        np.testing.assert_array_equal(eng.mu_rec, np.zeros(20))
 
 
 class TestKappaBlock:
@@ -254,8 +273,10 @@ class TestKappaBlock:
         state = truth_state(dataset, truth)
         state = ParamState(**{**state.__dict__,
                               "kappa_dp": make_dp(np.array([1.5]), np.zeros(10, dtype=int))})
-        new = update_kappa_block(dataset, state, Hyperparams(truncation_kappa=1), rng)
-        assert np.all(new.assignments == 0)
+        eng = SamplerEngine(dataset, Hyperparams(truncation_kappa=1), variant="BMZ-DP")
+        eng.load_state(state)
+        eng.update_kappa_block(rng)
+        assert np.all(eng.v == 0)
 
     def test_recovery_of_discrete_shape_set(self, rng):
         dataset, truth = simulate_dataset(600, 20, seed=31)
@@ -299,7 +320,6 @@ class TestBaselineBlock:
         # with zero events the level likelihood is pure survival, monotone
         # decreasing, so a down-move always passes the Metropolis rule
         records = tuple(make_record(followup=1.0, participant=i) for i in range(10))
-        dataset = Dataset(records=records, num_clusters=1)
         state = make_state(n=10, gamma=np.ones(10), kappa_assign=np.zeros(10, dtype=int),
                            baseline=PiecewiseConstantHazard(np.array([0.0, 1.0]), np.array([2.0])))
 
@@ -312,12 +332,16 @@ class TestBaselineBlock:
             def random(self, size=None):
                 return np.full(size, 1.0 - 1e-16) if size is not None else 1.0 - 1e-16
 
-        hyper = Hyperparams(fixed_p=0.5)
+        eng = engine_for(records, state)
         for _ in range(300):
-            new = update_baseline(dataset, state, hyper, StingyRng())
-            assert float(new.levels[0]) <= 2.0
-        drift = [float(update_baseline(dataset, state, hyper, rng).levels[0])
-                 for _ in range(400)]
+            eng.load_state(state)
+            eng.update_baseline_block(StingyRng())
+            assert float(eng.lam[0]) <= 2.0
+        drift = []
+        for _ in range(400):
+            eng.load_state(state)
+            eng.update_baseline_block(rng)
+            drift.append(float(eng.lam[0]))
         assert np.mean(drift) < 2.0
 
     def test_piecewise_recovery(self, rng):

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -9,12 +10,13 @@ from recurjoint.model import (
     PowerLawHazard,
     cumulative_baseline_hazard,
 )
+import recurjoint.simulate as sim
+from conftest import engine_loglik, make_record, make_state
 from recurjoint.simulate import (
     KAPPA_VALUES,
     sample_piecewise_nhpp,
     sample_terminal_times,
     simulate_dataset,
-    simulate_terminal_time,
 )
 
 
@@ -66,40 +68,43 @@ class TestTerminalGenerator:
         assert draws.mean() == pytest.approx(1.0, abs=0.01)
 
     def test_scalar_wrapper_matches_model(self, rng):
+        # a one-element draw is exp(location + log(-log U) / kappa)
         _, truth = simulate_dataset(20, 2, seed=3)
-        value = simulate_terminal_time(np.array([0.1, -0.2, 0.3]), 1.4, 0.2, 2.2, truth, rng)
+        location = (truth.alpha0 + float(truth.alpha @ np.array([0.1, -0.2, 0.3]))
+                    + truth.xi1 * math.log(1.4) + truth.xi2 * 0.2)
+        replay = copy.deepcopy(rng)
+        value = float(sample_terminal_times(np.array([location]), np.array([2.2]), rng)[0])
+        expected = math.exp(location + math.log(-math.log(replay.random())) / 2.2)
         assert value > 0
+        assert value == pytest.approx(expected, rel=1e-14)
 
     def test_survival_matches_evaluator(self, rng):
-        # generator/evaluator cross-check at three time points
-        from conftest import make_record, make_state
-
+        # generator/evaluator cross-check at three time points: in corrected
+        # mode a no-event unsusceptible participant censored at t contributes
+        # the terminal log survival alone
         z = np.array([0.05, -0.1, 0.08])
         gamma, mu, kappa = 1.3, 0.2, 2.2
         state = make_state(alpha=(0.2, 0.3, 0.4), alpha0=0.15, xi1=0.1, xi2=-0.5,
-                           gamma=(gamma,), mu_atoms=(mu,), kappa_atoms=(kappa,))
-        rec = make_record(z=z)
+                           gamma=(gamma,), mu_atoms=(mu,), kappa_atoms=(kappa,),
+                           unsusceptible=(1,))
         location = 0.15 + float(np.dot((0.2, 0.3, 0.4), z)) + 0.1 * math.log(gamma) - 0.5 * mu
         n = 100_000
         draws = sample_terminal_times(np.full(n, location), np.full(n, kappa), rng)
-        from recurjoint.model import terminal_log_survival
 
         for t in (0.5, 1.0, 2.0):
-            expected = math.exp(terminal_log_survival(t, rec, state))
+            expected = math.exp(engine_loglik([make_record(followup=t, z=z)], state)[0])
             observed = float((draws > t).mean())
             se = math.sqrt(expected * (1 - expected) / n)
             assert abs(observed - expected) <= 3 * se
 
-    def test_xi1_zero_distribution_free_of_gamma(self, rng):
-        _, truth = simulate_dataset(20, 2, seed=3)
-        import dataclasses
-
-        truth0 = dataclasses.replace(truth, xi1=0.0)
-        z = np.zeros(3)
-        a = np.array([simulate_terminal_time(z, 0.4, 0.0, 2.2, truth0, rng)
-                      for _ in range(4000)])
-        b = np.array([simulate_terminal_time(z, 2.9, 0.0, 2.2, truth0, rng)
-                      for _ in range(4000)])
+    def test_xi1_zero_distribution_free_of_gamma(self, monkeypatch):
+        # with xi1 = 0 the generator's terminal times of the lowest- and
+        # highest-frailty participants share one distribution
+        monkeypatch.setattr(sim, "TRUE_XI1", 0.0)
+        _, truth = simulate_dataset(8000, 20, seed=3)
+        order = np.argsort(truth.gamma)
+        a = truth.uncensored_time[order[:4000]]
+        b = truth.uncensored_time[order[4000:]]
         assert stats.ks_2samp(a, b).pvalue > 0.01
 
 
