@@ -142,6 +142,13 @@ class TestRecurrentProcess:
                 {"variant": "piecewise", "grid": grid, "levels": levels}))
             assert event_log_gain(t, rec, state) == pytest.approx(expected, abs=1e-12)
 
+    def test_intensity_rejects_unsusceptible(self):
+        # an unsusceptible participant has no recurrent intensity: the engine
+        # refuses a state that gives one an event
+        state = make_state(unsusceptible=(1,))
+        with pytest.raises(ValueError, match="unsusceptible"):
+            event_log_gain(0.5, make_record(), state)
+
     def test_survival_unit_case(self):
         state = make_state()
         assert recurrent_surv(make_record(followup=1.0), state) == pytest.approx(-1.0, abs=1e-15)
