@@ -15,6 +15,23 @@ conditionally independent given the rest of the state (frailties, mixture
 atoms, baseline levels) are updated as simultaneous ensembles of
 random-walk Metropolis moves, which leaves the invariant distribution
 unchanged while keeping the per-sweep cost a handful of vectorized passes.
+
+Memory stays linear in the number of records N: no array spans clusters
+by records (J x N), and a records-by-atoms (N x K) matrix exists only as a
+row chunk of at most ``_CHUNK_ELEMENTS`` entries.  The two mixture
+assignment steps are blocked-Gibbs categorical draws (Ishwaran & James
+2001) scored without either:
+
+* cluster effects: every record of cluster c shares the candidate atom
+  eta_k, and a record's shape enters only through its atom theta[v], so
+  the cluster's score factors into per-cluster sums,
+  ``eta_k L_c - exp(eta_k) R_c - sum_h T[c, h] exp(-theta_h xi2 eta_k)
+  + log w_k``, with L, R the bincounts of the per-record linear and
+  recurrent coefficients and T the bincount of the terminal coefficient
+  over (cluster, shape atom): O(N + J K_kappa K_mu) work;
+* shapes: per-record scores are built, max-shifted, exponentiated and
+  drawn from in cache-sized row chunks, from uniforms drawn once for all
+  N rows, so the draws do not depend on the chunk size.
 """
 
 from __future__ import annotations
@@ -55,6 +72,13 @@ TARGET_VECTOR = 0.30
 # exp arguments are capped so that transient overflow regions produce huge
 # finite penalties instead of inf - inf = nan inside vectorized updates
 _EXP_CAP = 700.0
+# assignment scores, and each term of a cluster-effect score, are clipped to
+# +-_SCORE_CLIP so that an overflowing term cannot meet another as inf - inf
+_SCORE_CLIP = 1e306
+
+# entries per row chunk of a records-by-atoms score matrix: 128 KB of
+# float64, so a chunk's few temporaries stay in a per-core L2 cache
+_CHUNK_ELEMENTS = 16_384
 
 
 def _exp_capped(x):
@@ -199,8 +223,9 @@ def adapt_scale(rate: float, scale: float, target: float = TARGET_SCALAR) -> flo
     return scale * math.exp(ADAPT_RATE_COEF * (rate - target))
 
 
-def _categorical_rows(scores: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Row-wise softmax sampling with max-shifted exponentiation.
+def _categorical_rows(scores: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Row-wise softmax sampling with max-shifted exponentiation: row i
+    draws with the uniform ``uniforms[i]``.
 
     Mutates ``scores`` in place; callers pass a scratch matrix.
     """
@@ -209,9 +234,9 @@ def _categorical_rows(scores: np.ndarray, rng: np.random.Generator) -> np.ndarra
         raise ValueError("a row of assignment scores is entirely -inf")
     scores -= mx[:, None]
     np.exp(scores, out=scores)
-    cum = np.cumsum(scores, axis=1)
-    u = rng.random(scores.shape[0]) * cum[:, -1]
-    return (cum < u[:, None]).sum(axis=1)
+    cum = np.cumsum(scores, axis=1, out=scores)
+    u = uniforms * cum[:, -1]
+    return np.count_nonzero(cum < u[:, None], axis=1)
 
 
 def _clip_sticks(sticks: np.ndarray) -> np.ndarray:
@@ -260,10 +285,7 @@ class SamplerEngine:
         self.delta = np.array([r.event_indicator for r in dataset.records], dtype=float)
         self.q_events = np.array([r.num_events for r in dataset.records], dtype=float)
         self.cluster_of = np.array([r.cluster_index for r in dataset.records], dtype=np.int64)
-        self.onehot = np.zeros((self.j, n))
-        if n:
-            self.onehot[self.cluster_of, np.arange(n)] = 1.0
-        self.cluster_sizes = self.onehot.sum(axis=1)
+        self.cluster_sizes = np.bincount(self.cluster_of, minlength=self.j).astype(float)
 
         ev_times = [t for r in dataset.records for t in r.recurrent_times]
         self.ev_times = np.asarray(ev_times, dtype=float)
@@ -514,7 +536,7 @@ class SamplerEngine:
     def update_tau2(self, rng) -> None:
         if self.j == 0:
             return
-        ssq = self.onehot @ (self.lgam * self.lgam)
+        ssq = np.bincount(self.cluster_of, weights=self.lgam * self.lgam, minlength=self.j)
         shape = self.hyper.a0 + 0.5 * self.cluster_sizes
         rate = self.hyper.b0 + 0.5 * ssq
         self.tau2 = rate / np.maximum(rng.gamma(shape, 1.0), 1e-300)
@@ -553,6 +575,29 @@ class SamplerEngine:
         term_scale = self.tm * _exp_capped(self.kap * d_without_mu)
         return lin, rec_scale, term_scale
 
+    def _cluster_mu_loglik(self, coefficients, atoms: np.ndarray) -> np.ndarray:
+        """J x K matrix: the log likelihood of cluster c's records with their
+        shared effect set to ``atoms[k]``, up to terms free of it.
+
+        Summed per cluster from :meth:`_mu_coefficients`; the terminal
+        coefficient is summed per (cluster, shape atom), since a record's
+        shape is ``theta[v]``.  The sums and each of the three terms are
+        clipped to +-_SCORE_CLIP.
+        """
+        lin, rec_scale, term_scale = coefficients
+        k_kappa = self.level_kappa
+        sums = (np.bincount(self.cluster_of, weights=lin, minlength=self.j),
+                np.bincount(self.cluster_of, weights=rec_scale, minlength=self.j),
+                np.bincount(self.cluster_of * k_kappa + self.v, weights=term_scale,
+                            minlength=self.j * k_kappa).reshape(self.j, k_kappa))
+        lin_c, rec_c, term_c = (np.clip(x, -_SCORE_CLIP, _SCORE_CLIP) for x in sums)
+        e_term = _exp_capped(np.outer(-self.theta * self.xi2, atoms))
+        with np.errstate(over="ignore"):
+            ll = np.clip(np.outer(lin_c, atoms), -_SCORE_CLIP, _SCORE_CLIP)
+            ll -= np.minimum(np.outer(rec_c, _exp_capped(atoms)), _SCORE_CLIP)
+            ll -= np.minimum(term_c @ e_term, _SCORE_CLIP)
+        return np.clip(ll, -_SCORE_CLIP, _SCORE_CLIP, out=ll)
+
     def update_mu_block(self, rng, post=False) -> None:
         """Assignments, sticks, concentration and atom moves for the cluster
         effects (plain per-cluster Metropolis steps in the parametric
@@ -560,23 +605,19 @@ class SamplerEngine:
         if self.mu_mode == "none":
             return
         if self.mu_mode == "dp":
-            lin, rec_scale, term_scale = self._mu_coefficients()
+            coefficients = self._mu_coefficients()
             if self.j:
-                e_mu = _exp_capped(self.eta)[None, :]
-                e_term = _exp_capped(np.outer(-self.kap * self.xi2, self.eta))
-                ll = (lin[:, None] * self.eta[None, :]
-                      - rec_scale[:, None] * e_mu - term_scale[:, None] * e_term)
-                np.clip(ll, -1e306, 1e306, out=ll)
+                scores = self._cluster_mu_loglik(coefficients, self.eta)
                 with np.errstate(divide="ignore"):
-                    scores = (self.onehot @ ll) + np.log(self.mu_weights)[None, :]
-                self.m = _categorical_rows(scores, rng)
+                    scores += np.log(self.mu_weights)
+                self.m = _categorical_rows(scores, rng.random(self.j))
             counts = np.bincount(self.m, minlength=self.level_mu).astype(float)
             self.mu_sticks = _clip_sticks(posterior_stick_update(counts, self.phi_mu, rng))
             self.mu_weights = stick_to_weights(self.mu_sticks, self.level_mu)
             if self.hyper.update_concentrations:
                 self.phi_mu = update_concentration(self.mu_sticks, self.hyper.a_phi,
                                                    self.hyper.b_phi, rng)
-            self._update_mu_atoms(rng, (lin, rec_scale, term_scale), refresh_empty=True, post=post)
+            self._update_mu_atoms(rng, coefficients, refresh_empty=True, post=post)
         else:
             self._update_mu_atoms(rng, self._mu_coefficients(), refresh_empty=False, post=post)
         self.cluster_mu = self.eta[self.m] if self.j else np.zeros(0)
@@ -693,19 +734,34 @@ class SamplerEngine:
 
     # -- shape-parameter block ---------------------------------------------------------------
 
-    def update_kappa_block(self, rng, post=False) -> None:
-        if self.n:
-            powers = np.outer(self.d_scale, self.theta)
-            expo = np.exp(np.minimum(powers, _EXP_CAP))
-            ll = self.delta[:, None] * (np.log(self.theta)[None, :]
-                                        - self.log_followup[:, None] + powers)
+    def _kappa_assignments(self, rng) -> np.ndarray:
+        """Draw every record's shape atom, scoring ``_CHUNK_ELEMENTS``-sized
+        row chunks of the records-by-atoms matrix one at a time."""
+        uniforms = rng.random(self.n)
+        log_theta = np.log(self.theta)
+        with np.errstate(divide="ignore"):
+            log_w = np.log(self.kappa_weights)
+        rows = max(1, _CHUNK_ELEMENTS // self.level_kappa)
+        v = np.empty(self.n, dtype=np.int64)
+        for start in range(0, self.n, rows):
+            r = slice(start, start + rows)
+            powers = np.multiply.outer(self.d_scale[r], self.theta)
+            expo = np.minimum(powers, _EXP_CAP)
+            np.exp(expo, out=expo)
+            ll = log_theta - self.log_followup[r, None]
+            ll += powers
+            ll *= self.delta[r, None]
             ll -= expo
             if self.literal:
-                ll *= self.tm[:, None]
-            np.clip(ll, -1e306, 1e306, out=ll)
-            with np.errstate(divide="ignore"):
-                ll += np.log(self.kappa_weights)[None, :]
-            self.v = _categorical_rows(ll, rng)
+                ll *= self.tm[r, None]
+            np.clip(ll, -_SCORE_CLIP, _SCORE_CLIP, out=ll)
+            ll += log_w
+            v[r] = _categorical_rows(ll, uniforms[r])
+        return v
+
+    def update_kappa_block(self, rng, post=False) -> None:
+        if self.n:
+            self.v = self._kappa_assignments(rng)
         counts = np.bincount(self.v, minlength=self.level_kappa).astype(float)
         self.kappa_sticks = _clip_sticks(posterior_stick_update(counts, self.phi_kappa, rng))
         self.kappa_weights = stick_to_weights(self.kappa_sticks, self.level_kappa)
@@ -823,10 +879,16 @@ class SamplerEngine:
 
         Rejects a state sized for another dataset, and one that flags a
         participant with recurrent events as unsusceptible."""
-        sizes = (("gamma", state.gamma.size, self.n),
+        if self.mu_mode != "none" and state.mu_dp is None:
+            raise ValueError("state has no cluster-effect mixture for this variant")
+        sizes = [("gamma", state.gamma.size, self.n),
                  ("unsusceptible", state.unsusceptible.size, self.n),
                  ("shape-mixture assignments", state.kappa_dp.assignments.size, self.n),
-                 ("tau2", state.tau2.size, self.j))
+                 ("tau2", state.tau2.size, self.j)]
+        if self.mu_mode != "none":
+            sizes.append(("cluster-effect assignments", state.mu_dp.assignments.size, self.j))
+        if self.mu_mode == "param":
+            sizes.append(("cluster-effect atoms", state.mu_dp.atoms.size, self.j))
         for name, got, want in sizes:
             if got != want:
                 raise ValueError(f"state dimensions do not match the dataset: {name} has "
@@ -848,8 +910,6 @@ class SamplerEngine:
         self.tau2 = np.array(state.tau2, dtype=float)
         self.d_flags = np.array(state.unsusceptible, dtype=np.int8)
         if self.mu_mode != "none":
-            if state.mu_dp is None:
-                raise ValueError("state has no cluster-effect mixture for this variant")
             self.eta = np.array(state.mu_dp.atoms, dtype=float)
             self.m = np.array(state.mu_dp.assignments, dtype=np.int64)
             if self.mu_mode == "dp":

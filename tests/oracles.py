@@ -1,11 +1,21 @@
 """Independent brute-force evaluators used as oracles.
 
-Everything here is deliberately coded from the printed model formulas with
-plain Python floats and no shared helpers from the package, so agreement
-with the library is a genuine dual-implementation check.
+Everything down to ``participant_likelihood`` is deliberately coded from
+the printed model formulas with plain Python floats and no shared helpers
+from the package, so agreement with the library is a genuine
+dual-implementation check.
+
+The dense references at the end keep the sampler's former numpy scoring of
+the two mixture assignment steps: a full records-by-atoms matrix, summed
+over each cluster's records by a clusters-by-records one-hot for the
+cluster effects.  They read only the engine's state and caches.
 """
 
 import math
+
+import numpy as np
+
+from recurjoint.sampler import _EXP_CAP
 
 
 def baseline_level(t, grid, levels):
@@ -97,3 +107,43 @@ def participant_likelihood(record, params, mode="corrected"):
                                     params["baseline"])
     terminal = dens_t if delta else surv_t
     return prod * surv_r * terminal
+
+
+def _dense_exp_capped(x):
+    return np.exp(np.minimum(x, _EXP_CAP))
+
+
+def dense_mu_cluster_loglik(eng, atoms):
+    """J x K cluster-effect log likelihoods: per-record N x K values, each
+    clipped to +-1e306, summed per cluster by a J x N one-hot product."""
+    atoms = np.asarray(atoms, dtype=float)
+    kap = eng.theta[eng.v]
+    lin = eng.su * eng.q_events - eng.tm * eng.delta * kap * eng.xi2
+    rec_scale = eng.su * eng.gamma * _dense_exp_capped(eng.lin_x) * eng.lam0_followup
+    term_scale = eng.tm * _dense_exp_capped(kap * (eng.d_scale + eng.xi2 * eng.mu_rec))
+    e_term = _dense_exp_capped(np.outer(-kap * eng.xi2, atoms))
+    ll = (lin[:, None] * atoms[None, :] - rec_scale[:, None] * _dense_exp_capped(atoms)[None, :]
+          - term_scale[:, None] * e_term)
+    np.clip(ll, -1e306, 1e306, out=ll)
+    onehot = np.zeros((eng.j, eng.n))
+    onehot[eng.cluster_of, np.arange(eng.n)] = 1.0
+    return onehot @ ll
+
+
+def dense_kappa_assignments(eng, rng):
+    """Shape-atom draws from the whole N x K score matrix: max-shifted
+    softmax, one uniform per record drawn after the scores."""
+    powers = np.outer(eng.d_scale, eng.theta)
+    expo = np.exp(np.minimum(powers, _EXP_CAP))
+    ll = eng.delta[:, None] * (np.log(eng.theta)[None, :] - eng.log_followup[:, None] + powers)
+    ll -= expo
+    if eng.literal:
+        ll *= eng.tm[:, None]
+    np.clip(ll, -1e306, 1e306, out=ll)
+    with np.errstate(divide="ignore"):
+        ll += np.log(eng.kappa_weights)[None, :]
+    ll -= ll.max(axis=1)[:, None]
+    np.exp(ll, out=ll)
+    cum = np.cumsum(ll, axis=1)
+    u = rng.random(ll.shape[0]) * cum[:, -1]
+    return (cum < u[:, None]).sum(axis=1)

@@ -12,7 +12,8 @@ from recurjoint.sampler import _categorical_rows
 
 def draw_rows(scores, rows, rng):
     """``rows`` category draws from the softmax of one score vector."""
-    return _categorical_rows(np.tile(np.asarray(scores, dtype=float), (rows, 1)), rng)
+    return _categorical_rows(np.tile(np.asarray(scores, dtype=float), (rows, 1)),
+                             rng.random(rows))
 
 
 class TestStickToWeights:
@@ -100,7 +101,7 @@ class TestSampleAssignment:
     def test_all_minus_inf_rejected(self, rng):
         scores = np.array([[0.0, 1.0], [-np.inf, -np.inf]])
         with pytest.raises(ValueError, match="entirely -inf"):
-            _categorical_rows(scores, rng)
+            _categorical_rows(scores, rng.random(2))
 
     def test_frequencies_match_weights(self, rng):
         sticks = rng.uniform(0.2, 0.8, 4)

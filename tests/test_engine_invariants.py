@@ -1,8 +1,11 @@
 """Whole-engine invariants, pinned for every variant, baseline and
 likelihood mode: the engine's per-participant log likelihood agrees with
 the brute-force oracle, and every incremental cache agrees with a full
-recomputation after each block update."""
+recomputation after each block update.  Also pinned: the two mixture
+assignment steps against their dense references, the overflow guards, and
+engine memory linear in the number of records."""
 
+import copy
 import itertools
 import math
 
@@ -10,8 +13,9 @@ import numpy as np
 import pytest
 
 import oracles
-from recurjoint.model import BASELINE_VARIANTS, LIKELIHOOD_MODES, VARIANTS, Hyperparams
-from recurjoint.sampler import SamplerEngine
+from conftest import engine_for, make_record, make_state
+from recurjoint.model import BASELINE_VARIANTS, LIKELIHOOD_MODES, VARIANTS, Dataset, Hyperparams
+from recurjoint.sampler import _CHUNK_ELEMENTS, _EXP_CAP, _SCORE_CLIP, SamplerEngine
 from recurjoint.simulate import simulate_dataset
 
 CASES = list(itertools.product(VARIANTS, BASELINE_VARIANTS, LIKELIHOOD_MODES))
@@ -21,6 +25,8 @@ CASES = list(itertools.product(VARIANTS, BASELINE_VARIANTS, LIKELIHOOD_MODES))
 ORACLE_REL_TOL = 1e-10
 ORACLE_ABS_TOL = 1e-12
 CACHE_REL_TOL = 1e-12
+# the factored cluster-effect scores add per-record terms in another order
+MU_SCORE_REL_TOL = 1e-12
 
 CACHES = ("lin_x", "lin_z", "mu_rec", "lgam", "kap", "d_scale", "ekd", "erx",
           "lam0_followup", "ev_logsum", "su", "tm", "logit_p")
@@ -75,6 +81,15 @@ def test_engine_matches_oracle(variant, baseline, mode):
     assert eng.total_loglik() == float(ll.sum())
 
 
+def _assert_caches_fresh(eng, present, label):
+    incremental = {name: np.array(getattr(eng, name), dtype=float) for name in present}
+    eng.refresh_caches()
+    for name in present:
+        fresh = np.asarray(getattr(eng, name), dtype=float)
+        np.testing.assert_allclose(incremental[name], fresh, rtol=CACHE_REL_TOL, atol=0,
+                                   err_msg=f"{name} after {label}")
+
+
 @pytest.mark.parametrize("variant,baseline,mode", CASES)
 def test_caches_match_full_refresh_after_every_block(variant, baseline, mode):
     eng = _engine(variant, baseline, mode, seed=202)
@@ -85,9 +100,85 @@ def test_caches_match_full_refresh_after_every_block(variant, baseline, mode):
         eng.refresh_caches()
         for block in BLOCKS:
             getattr(eng, block)(rng)
-            incremental = {name: np.array(getattr(eng, name), dtype=float) for name in present}
-            eng.refresh_caches()
+            _assert_caches_fresh(eng, present, block)
+
+
+@pytest.mark.parametrize("variant,baseline,mode", CASES)
+def test_factored_mu_scores_match_dense_reference(variant, baseline, mode):
+    eng = _engine(variant, baseline, mode, seed=303)
+    rng = np.random.default_rng(13)
+    for _ in range(5):
+        eng.sweep(rng)
+    atoms = np.concatenate([eng.eta, np.linspace(-2.0, 2.0, 9)])
+    factored = eng._cluster_mu_loglik(eng._mu_coefficients(), atoms)
+    dense = oracles.dense_mu_cluster_loglik(eng, atoms)
+    assert factored.shape == (eng.j, atoms.size)
+    np.testing.assert_allclose(factored, dense, rtol=MU_SCORE_REL_TOL, atol=0)
+
+
+# rows per shape-score chunk at the 50 shape atoms used below
+ROWS = _CHUNK_ELEMENTS // 50
+
+
+@pytest.mark.parametrize("mode", LIKELIHOOD_MODES)
+@pytest.mark.parametrize("n", [1, ROWS - 1, ROWS, ROWS + 1, 3 * ROWS + 17])
+def test_chunked_kappa_block_matches_dense_reference(n, mode, monkeypatch):
+    records = simulate_dataset(3 * ROWS + 17, 1, seed=19)[0].records[:n]
+    dataset = Dataset(records=records, num_clusters=1)
+    chunked, dense = (SamplerEngine(dataset, Hyperparams(truncation_kappa=50),
+                                    likelihood_mode=mode) for _ in range(2))
+    for eng in (chunked, dense):
+        eng.init_state(np.random.default_rng(n))
+    monkeypatch.setattr(dense, "_kappa_assignments",
+                        lambda rng: oracles.dense_kappa_assignments(dense, rng))
+    rng_chunked = np.random.default_rng(5)
+    rng_dense = copy.deepcopy(rng_chunked)
+    for _ in range(3):
+        chunked.sweep(rng_chunked)
+        dense.sweep(rng_dense)
+        np.testing.assert_array_equal(chunked.v, dense.v)
+        np.testing.assert_array_equal(chunked.theta, dense.theta)
+        assert rng_chunked.bit_generator.state == rng_dense.bit_generator.state
+
+
+@pytest.mark.parametrize("mode", LIKELIHOOD_MODES)
+def test_overflow_guards_keep_both_mixture_blocks_finite(mode):
+    # long follow-up, shape atom 1e305 and |eta| = 30 under xi2 = 40: in
+    # both blocks the exp cap fires and scores pass +-_SCORE_CLIP, and a
+    # cluster's summed linear term times eta overflows
+    records = [make_record(followup=40.0, delta=int(i % 4 < 2), times=(1.0, 9.0, 20.0)[:i % 4],
+                           cluster=i // 4, participant=i) for i in range(12)]
+    state = make_state(n=12, j=3, xi2=40.0, mu_atoms=(-30.0, 0.0, 30.0), mu_assign=(0, 1, 2),
+                       kappa_atoms=(0.5, 2.0, 1e305), kappa_assign=[2, 2, 0, 1] * 3)
+    eng = engine_for(records, state, mode, num_clusters=3)
+    rng = np.random.default_rng(17)
+    present = [name for name in CACHES if hasattr(eng, name)]
+
+    powers = np.outer(eng.d_scale, eng.theta)
+    assert (powers > _EXP_CAP).any() and (np.abs(powers) > _SCORE_CLIP).any()
+    lin, _, term_scale = eng._mu_coefficients()
+    assert (np.outer(-eng.theta * eng.xi2, eng.eta) > _EXP_CAP).any()
+    lin_c = np.bincount(eng.cluster_of, weights=lin, minlength=eng.j)
+    with np.errstate(over="ignore"):
+        assert (term_scale[:, None] * np.exp(np.minimum(np.outer(-eng.kap * eng.xi2, eng.eta),
+                                                         _EXP_CAP)) > _SCORE_CLIP).any()
+        assert not np.isfinite(np.outer(lin_c, eng.eta)).all()
+
+    for _ in range(5):
+        for block in ("update_mu_block", "update_kappa_block"):
+            getattr(eng, block)(rng)
             for name in present:
-                fresh = np.asarray(getattr(eng, name), dtype=float)
-                np.testing.assert_allclose(incremental[name], fresh, rtol=CACHE_REL_TOL, atol=0,
-                                           err_msg=f"{name} after {block}")
+                assert not np.isnan(getattr(eng, name)).any(), (name, block)
+            assert np.all((eng.m >= 0) & (eng.m < eng.level_mu))
+            assert np.all((eng.v >= 0) & (eng.v < eng.level_kappa))
+            _assert_caches_fresh(eng, present, block)
+
+
+def test_engine_memory_linear_in_records():
+    dataset, _ = simulate_dataset(4000, 400, seed=3)
+    eng = SamplerEngine(dataset, Hyperparams())
+    rng = np.random.default_rng(3)
+    eng.init_state(rng)
+    eng.sweep(rng)
+    nbytes = sum(v.nbytes for v in vars(eng).values() if isinstance(v, np.ndarray))
+    assert nbytes < 1000 * eng.n

@@ -15,6 +15,7 @@ from recurjoint.model import (
     cumulative_baseline_hazard,
 )
 from recurjoint.sampler import SamplerEngine
+from recurjoint.simulate import simulate_dataset
 
 
 def loglik(rec, state, mode="corrected"):
@@ -384,6 +385,28 @@ class TestTotalLikelihood:
         for field, state in cases:
             with pytest.raises(ValueError, match=f"dimensions do not match the dataset: {field} "):
                 engine_for((make_record(),), state)
+
+    @pytest.mark.parametrize("variant", ["BMZ-DP", "BM-DP", "BMZ"])
+    @pytest.mark.parametrize("extra", [3, -2])
+    def test_cluster_effect_size_mismatch_rejected(self, variant, extra):
+        dataset, _ = simulate_dataset(60, 6, seed=4)
+        eng = SamplerEngine(dataset, Hyperparams(fixed_p=0.5), variant=variant)
+        kwargs = dict(n=60, j=6, kappa_atoms=(1.5,))
+        if variant == "BMZ":
+            kwargs.update(mu_atoms=np.zeros(6), mu_assign=np.arange(6))
+        got = 6 + extra
+        wrong_assign = make_state(**{**kwargs, "mu_assign": np.zeros(got, dtype=int)})
+        with pytest.raises(ValueError, match="dimensions do not match the dataset: cluster-effect "
+                                             f"assignments has {got} entries, expected 6"):
+            eng.load_state(wrong_assign)
+        if variant == "BMZ":
+            wrong_atoms = make_state(**{**kwargs, "mu_atoms": np.zeros(got),
+                                        "mu_assign": np.zeros(6, dtype=int)})
+            with pytest.raises(ValueError, match="dimensions do not match the dataset: "
+                                                 f"cluster-effect atoms has {got} entries"):
+                eng.load_state(wrong_atoms)
+        eng.load_state(make_state(**kwargs))
+        assert np.isfinite(eng.total_loglik())
 
     def test_factorization_without_shared_effects(self):
         rng = np.random.default_rng(3)
