@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import Dataset, Hyperparams, ParticipantRecord
+from .model import Dataset, Hyperparams, RecordError
 from .sampler import ChainTrace, McmcConfig, ProposalScales
 from .simulate import SimTruth
 
@@ -42,103 +42,103 @@ def _fmt(x: float) -> str:
 # Events CSV
 # ---------------------------------------------------------------------------
 
+_FIXED_COLUMNS = ["cluster_id", "participant_id", "followup_time", "event_indicator",
+                  "event_times"]
+# file column of each per-record Dataset field
+_FIELD_COLUMN = {"cluster_index": 0, "participant_index": 1, "followup_time": 2,
+                 "event_indicator": 3, "event_times": 4}
+
+
 def _dataset_header(dataset: Dataset) -> list:
-    return (["cluster_id", "participant_id", "followup_time", "event_indicator", "event_times"]
+    return (_FIXED_COLUMNS
             + [f"x_{i + 1}" for i in range(dataset.dim_x)]
             + [f"z_{i + 1}" for i in range(dataset.dim_z)]
             + [f"u_{i + 1}" for i in range(dataset.dim_u)])
 
 
 def write_dataset(dataset: Dataset, path) -> None:
+    offsets = dataset.event_offsets.tolist()
+    times = [_fmt(t) for t in dataset.event_times.tolist()]
+    covariates = np.hstack([dataset.covariates_x, dataset.covariates_z, dataset.covariates_u])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_dataset_header(dataset))
-        for rec in dataset.records:
-            row = [str(rec.cluster_index), str(rec.participant_index),
-                   _fmt(rec.followup_time), str(rec.event_indicator),
-                   ";".join(_fmt(t) for t in rec.recurrent_times)]
-            row += [_fmt(v) for v in rec.covariates_x]
-            row += [_fmt(v) for v in rec.covariates_z]
-            row += [_fmt(v) for v in rec.covariates_u]
-            writer.writerow(row)
+        for i, row in enumerate(covariates.tolist()):
+            writer.writerow([str(dataset.cluster_index[i]), str(dataset.participant_index[i]),
+                             _fmt(dataset.followup_time[i]), str(dataset.event_indicator[i]),
+                             ";".join(times[offsets[i]:offsets[i + 1]])] + [_fmt(v) for v in row])
 
 
-def _count_prefixed(header: list, prefix: str) -> int:
-    return sum(1 for h in header if h.startswith(prefix))
+def _int64(text: str) -> int:
+    """An integer cell; out of the int64 range of the Dataset columns it
+    does not parse."""
+    value = int(text)
+    if not -2**63 <= value < 2**63:
+        raise ValueError(text)
+    return value
+
+
+def _cell_error(path, line_no: int, header: list, row: list) -> ValueError:
+    """The error for the first cell of ``row`` that does not parse."""
+    for col, cell in enumerate(row):
+        parse, kind = (_int64, "a 64-bit integer") if col in (0, 1, 3) else (float, "a number")
+        for value in (cell.split(";") if cell else []) if col == 4 else [cell]:
+            try:
+                parse(value)
+            except ValueError:
+                return ValueError(f"{path}: row {line_no}, column {col + 1} ({header[col]}): "
+                                  f"not {kind}: {value!r}")
 
 
 def load_dataset(path) -> Dataset:
-    """Parse and validate an events file, reporting the row and column of
-    the first violation."""
+    """Parse an events file; a cell that does not parse and a record that
+    breaks a :class:`Dataset` data rule are both reported by file row and
+    column."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty events file") from None
-        fixed = ["cluster_id", "participant_id", "followup_time", "event_indicator", "event_times"]
-        if header[: len(fixed)] != fixed:
-            raise ValueError(f"{path}: malformed header, expected leading columns {fixed}")
-        p = _count_prefixed(header, "x_")
-        q = _count_prefixed(header, "z_")
-        r = _count_prefixed(header, "u_")
-        expected_cols = len(fixed) + p + q + r
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty events file")
+        if header[: len(_FIXED_COLUMNS)] != _FIXED_COLUMNS:
+            raise ValueError(f"{path}: malformed header, expected leading columns "
+                             f"{_FIXED_COLUMNS}")
+        p, q, r = (sum(h.startswith(prefix) for h in header) for prefix in ("x_", "z_", "u_"))
+        expected_cols = len(_FIXED_COLUMNS) + p + q + r
         if len(header) != expected_cols:
             raise ValueError(f"{path}: unrecognized columns in header")
 
-        raw_rows = []
-        seen = set()
+        cluster, participant, followup, event, counts, times, covariates = ([] for _ in range(7))
         for line_no, row in enumerate(reader, start=2):
             if len(row) != expected_cols:
                 raise ValueError(f"{path}: row {line_no}: expected {expected_cols} columns, "
                                  f"got {len(row)}")
+            try:
+                cluster.append(_int64(row[0]))
+                participant.append(_int64(row[1]))
+                followup.append(float(row[2]))
+                event.append(_int64(row[3]))
+                row_times = row[4].split(";") if row[4] else []
+                times.extend(map(float, row_times))
+                counts.append(len(row_times))
+                covariates.extend(map(float, row[5:]))
+            except ValueError:
+                raise _cell_error(path, line_no, header, row) from None
 
-            def _floats(values, col0, label):
-                out = []
-                for k, v in enumerate(values):
-                    try:
-                        out.append(float(v))
-                    except ValueError:
-                        raise ValueError(f"{path}: row {line_no}, column {col0 + k + 1} "
-                                         f"({label}): not a number: {v!r}") from None
-                return out
-
-            cluster = int(row[0])
-            participant = int(row[1])
-            if (cluster, participant) in seen:
-                raise ValueError(f"{path}: row {line_no}: duplicate (cluster, participant) "
-                                 f"key ({cluster}, {participant})")
-            seen.add((cluster, participant))
-            followup = _floats([row[2]], 2, "followup_time")[0]
-            if row[3] not in ("0", "1"):
-                raise ValueError(f"{path}: row {line_no}, column 4 (event_indicator): "
-                                 f"must be 0 or 1, got {row[3]!r}")
-            times = _floats(row[4].split(";"), 4, "event_times") if row[4] else []
-            if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
-                raise ValueError(f"{path}: row {line_no}, column 5 (event_times): "
-                                 "times are not strictly increasing")
-            if times and (times[0] <= 0 or times[-1] > followup):
-                raise ValueError(f"{path}: row {line_no}, column 5 (event_times): "
-                                 "times must lie in (0, followup_time]")
-            if followup <= 0:
-                raise ValueError(f"{path}: row {line_no}, column 3 (followup_time): "
-                                 "must be positive")
-            x = _floats(row[5:5 + p], 5, "x")
-            z = _floats(row[5 + p:5 + p + q], 5 + p, "z")
-            u = _floats(row[5 + p + q:], 5 + p + q, "u")
-            raw_rows.append((cluster, participant, followup, int(row[3]), times, x, z, u))
-
-    cluster_ids = sorted({row[0] for row in raw_rows})
-    remap = {cid: i for i, cid in enumerate(cluster_ids)}
-    records = [ParticipantRecord(
-        cluster_index=remap[cluster], participant_index=participant,
-        followup_time=followup, event_indicator=event,
-        recurrent_times=np.asarray(times), covariates_x=np.asarray(x),
-        covariates_z=np.asarray(z), covariates_u=np.asarray(u))
-        for cluster, participant, followup, event, times, x, z, u in raw_rows]
-    if not records:
-        return Dataset(records=(), num_clusters=0, dim_x=p, dim_z=q, dim_u=r)
-    return Dataset(records=tuple(records), num_clusters=len(cluster_ids))
+    cluster_ids, cluster_index = np.unique(np.array(cluster, dtype=np.int64), return_inverse=True)
+    covariates = np.array(covariates, dtype=float).reshape(len(followup), p + q + r)
+    try:
+        return Dataset(
+            cluster_index=cluster_index, participant_index=participant,
+            followup_time=followup, event_indicator=event, event_times=times,
+            event_offsets=np.concatenate(([0], np.cumsum(counts, dtype=np.int64))),
+            covariates_x=np.ascontiguousarray(covariates[:, :p]),
+            covariates_z=np.ascontiguousarray(covariates[:, p:p + q]),
+            covariates_u=np.ascontiguousarray(covariates[:, p + q:]),
+            num_clusters=cluster_ids.size)
+    except RecordError as err:
+        col = _FIELD_COLUMN[err.field]
+        raise ValueError(f"{path}: row {err.position + 2}, column {col + 1} ({header[col]}): "
+                         f"{err.reason}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +209,6 @@ def parse_config(doc: dict) -> tuple:
         baseline_variant=model.get("baseline_variant", "piecewise"),
         likelihood_mode=model.get("likelihood_mode", "corrected"),
         adapt_window=int(mcmc.get("adapt_window", 50)),
-        record_scales=bool(mcmc.get("record_scales", False)),
         grid=None if grid is None else tuple(float(v) for v in grid),
     )
     hyper = Hyperparams(**hyper_doc)

@@ -1,7 +1,11 @@
-"""Domain types of the joint recurrent/terminal event model: participant
-records and datasets, baseline hazards, mixture and parameter states,
-hyperparameters, and the names of the model variants, baseline hazards and
-likelihood modes.
+"""Domain types of the joint recurrent/terminal event model: the dataset,
+baseline hazards, mixture and parameter states, hyperparameters, and the
+names of the model variants, baseline hazards and likelihood modes.
+
+A :class:`Dataset` holds covariate matrices and CSR event times that the
+loader, simulator and sampler engine share; its data rules are checked once,
+when it is built.  :attr:`Dataset.records` is a derived per-participant
+view, kept for the benchmark's likelihood oracle check and the tests.
 
 The observed-data likelihood is evaluated in one place only, the
 vectorized :class:`recurjoint.sampler.SamplerEngine`.  The closed-form
@@ -11,7 +15,8 @@ Every type is an immutable value object, safe to share across workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
@@ -19,6 +24,7 @@ import numpy as np
 __all__ = [
     "ParticipantRecord",
     "Dataset",
+    "RecordError",
     "PiecewiseConstantHazard",
     "PowerLawHazard",
     "BaselineHazard",
@@ -46,27 +52,19 @@ def _readonly(a, dtype=float) -> np.ndarray:
 # Data containers
 # ---------------------------------------------------------------------------
 
+class RecordError(ValueError):
+    """Record ``position`` breaks the rule ``reason`` on column ``field``."""
+
+    def __init__(self, position: int, field: str, reason: str, participant: int, cluster: int):
+        super().__init__(f"record {position} (participant {participant} in cluster {cluster}), "
+                         f"{field}: {reason}")
+        self.position, self.field, self.reason = position, field, reason
+
+
 @dataclass(frozen=True)
 class ParticipantRecord:
-    """Observed data for one participant.
-
-    Attributes
-    ----------
-    cluster_index : int
-        Practice (cluster) the participant belongs to, in ``[0, J)``.
-    participant_index : int
-        Index of the participant within its cluster.
-    followup_time : float
-        Observed follow-up time (terminal event or censoring), > 0.
-    event_indicator : int
-        1 if the terminal event was observed, 0 if censored.
-    recurrent_times : ndarray
-        Strictly increasing recurrent event times, each in
-        ``(0, followup_time]``.
-    covariates_x, covariates_z, covariates_u : ndarray
-        Covariate vectors for the recurrent, terminal and susceptibility
-        submodels respectively.
-    """
+    """One participant's row of a :class:`Dataset`, as :attr:`Dataset.records`
+    builds it; ``recurrent_times`` are the participant's event times."""
 
     cluster_index: int
     participant_index: int
@@ -77,68 +75,121 @@ class ParticipantRecord:
     covariates_z: np.ndarray
     covariates_u: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "recurrent_times", _readonly(self.recurrent_times))
-        object.__setattr__(self, "covariates_x", _readonly(self.covariates_x))
-        object.__setattr__(self, "covariates_z", _readonly(self.covariates_z))
-        object.__setattr__(self, "covariates_u", _readonly(self.covariates_u))
-        if not self.followup_time > 0:
-            raise ValueError(f"followup_time must be positive, got {self.followup_time}")
-        if self.event_indicator not in (0, 1):
-            raise ValueError(f"event_indicator must be 0 or 1, got {self.event_indicator}")
-        t = self.recurrent_times
-        if t.size:
-            if np.any(np.diff(t) <= 0):
-                raise ValueError("recurrent_times must be strictly increasing")
-            if t[0] <= 0 or t[-1] > self.followup_time:
-                raise ValueError("recurrent_times must lie in (0, followup_time]")
-
     @property
     def num_events(self) -> int:
         return int(self.recurrent_times.size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """A clustered collection of participant records."""
+    """N participants nested in ``num_clusters`` clusters, stored by column.
 
-    records: tuple
+    ``cluster_index``, ``participant_index`` (within the cluster),
+    ``followup_time`` and ``event_indicator`` (1 if the terminal event was
+    observed) hold one entry per record; the recurrent, terminal and
+    susceptibility covariates are (N, p), (N, q) and (N, r) matrices; record
+    i's event times are ``event_times[event_offsets[i]:event_offsets[i + 1]]``.
+
+    Every data rule on the records is checked here, once; the first record
+    that breaks one raises :class:`RecordError`.  Covariates are not checked.
+    Arrays of the right type and layout are taken without a copy, read-only.
+    """
+
+    cluster_index: np.ndarray
+    participant_index: np.ndarray
+    followup_time: np.ndarray
+    event_indicator: np.ndarray
+    event_times: np.ndarray
+    event_offsets: np.ndarray
+    covariates_x: np.ndarray
+    covariates_z: np.ndarray
+    covariates_u: np.ndarray
     num_clusters: int
-    dim_x: int = field(default=-1)
-    dim_z: int = field(default=-1)
-    dim_u: int = field(default=-1)
 
     def __post_init__(self):
-        object.__setattr__(self, "records", tuple(self.records))
-        if self.records:
-            r0 = self.records[0]
-            dims = (r0.covariates_x.size, r0.covariates_z.size, r0.covariates_u.size)
-            object.__setattr__(self, "dim_x", dims[0])
-            object.__setattr__(self, "dim_z", dims[1])
-            object.__setattr__(self, "dim_u", dims[2])
-            for r in self.records:
-                if (r.covariates_x.size, r.covariates_z.size, r.covariates_u.size) != dims:
-                    raise ValueError("covariate dimensions differ across records")
-                if not 0 <= r.cluster_index < self.num_clusters:
-                    raise ValueError(f"cluster_index {r.cluster_index} out of range [0, {self.num_clusters})")
-            sizes = self.cluster_sizes
-            if any(s < 1 for s in sizes):
-                raise ValueError("every cluster must contain at least one record")
-        else:
-            if self.num_clusters != 0:
-                raise ValueError("an empty dataset must declare num_clusters = 0")
-            if min(self.dim_x, self.dim_z, self.dim_u) < 0:
-                raise ValueError("an empty dataset must declare covariate dimensions")
+        n = np.size(self.followup_time)
+        # checked as int64, so that no value wraps when stored as int8
+        indicator = np.asarray(self.event_indicator, dtype=np.int64)
+        object.__setattr__(self, "event_indicator", indicator)
+        for name, dtype in (("cluster_index", np.int64), ("participant_index", np.int64),
+                            ("followup_time", float), ("event_indicator", np.int8),
+                            ("covariates_x", float), ("covariates_z", float),
+                            ("covariates_u", float), ("event_times", float),
+                            ("event_offsets", np.int64)):
+            column = np.ascontiguousarray(getattr(self, name), dtype=dtype).view()
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        for name in ("cluster_index", "participant_index", "followup_time", "event_indicator",
+                     "covariates_x", "covariates_z", "covariates_u"):
+            shape = getattr(self, name).shape
+            if shape[:1] != (n,) or len(shape) != (2 if name.startswith("covariates") else 1):
+                raise ValueError(f"{name} has shape {shape}: its dimensions must give one row "
+                                 f"per record, N = {n}")
+        offsets = self.event_offsets
+        if (self.event_times.ndim != 1 or offsets.shape != (n + 1,) or offsets[0] != 0
+                or offsets[-1] != self.event_times.size or np.any(np.diff(offsets) < 0)):
+            raise ValueError("event_offsets must rise from 0 to len(event_times) in N steps")
+
+        # per-record rules, in the order a record is checked: the first
+        # failing record raises, naming the first rule it breaks
+        cluster, participant = self.cluster_index, self.participant_index
+        followup, times = self.followup_time, self.event_times
+        owner = np.repeat(np.arange(n), np.diff(offsets))
+
+        def records_of(bad_events):
+            return np.bincount(owner[bad_events], minlength=n) > 0
+
+        duplicate = np.ones(n, dtype=bool)
+        duplicate[np.unique(np.column_stack([cluster, participant]), axis=0,
+                            return_index=True)[1]] = False
+        unordered = np.zeros(times.size, dtype=bool)
+        unordered[1:] = (owner[1:] == owner[:-1]) & ~(times[1:] > times[:-1])
+        rules = (
+            ("cluster_index", f"must lie in [0, {self.num_clusters})", cluster,
+             (cluster < 0) | (cluster >= self.num_clusters)),
+            ("participant_index", "duplicate (cluster, participant) key", None, duplicate),
+            ("followup_time", "must be finite", followup, ~np.isfinite(followup)),
+            ("followup_time", "must be positive", followup, ~(followup > 0)),
+            ("event_indicator", "must be 0 or 1", indicator, (indicator != 0) & (indicator != 1)),
+            ("event_times", "times must be finite", None, records_of(~np.isfinite(times))),
+            ("event_times", "times are not strictly increasing", None, records_of(unordered)),
+            ("event_times", "times must lie in (0, followup_time]", None,
+             records_of((times <= 0) | (times > followup[owner]))),
+        )
+        bad = np.logical_or.reduce([mask for *_, mask in rules])
+        if bad.any():
+            pos = int(np.argmax(bad))
+            name, reason, values = next((f, r, v) for f, r, v, mask in rules if mask[pos])
+            if values is not None:
+                reason = f"{reason}, got {values[pos].item()}"
+            raise RecordError(pos, name, reason, int(participant[pos]), int(cluster[pos]))
+        empty = np.flatnonzero(self.cluster_sizes == 0)
+        if empty.size:
+            raise ValueError(f"every cluster must contain at least one record; "
+                             f"cluster {empty[0]} has none")
+
+    dim_x = property(lambda self: self.covariates_x.shape[1])
+    dim_z = property(lambda self: self.covariates_z.shape[1])
+    dim_u = property(lambda self: self.covariates_u.shape[1])
 
     @property
-    def cluster_sizes(self) -> list:
-        sizes = [0] * self.num_clusters
-        for r in self.records:
-            sizes[r.cluster_index] += 1
-        return sizes
+    def cluster_sizes(self) -> np.ndarray:
+        return np.bincount(self.cluster_index, minlength=self.num_clusters)
+
+    @cached_property
+    def records(self) -> tuple:
+        """The rows as :class:`ParticipantRecord` views of the columns, built on
+        first access for the benchmark's likelihood oracle check and the tests."""
+        o = self.event_offsets.tolist()
+        return tuple(
+            ParticipantRecord(c, p, f, d, self.event_times[o[i]:o[i + 1]], self.covariates_x[i],
+                              self.covariates_z[i], self.covariates_u[i])
+            for i, (c, p, f, d) in enumerate(zip(
+                self.cluster_index.tolist(), self.participant_index.tolist(),
+                self.followup_time.tolist(), self.event_indicator.tolist())))
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self.followup_time.size
 
 
 @dataclass(frozen=True)

@@ -122,7 +122,6 @@ class McmcConfig:
     baseline_variant: str = "piecewise"
     likelihood_mode: str = "corrected"
     adapt_window: int = 50
-    record_scales: bool = False
     grid: tuple | None = None
 
     def __post_init__(self):
@@ -161,7 +160,6 @@ class ChainTrace:
     final_scales: dict
     chain_index: int
     grid: np.ndarray | None
-    scale_history: list | None = None
 
     def column(self, name: str) -> np.ndarray:
         try:
@@ -231,7 +229,8 @@ def _categorical_rows(scores: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """
     mx = scores.max(axis=1)
     if not np.all(np.isfinite(mx)):
-        raise ValueError("a row of assignment scores is entirely -inf")
+        kind = "contains NaN" if np.isnan(mx).any() else "is entirely -inf"
+        raise ValueError(f"a row of assignment scores {kind}")
     scores -= mx[:, None]
     np.exp(scores, out=scores)
     cum = np.cumsum(scores, axis=1, out=scores)
@@ -277,20 +276,18 @@ class SamplerEngine:
         n = len(dataset)
         self.n = n
         self.j = dataset.num_clusters
-        self.x = np.array([r.covariates_x for r in dataset.records], dtype=float).reshape(n, dataset.dim_x)
-        self.z = np.array([r.covariates_z for r in dataset.records], dtype=float).reshape(n, dataset.dim_z)
-        self.u = np.array([r.covariates_u for r in dataset.records], dtype=float).reshape(n, dataset.dim_u)
-        self.followup = np.array([r.followup_time for r in dataset.records], dtype=float)
-        self.log_followup = np.log(self.followup) if n else np.empty(0)
-        self.delta = np.array([r.event_indicator for r in dataset.records], dtype=float)
-        self.q_events = np.array([r.num_events for r in dataset.records], dtype=float)
-        self.cluster_of = np.array([r.cluster_index for r in dataset.records], dtype=np.int64)
-        self.cluster_sizes = np.bincount(self.cluster_of, minlength=self.j).astype(float)
-
-        ev_times = [t for r in dataset.records for t in r.recurrent_times]
-        self.ev_times = np.asarray(ev_times, dtype=float)
-        self.ev_record = np.repeat(np.arange(n), [r.num_events for r in dataset.records]) \
-            if n else np.empty(0, dtype=np.int64)
+        self.x = dataset.covariates_x
+        self.z = dataset.covariates_z
+        self.u = dataset.covariates_u
+        self.followup = dataset.followup_time
+        self.log_followup = np.log(self.followup)
+        self.delta = dataset.event_indicator.astype(float)
+        counts = np.diff(dataset.event_offsets)
+        self.q_events = counts.astype(float)
+        self.cluster_of = dataset.cluster_index
+        self.cluster_sizes = dataset.cluster_sizes.astype(float)
+        self.ev_times = dataset.event_times
+        self.ev_record = np.repeat(np.arange(n), counts)
 
         if baseline_variant == "piecewise":
             self.grid = self._build_grid(grid)
@@ -415,10 +412,9 @@ class SamplerEngine:
         ll = self.participant_loglik()
         if n and not np.all(np.isfinite(ll)):
             pos = int(np.flatnonzero(~np.isfinite(ll))[0])
-            rec = self.dataset.records[pos]
             raise RuntimeError(
                 "non-finite log likelihood at initialization for participant "
-                f"{rec.participant_index} in cluster {rec.cluster_index}")
+                f"{self.dataset.participant_index[pos]} in cluster {self.cluster_of[pos]}")
 
     # -- caches -------------------------------------------------------------------
 
@@ -895,9 +891,10 @@ class SamplerEngine:
                                  f"{got} entries, expected {want}")
         with_events = np.flatnonzero((state.unsusceptible == 1) & (self.q_events > 0))
         if with_events.size:
-            rec = self.dataset.records[int(with_events[0])]
+            pos = with_events[0]
             raise ValueError("participants with recurrent events cannot be unsusceptible: "
-                             f"participant {rec.participant_index} in cluster {rec.cluster_index}")
+                             f"participant {self.dataset.participant_index[pos]} in cluster "
+                             f"{self.cluster_of[pos]}")
         self.beta = np.array(state.beta, dtype=float)
         self.alpha = np.array(state.alpha, dtype=float)
         self.alpha0 = float(state.alpha0)
@@ -1008,17 +1005,13 @@ def run_chain(dataset: Dataset, config: McmcConfig, hyper: Hyperparams,
     draws = np.empty((kept, len(columns)))
     part_ll = np.empty((kept, eng.n))
     total_ll = np.empty(kept)
-    scale_history = [] if config.record_scales else None
 
     row = 0
     for it in range(config.iterations):
         post = it >= config.burn_in
         eng.sweep(rng, post_burn_in=post)
-        if (it + 1) % config.adapt_window == 0:
-            if not post:
-                eng.adapt_all()
-            if scale_history is not None:
-                scale_history.append((it + 1, dict(eng.scales)))
+        if not post and (it + 1) % config.adapt_window == 0:
+            eng.adapt_all()
         if post and (it - config.burn_in) % config.thin == 0:
             draws[row] = eng.trace_row()
             ll = eng.participant_loglik()
@@ -1031,5 +1024,4 @@ def run_chain(dataset: Dataset, config: McmcConfig, hyper: Hyperparams,
         columns=columns, draws=draws, participant_loglik=part_ll, total_loglik=total_ll,
         acceptance=eng.acceptance_rates(), final_scales=dict(eng.scales),
         chain_index=chain_index,
-        grid=None if eng.grid is None else eng.grid.copy(),
-        scale_history=scale_history)
+        grid=None if eng.grid is None else eng.grid.copy())

@@ -22,7 +22,6 @@ from .model import (
     BASELINE_VARIANTS,
     BaselineHazard,
     Dataset,
-    ParticipantRecord,
     PiecewiseConstantHazard,
     PowerLawHazard,
     cumulative_baseline_hazard,
@@ -189,24 +188,17 @@ def simulate_dataset(n: int, j: int, baseline_variant: str = "piecewise",
         baseline = PowerLawHazard(POWERLAW_SHAPE)
 
     rate = gamma * np.exp(x @ TRUE_BETA + mu)
-    records = []
-    for i in range(n):
-        if unsusceptible[i]:
-            times = np.empty(0)
-        else:
-            times = sample_piecewise_nhpp(float(rate[i]), baseline, float(followup[i]), rng)
-        records.append(ParticipantRecord(
-            cluster_index=int(cluster_of[i]),
-            participant_index=int(i % per_cluster),
-            followup_time=float(followup[i]),
-            event_indicator=int(observed_event[i]),
-            recurrent_times=times,
-            covariates_x=x[i],
-            covariates_z=z[i],
-            covariates_u=u_cov[i],
-        ))
+    counts = np.zeros(n, dtype=np.int64)
+    times = [np.empty(0)]
+    for i in np.flatnonzero(unsusceptible == 0):
+        times.append(sample_piecewise_nhpp(float(rate[i]), baseline, float(followup[i]), rng))
+        counts[i] = times[-1].size
 
-    dataset = Dataset(records=tuple(records), num_clusters=j)
+    dataset = Dataset(cluster_index=cluster_of, participant_index=np.arange(n) % per_cluster,
+                      followup_time=followup, event_indicator=observed_event,
+                      event_times=np.concatenate(times),
+                      event_offsets=np.concatenate(([0], np.cumsum(counts))),
+                      covariates_x=x, covariates_z=z, covariates_u=u_cov, num_clusters=j)
     truth = SimTruth(
         beta=TRUE_BETA.copy(), alpha=TRUE_ALPHA.copy(), alpha0=TRUE_ALPHA0,
         xi1=TRUE_XI1, xi2=TRUE_XI2, zeta=TRUE_ZETA.copy(),

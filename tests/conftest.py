@@ -29,6 +29,30 @@ def make_record(followup=1.0, delta=0, times=(), x=(0.0, 0.0, 0.0), z=(0.0, 0.0,
         covariates_u=np.asarray(u, dtype=float))
 
 
+def make_dataset(records, num_clusters, dims=(3, 3, 4)):
+    """Stack ``make_record`` rows into a columnar Dataset; ``dims`` gives the
+    covariate widths of an empty one."""
+    records = list(records)
+    n = len(records)
+
+    def matrix(name, width):
+        return (np.array([getattr(r, name) for r in records], dtype=float).reshape(n, -1)
+                if n else np.empty((0, width)))
+
+    times = [np.asarray(r.recurrent_times, dtype=float) for r in records]
+    return Dataset(
+        cluster_index=[r.cluster_index for r in records],
+        participant_index=[r.participant_index for r in records],
+        followup_time=[r.followup_time for r in records],
+        event_indicator=[r.event_indicator for r in records],
+        event_times=np.concatenate([np.empty(0)] + times),
+        event_offsets=np.cumsum([0] + [t.size for t in times]),
+        covariates_x=matrix("covariates_x", dims[0]),
+        covariates_z=matrix("covariates_z", dims[1]),
+        covariates_u=matrix("covariates_u", dims[2]),
+        num_clusters=num_clusters)
+
+
 def uniform_sticks(k):
     return 1.0 / np.arange(k, 1, -1, dtype=float)
 
@@ -65,7 +89,7 @@ def make_state(n=1, j=1, beta=(0.0, 0.0, 0.0), alpha=(0.0, 0.0, 0.0), alpha0=0.0
 
 def engine_for(records, state, mode="corrected", num_clusters=1, hyper=None):
     """A BMZ-DP sampler engine over ``records`` holding ``state``."""
-    dataset = Dataset(records=tuple(records), num_clusters=num_clusters)
+    dataset = make_dataset(records, num_clusters)
     piecewise = isinstance(state.baseline, PiecewiseConstantHazard)
     eng = SamplerEngine(dataset, hyper or Hyperparams(fixed_p=0.5), variant="BMZ-DP",
                         baseline_variant="piecewise" if piecewise else "powerlaw",

@@ -13,11 +13,11 @@ from recurjoint.io import (
     write_chain_trace,
     write_dataset,
 )
-from recurjoint.model import Dataset, Hyperparams
+from recurjoint.model import Hyperparams
 from recurjoint.sampler import McmcConfig, run_chain
 from recurjoint.simulate import simulate_dataset
 from recurjoint.study import fit_manifest, run_replicate_study
-from conftest import make_record
+from conftest import make_dataset, make_record
 
 
 class TestEventsFile:
@@ -28,6 +28,10 @@ class TestEventsFile:
         loaded = load_dataset(path)
         assert len(loaded) == len(dataset)
         assert loaded.num_clusters == dataset.num_clusters
+        for column in ("cluster_index", "participant_index", "followup_time", "event_indicator",
+                       "event_times", "event_offsets", "covariates_x", "covariates_z",
+                       "covariates_u"):
+            assert np.array_equal(getattr(loaded, column), getattr(dataset, column)), column
         for a, b in zip(dataset.records, loaded.records):
             assert a.cluster_index == b.cluster_index
             assert a.participant_index == b.participant_index
@@ -41,8 +45,39 @@ class TestEventsFile:
     def test_well_formed_three_rows(self, tmp_path):
         records = tuple(make_record(participant=i, times=(0.25, 0.5)) for i in range(3))
         path = tmp_path / "e.csv"
-        write_dataset(Dataset(records=records, num_clusters=1), path)
+        write_dataset(make_dataset(records, 1), path)
         assert len(load_dataset(path)) == 3
+
+    def test_zero_events_and_no_covariates_round_trip(self, tmp_path):
+        path = tmp_path / "e.csv"
+        text = ("cluster_id,participant_id,followup_time,event_indicator,event_times\n"
+                "5,0,1.5,1,\n5,1,2,0,0.5;1.25\n7,0,0.75,0,\n")
+        path.write_text(text)
+        loaded = load_dataset(path)
+        assert (loaded.dim_x, loaded.dim_z, loaded.dim_u) == (0, 0, 0)
+        assert loaded.covariates_x.shape == (3, 0)
+        assert loaded.event_offsets.tolist() == [0, 0, 2, 2]
+        assert loaded.cluster_index.tolist() == [0, 0, 1] and loaded.num_clusters == 2
+        assert loaded.records[0].num_events == 0
+        write_dataset(loaded, tmp_path / "back.csv")
+        assert load_dataset(tmp_path / "back.csv").event_times.tolist() == [0.5, 1.25]
+
+    @pytest.mark.parametrize("rows, match", [
+        ("a,0,1.0,0,\n", r"row 2, column 1 \(cluster_id\): not a 64-bit integer: 'a'"),
+        ("0,0,1.0,0,\n0,1.5,1.0,0,\n", r"row 3, column 2 \(participant_id\): not a 64-bit"),
+        ("0,0,1.0,0,\n9223372036854775808,0,1.0,0,\n", r"row 3, column 1 \(cluster_id\)"),
+        ("0,0,1.0,0,\n0,1,nan,0,\n", r"row 3, column 3 \(followup_time\): must be finite"),
+        ("0,0,inf,0,\n", r"row 2, column 3 \(followup_time\): must be finite"),
+        ("0,9,1.0,0,0.5\n0,1,1.0,0,0.25;nan\n",
+         r"row 3, column 5 \(event_times\): times must be finite"),
+        ("0,0,1.0,0,0.5;x\n", r"row 2, column 5 \(event_times\): not a number: 'x'"),
+    ])
+    def test_bad_cell_names_row_and_column(self, tmp_path, rows, match):
+        path = tmp_path / "e.csv"
+        path.write_text("cluster_id,participant_id,followup_time,event_indicator,event_times\n"
+                        + rows)
+        with pytest.raises(ValueError, match=match):
+            load_dataset(path)
 
     def test_event_beyond_followup_names_row(self, tmp_path):
         path = tmp_path / "e.csv"

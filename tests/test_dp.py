@@ -103,6 +103,12 @@ class TestSampleAssignment:
         with pytest.raises(ValueError, match="entirely -inf"):
             _categorical_rows(scores, rng.random(2))
 
+    @pytest.mark.parametrize("nan_row", [[0.0, np.nan], [-np.inf, np.nan]])
+    def test_nan_row_rejected(self, rng, nan_row):
+        scores = np.array([[0.0, 1.0], nan_row])
+        with pytest.raises(ValueError, match="contains NaN"):
+            _categorical_rows(scores, rng.random(2))
+
     def test_frequencies_match_weights(self, rng):
         sticks = rng.uniform(0.2, 0.8, 4)
         weights = stick_to_weights(sticks, 5)

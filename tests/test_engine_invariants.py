@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import engine_for, make_record, make_state
-from recurjoint.model import BASELINE_VARIANTS, LIKELIHOOD_MODES, VARIANTS, Dataset, Hyperparams
+from conftest import engine_for, make_dataset, make_record, make_state
+from recurjoint.model import BASELINE_VARIANTS, LIKELIHOOD_MODES, VARIANTS, Hyperparams
 from recurjoint.sampler import _CHUNK_ELEMENTS, _EXP_CAP, _SCORE_CLIP, SamplerEngine
 from recurjoint.simulate import simulate_dataset
 
@@ -123,8 +123,7 @@ ROWS = _CHUNK_ELEMENTS // 50
 @pytest.mark.parametrize("mode", LIKELIHOOD_MODES)
 @pytest.mark.parametrize("n", [1, ROWS - 1, ROWS, ROWS + 1, 3 * ROWS + 17])
 def test_chunked_kappa_block_matches_dense_reference(n, mode, monkeypatch):
-    records = simulate_dataset(3 * ROWS + 17, 1, seed=19)[0].records[:n]
-    dataset = Dataset(records=records, num_clusters=1)
+    dataset = make_dataset(simulate_dataset(3 * ROWS + 17, 1, seed=19)[0].records[:n], 1)
     chunked, dense = (SamplerEngine(dataset, Hyperparams(truncation_kappa=50),
                                     likelihood_mode=mode) for _ in range(2))
     for eng in (chunked, dense):
@@ -172,6 +171,15 @@ def test_overflow_guards_keep_both_mixture_blocks_finite(mode):
             assert np.all((eng.m >= 0) & (eng.m < eng.level_mu))
             assert np.all((eng.v >= 0) & (eng.v < eng.level_kappa))
             _assert_caches_fresh(eng, present, block)
+
+
+def test_engine_reads_dataset_columns_in_place():
+    dataset, _ = simulate_dataset(60, 4, seed=3)
+    eng = SamplerEngine(dataset, Hyperparams())
+    for name, column in (("x", "covariates_x"), ("z", "covariates_z"), ("u", "covariates_u"),
+                         ("followup", "followup_time"), ("ev_times", "event_times"),
+                         ("cluster_of", "cluster_index")):
+        assert np.shares_memory(getattr(eng, name), getattr(dataset, column)), name
 
 
 def test_engine_memory_linear_in_records():

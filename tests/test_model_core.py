@@ -6,12 +6,13 @@ import pytest
 from scipy import integrate
 
 import oracles
-from conftest import engine_for, engine_loglik, make_record, make_state
+from conftest import engine_for, engine_loglik, make_dataset, make_record, make_state
 from recurjoint.model import (
     Dataset,
     Hyperparams,
     PiecewiseConstantHazard,
     PowerLawHazard,
+    RecordError,
     cumulative_baseline_hazard,
 )
 from recurjoint.sampler import SamplerEngine
@@ -46,30 +47,78 @@ def terminal_ll(t, state, delta, z=(0.0, 0.0, 0.0)):
     return loglik(make_record(followup=t, delta=delta, z=z), unsusceptible(state))
 
 
+def columns(n, **overrides):
+    """Keyword arguments for a valid event-free Dataset of ``n`` records in
+    one cluster, with ``overrides`` applied."""
+    kwargs = dict(cluster_index=np.zeros(n, dtype=int), participant_index=np.arange(n),
+                  followup_time=np.ones(n), event_indicator=np.zeros(n, dtype=int),
+                  event_times=np.empty(0), event_offsets=np.zeros(n + 1, dtype=int),
+                  covariates_x=np.zeros((n, 3)), covariates_z=np.zeros((n, 3)),
+                  covariates_u=np.zeros((n, 4)), num_clusters=1 if n else 0)
+    kwargs.update(overrides)
+    return kwargs
+
+
 class TestRecordValidation:
     def test_rejects_unsorted_times(self):
-        with pytest.raises(ValueError, match="strictly increasing"):
-            make_record(times=(0.5, 0.3))
+        with pytest.raises(RecordError, match="strictly increasing") as err:
+            make_dataset([make_record(participant=0), make_record(participant=1, times=(0.5, 0.3))],
+                         1)
+        assert (err.value.position, err.value.field) == (1, "event_times")
+        assert "record 1 (participant 1 in cluster 0)" in str(err.value)
 
     def test_rejects_time_beyond_followup(self):
         with pytest.raises(ValueError, match="followup_time"):
-            make_record(followup=1.0, times=(0.5, 1.2))
+            make_dataset([make_record(followup=1.0, times=(0.5, 1.2))], 1)
 
     def test_rejects_bad_indicator(self):
         with pytest.raises(ValueError, match="event_indicator"):
-            make_record(delta=2)
+            make_dataset([make_record(delta=2)], 1)
 
     def test_dataset_dimension_check(self):
-        a = make_record()
-        b = make_record(x=(0.0, 0.0), cluster=0, participant=1)
         with pytest.raises(ValueError, match="dimensions"):
-            Dataset(records=(a, b), num_clusters=1)
+            Dataset(**columns(2, covariates_x=np.zeros((1, 3))))
 
     def test_empty_dataset_needs_dims(self):
         with pytest.raises(ValueError, match="dimensions"):
-            Dataset(records=(), num_clusters=0)
-        ds = Dataset(records=(), num_clusters=0, dim_x=3, dim_z=3, dim_u=4)
-        assert len(ds) == 0
+            Dataset(**columns(0, covariates_x=np.empty(0)))
+        ds = Dataset(**columns(0))
+        assert len(ds) == 0 and (ds.dim_x, ds.dim_z, ds.dim_u) == (3, 3, 4)
+
+    @pytest.mark.parametrize("overrides, match", [
+        ({"event_offsets": [0, 1, 1]}, "event_offsets"),
+        ({"event_offsets": [0, 2, 1], "event_times": [0.5, 0.6]}, "event_offsets"),
+        ({"event_offsets": [1, 1, 1], "event_times": [0.5]}, "event_offsets"),
+        ({"event_indicator": np.zeros(3)}, "event_indicator"),
+        ({"event_indicator": [0, 256]}, "must be 0 or 1, got 256"),
+        ({"cluster_index": [0, 2], "num_clusters": 2}, "cluster_index"),
+        ({"cluster_index": [0, 0], "num_clusters": 2}, "cluster 1 has none"),
+        ({"participant_index": [4, 4]}, "duplicate"),
+        ({"followup_time": [1.0, np.inf]}, "finite"),
+        ({"event_times": [np.nan], "event_offsets": [0, 0, 1]}, "finite"),
+    ])
+    def test_every_rule_checked(self, overrides, match):
+        with pytest.raises(ValueError, match=match):
+            Dataset(**columns(2, **overrides))
+
+    def test_first_failing_record_named(self):
+        # record 1 breaks two rules and record 2 one: the error names
+        # record 1 and the first of its rules
+        with pytest.raises(RecordError) as err:
+            Dataset(**columns(3, followup_time=[1.0, -1.0, 1.0], event_indicator=[0, 2, 2]))
+        assert (err.value.position, err.value.field) == (1, "followup_time")
+        assert "must be positive, got -1.0" in str(err.value)
+
+    def test_columns_read_only_and_records_view(self):
+        ds = make_dataset([make_record(participant=0, times=(0.25, 0.5)),
+                           make_record(participant=1, followup=2.0, delta=1)], 1)
+        assert not ds.followup_time.flags.writeable
+        assert ds.event_offsets.tolist() == [0, 2, 2]
+        assert ds.event_indicator.dtype == np.int8
+        rec = ds.records[1]
+        assert (rec.participant_index, rec.followup_time, rec.event_indicator) == (1, 2.0, 1)
+        assert rec.num_events == 0 and ds.records[0].recurrent_times.tolist() == [0.25, 0.5]
+        assert ds.records is ds.records
 
 
 class TestCumulativeBaselineHazard:
@@ -201,11 +250,11 @@ class TestTerminalProcess:
             assert terminal_ll(t, state, 0, z) == pytest.approx(expected, abs=1e-12)
 
     def test_rejects_nonpositive_time(self):
-        # the engine takes log(t) of every follow-up time; records guard it
+        # the engine takes log(t) of every follow-up time; Dataset guards it
         with pytest.raises(ValueError, match="positive"):
-            make_record(followup=0.0)
+            make_dataset([make_record(followup=0.0)], 1)
         with pytest.raises(ValueError, match="positive"):
-            make_record(followup=-1.0, delta=1)
+            make_dataset([make_record(followup=-1.0, delta=1)], 1)
 
     def test_survival_tends_to_one_and_decreases(self):
         state = make_state(alpha=(0.2, 0.3, 0.4), alpha0=0.15, xi1=0.1, xi2=-0.5,
@@ -328,7 +377,7 @@ class TestTotalLikelihood:
     def test_empty_dataset(self):
         state = make_state(n=0, j=0, gamma=(), tau2=(), unsusceptible=(),
                            mu_assign=np.empty(0, dtype=int), kappa_assign=np.empty(0, dtype=int))
-        ds = Dataset(records=(), num_clusters=0, dim_x=3, dim_z=3, dim_u=4)
+        ds = make_dataset((), 0)
         eng = SamplerEngine(ds, Hyperparams(fixed_p=0.5))
         eng.load_state(state)
         assert eng.participant_loglik().shape == (0,)

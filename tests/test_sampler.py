@@ -1,12 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import engine_for, make_dp, make_record, make_state
+from conftest import engine_for, make_dataset, make_dp, make_record, make_state
 from recurjoint.model import (
-    Dataset,
     Hyperparams,
     ParamState,
     PiecewiseConstantHazard,
@@ -149,7 +149,7 @@ class TestGibbsTau2:
         # a cluster always holds a record (Dataset rejects an empty one), and
         # log frailties of zero leave the rate at b0: IG(3 + 1/2, 2), mean 0.8
         with pytest.raises(ValueError, match="at least one record"):
-            Dataset(records=(make_record(cluster=1),), num_clusters=2)
+            make_dataset([make_record(cluster=1)], 2)
         draws = tau2_draws(np.zeros(1), 3.0, 2.0, clusters=500, calls=100, rng=rng)
         assert draws.mean() == pytest.approx(0.8, abs=0.02)
 
@@ -162,10 +162,11 @@ class TestGibbsTau2:
 
 
 def susceptibility_draws(rec, n, rng):
-    """One engine susceptibility update over ``n`` copies of ``rec`` under
-    unit frailty, zero predictors, a unit hazard and p = 0.5: n draws."""
+    """One engine susceptibility update over ``n`` copies of ``rec`` (one per
+    participant index) under unit frailty, zero predictors, a unit hazard
+    and p = 0.5: n draws."""
     state = make_state(n=n, gamma=np.ones(n), kappa_assign=np.zeros(n, dtype=int))
-    eng = engine_for((rec,) * n, state)
+    eng = engine_for([dataclasses.replace(rec, participant_index=i) for i in range(n)], state)
     eng.update_susceptibility(rng)
     return eng.d_flags
 
@@ -222,7 +223,7 @@ class TestMuBlock:
                 records.append(make_record(followup=followup, delta=int(r_time <= censor),
                                            times=times, cluster=c, participant=i))
                 gammas.append(gamma)
-        dataset = Dataset(records=tuple(records), num_clusters=2)
+        dataset = make_dataset(records, 2)
         state = make_state(n=2 * n_per, j=2, alpha0=0.15, xi1=0.1, xi2=-0.5,
                            gamma=gammas, tau2=(0.3, 0.3),
                            mu_atoms=(0.1, -0.1, 0.0, 0.0), mu_assign=(0, 1),
@@ -243,7 +244,7 @@ class TestMuBlock:
     def test_zero_information_prior_recovery(self, rng):
         records = tuple(make_record(followup=1e-6, cluster=c, participant=i)
                         for c in range(3) for i in range(2))
-        dataset = Dataset(records=records, num_clusters=3)
+        dataset = make_dataset(records, 3)
         hyper = Hyperparams(truncation_mu=5, fixed_p=0.5)
         eng = SamplerEngine(dataset, hyper, variant="BMZ-DP")
         eng.init_state(rng)
@@ -299,7 +300,7 @@ class TestKappaBlock:
 
     def test_no_deaths_reverts_to_base(self, rng):
         records = tuple(make_record(followup=1e-6, delta=0, participant=i) for i in range(8))
-        dataset = Dataset(records=records, num_clusters=1)
+        dataset = make_dataset(records, 1)
         hyper = Hyperparams(truncation_kappa=6, fixed_p=0.5)
         eng = SamplerEngine(dataset, hyper, variant="BMZ-DP")
         eng.init_state(rng)
@@ -396,7 +397,6 @@ class TestRunChain:
         dataset, _ = simulate_dataset(40, 4, seed=3)
         hyper = Hyperparams()
         config = McmcConfig(iterations=30, burn_in=10, seed=1, adapt_window=10)
-        import dataclasses
 
         bz = run_chain(dataset, dataclasses.replace(config, variant="BZ-DP"), hyper)
         assert not any(c.startswith("mu_") or c.startswith("eta_") for c in bz.columns)
@@ -417,19 +417,22 @@ class TestRunChain:
             assert not np.any(eng.d_flags[has_events])
 
     def test_scales_frozen_after_burn_in(self):
+        # same-seed chains that differ only in their post-burn-in length end
+        # with the scales adapted during burn-in
         dataset, _ = simulate_dataset(40, 4, seed=4)
-        config = McmcConfig(iterations=300, burn_in=150, seed=2, adapt_window=25,
-                            record_scales=True)
-        trace = run_chain(dataset, config, Hyperparams())
-        post = [scales for it, scales in trace.scale_history if it > config.burn_in]
-        assert len(post) >= 2
-        for scales in post:
-            assert scales == trace.final_scales
+        short, long = (run_chain(dataset, McmcConfig(iterations=iterations, burn_in=150, seed=2,
+                                                     adapt_window=25), Hyperparams())
+                       for iterations in (200, 300))
+        assert short.final_scales == long.final_scales
+        defaults = {name.removeprefix("rho_"): value
+                    for name, value in vars(ProposalScales()).items()}
+        assert short.final_scales.keys() == defaults.keys()
+        assert short.final_scales != defaults
 
     def test_init_abort_names_participant(self):
         bad = make_record(x=(np.inf, 0.0, 0.0), cluster=0, participant=7)
         ok = make_record(cluster=0, participant=1)
-        dataset = Dataset(records=(ok, bad), num_clusters=1)
+        dataset = make_dataset([ok, bad], 1)
         config = McmcConfig(iterations=10, burn_in=5, seed=0)
         with pytest.raises(RuntimeError, match="participant 7 in cluster 0"):
             run_chain(dataset, config, Hyperparams())

@@ -112,7 +112,7 @@ class TestSimulateDataset:
     def test_shapes_and_censoring(self):
         dataset, truth = simulate_dataset(600, 20, seed=42)
         assert len(dataset) == 600 and dataset.num_clusters == 20
-        assert dataset.cluster_sizes == [30] * 20
+        assert np.array_equal(dataset.cluster_sizes, [30] * 20)
         censored = np.mean([1 - r.event_indicator for r in dataset.records])
         assert censored == pytest.approx(0.5, abs=0.05)
 
