@@ -53,15 +53,13 @@ def posterior_stick_update(assignment_counts: np.ndarray, concentration: float,
     return rng.beta(1.0 + counts[:-1], concentration + above[:-1])
 
 
-def update_concentration(raw_sticks: np.ndarray, a: float = 1.0, b: float = 1.0,
-                         rng: np.random.Generator | None = None) -> float:
+def update_concentration(raw_sticks: np.ndarray, a: float, b: float,
+                         rng: np.random.Generator) -> float:
     """Conjugate Gamma draw of the concentration under Beta(1, phi) sticks.
 
     Posterior is ``Gamma(a + K - 1, b - sum log(1 - s_l))``; stick fractions
     are clamped away from 1 to keep the rate finite.
     """
-    if rng is None:
-        raise ValueError("an explicit random generator is required")
     s = np.asarray(raw_sticks, dtype=float)
     comp = np.clip(1.0 - s, _STICK_FLOOR, None)
     shape = a + s.size

@@ -15,9 +15,10 @@ Every type is an immutable value object, safe to share across workers.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -177,19 +178,35 @@ class Dataset:
         return np.bincount(self.cluster_index, minlength=self.num_clusters)
 
     @cached_property
-    def records(self) -> tuple:
-        """The rows as :class:`ParticipantRecord` views of the columns, built on
-        first access for the benchmark's likelihood oracle check and the tests."""
-        o = self.event_offsets.tolist()
-        return tuple(
-            ParticipantRecord(c, p, f, d, self.event_times[o[i]:o[i + 1]], self.covariates_x[i],
-                              self.covariates_z[i], self.covariates_u[i])
-            for i, (c, p, f, d) in enumerate(zip(
-                self.cluster_index.tolist(), self.participant_index.tolist(),
-                self.followup_time.tolist(), self.event_indicator.tolist())))
+    def records(self) -> "_Records":
+        """The rows as :class:`ParticipantRecord` views of the columns, for
+        the benchmark's likelihood oracle check and the tests: a sequence
+        that builds a row only when it is read."""
+        return _Records(self)
 
     def __len__(self) -> int:
         return self.followup_time.size
+
+
+@dataclass(frozen=True, eq=False)
+class _Records(Sequence):
+    """The rows of a :class:`Dataset`, built one at a time on indexing."""
+
+    _dataset: Dataset
+
+    def __len__(self) -> int:
+        return len(self._dataset)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(*index.indices(len(self))))
+        i = range(len(self))[index]  # normalizes a negative index, raises IndexError
+        ds = self._dataset
+        start, stop = ds.event_offsets[i:i + 2].tolist()
+        return ParticipantRecord(
+            int(ds.cluster_index[i]), int(ds.participant_index[i]), float(ds.followup_time[i]),
+            int(ds.event_indicator[i]), ds.event_times[start:stop], ds.covariates_x[i],
+            ds.covariates_z[i], ds.covariates_u[i])
 
 
 @dataclass(frozen=True)
@@ -230,42 +247,24 @@ BaselineHazard = Union[PiecewiseConstantHazard, PowerLawHazard]
 
 @dataclass(frozen=True)
 class TruncatedDP:
-    """Truncated stick-breaking mixture state.
+    """Truncated stick-breaking mixture state (Ishwaran & James 2001).
 
-    ``raw_sticks`` holds the first K-1 stick fractions; the final one is
-    implicitly 1.  ``assignments`` are 0-based atom indices, one per latent
-    unit.
+    ``atoms`` holds the K atoms, ``raw_sticks`` the first K-1 stick
+    fractions (the last is implicitly 1), ``assignments`` one 0-based atom
+    index per latent unit.  The weights are not stored: they are
+    :func:`recurjoint.dp.stick_to_weights` of the sticks.  No rule is
+    checked here; :meth:`recurjoint.sampler.SamplerEngine.load_state` checks
+    a mixture against the engine it is loaded into.
     """
 
     atoms: np.ndarray
     raw_sticks: np.ndarray
-    weights: np.ndarray
     assignments: np.ndarray
     concentration: float
 
     def __post_init__(self):
-        object.__setattr__(self, "atoms", _readonly(self.atoms))
-        object.__setattr__(self, "raw_sticks", _readonly(self.raw_sticks))
-        object.__setattr__(self, "weights", _readonly(self.weights))
-        object.__setattr__(self, "assignments", _readonly(self.assignments, dtype=np.int64))
-        k = self.atoms.size
-        if k < 1:
-            raise ValueError("truncation level must be at least 1")
-        if self.raw_sticks.size != k - 1:
-            raise ValueError("raw_sticks must have length K - 1")
-        if self.weights.size != k:
-            raise ValueError("weights must have length K")
-        from .dp import stick_to_weights
-
-        ref = stick_to_weights(self.raw_sticks, k)
-        if not np.allclose(self.weights, ref, rtol=0.0, atol=1e-12):
-            raise ValueError("weights are not the stick-breaking transform of raw_sticks")
-        if abs(float(self.weights.sum()) - 1.0) > 1e-12:
-            raise ValueError("weights must sum to 1 within 1e-12")
-        if self.assignments.size and (self.assignments.min() < 0 or self.assignments.max() >= k):
-            raise ValueError("assignments must index existing atoms")
-        if not self.concentration > 0:
-            raise ValueError("concentration must be positive")
+        for name, dtype in (("atoms", float), ("raw_sticks", float), ("assignments", np.int64)):
+            object.__setattr__(self, name, _readonly(getattr(self, name), dtype))
 
 
 @dataclass(frozen=True)
@@ -274,10 +273,14 @@ class ParamState:
     :meth:`recurjoint.sampler.SamplerEngine.load_state`.
 
     ``unsusceptible`` is the latent zero-inflation indicator (1 marks a
-    participant whose recurrent intensity is identically zero).  ``mu_dp``
-    is None for the variant that removes cluster effects; for the fully
-    parametric variant it carries identity assignments and is used only as
-    an atom container.
+    participant whose recurrent intensity is identically zero).
+    ``cluster_effects`` takes the variant's form: a :class:`TruncatedDP`
+    mixture over the clusters for BMZ-DP and BM-DP, an array of one normal
+    effect per cluster for BMZ, and None for BZ-DP, which has none.
+
+    Arrays are stored read-only and nothing else is checked here:
+    ``load_state`` is the one place a state is checked, against the
+    engine's dataset and variant, before any of it is loaded.
     """
 
     beta: np.ndarray
@@ -289,28 +292,19 @@ class ParamState:
     gamma: np.ndarray
     tau2: np.ndarray
     unsusceptible: np.ndarray
-    mu_dp: TruncatedDP | None
+    cluster_effects: TruncatedDP | np.ndarray | None
     kappa_dp: TruncatedDP
     baseline: BaselineHazard
     sigma2_beta: float = 1.0
     sigma2_alpha: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "beta", _readonly(self.beta))
-        object.__setattr__(self, "alpha", _readonly(self.alpha))
-        if self.zeta is not None:
-            object.__setattr__(self, "zeta", _readonly(self.zeta))
-        object.__setattr__(self, "gamma", _readonly(self.gamma))
-        object.__setattr__(self, "tau2", _readonly(self.tau2))
-        object.__setattr__(self, "unsusceptible", _readonly(self.unsusceptible, dtype=np.int8))
-        if np.any(self.gamma <= 0):
-            raise ValueError("all frailties must be strictly positive")
-        if np.any(self.tau2 <= 0):
-            raise ValueError("all frailty variances must be strictly positive")
-        if np.any(self.kappa_dp.atoms <= 0):
-            raise ValueError("all shape atoms must be strictly positive")
-        if not np.all(np.isin(self.unsusceptible, (0, 1))):
-            raise ValueError("unsusceptible flags must be 0 or 1")
+        for name in ("beta", "alpha", "zeta", "gamma", "tau2", "unsusceptible", "cluster_effects"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, TruncatedDP):
+                # flags keep their type, so that load_state sees a flag of 0.5 or 2
+                dtype = None if name == "unsusceptible" else float
+                object.__setattr__(self, name, _readonly(value, dtype))
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,7 @@ from .model import (
     Hyperparams,
     ParamState,
     PiecewiseConstantHazard,
+    TruncatedDP,
     piecewise_durations,
 )
 
@@ -243,6 +244,14 @@ def _clip_sticks(sticks: np.ndarray) -> np.ndarray:
     return np.clip(sticks, 1e-12, 1.0 - 1e-12)
 
 
+def _mixture_arrays(dp: TruncatedDP) -> tuple:
+    """Writable copies of a mixture state, with its weights: (atoms,
+    assignments, sticks, weights, concentration)."""
+    sticks = np.array(dp.raw_sticks, dtype=float)
+    return (np.array(dp.atoms, dtype=float), np.array(dp.assignments, dtype=np.int64), sticks,
+            stick_to_weights(sticks, dp.atoms.size), float(dp.concentration))
+
+
 # ---------------------------------------------------------------------------
 # The sweep engine
 # ---------------------------------------------------------------------------
@@ -359,39 +368,14 @@ class SamplerEngine:
         self.s2a = h.sigma2_alpha
 
         if self.mu_mode == "dp":
-            self.phi_mu = max(float(rng.gamma(h.a_phi, 1.0 / h.b_phi)), 1e-8)
-            self.mu_sticks = _clip_sticks(rng.beta(1.0, self.phi_mu, size=self.level_mu - 1))
-            self.mu_weights = stick_to_weights(self.mu_sticks, self.level_mu)
-            self.eta = math.sqrt(h.sigma2_mu) * rng.standard_normal(self.level_mu)
-            if j:
-                self.m = np.searchsorted(np.cumsum(self.mu_weights),
-                                         rng.random(j), side="right").astype(np.int64)
-                self.m = np.clip(self.m, 0, self.level_mu - 1)
-            else:
-                self.m = np.empty(0, dtype=np.int64)
-        elif self.mu_mode == "param":
-            self.phi_mu = None
-            self.mu_sticks = None
-            self.mu_weights = None
-            self.eta = math.sqrt(h.sigma2_mu) * rng.standard_normal(j)
-            self.m = np.arange(j, dtype=np.int64)
+            self.eta, self.m, self.mu_sticks, self.mu_weights, self.phi_mu = \
+                self._prior_mixture(rng, self.level_mu, j, self._draw_mu_atoms)
         else:
-            self.phi_mu = None
-            self.mu_sticks = None
-            self.mu_weights = None
-            self.eta = np.empty(0)
-            self.m = np.empty(0, dtype=np.int64)
-
-        self.phi_kappa = max(float(rng.gamma(h.a_phi, 1.0 / h.b_phi)), 1e-8)
-        self.kappa_sticks = _clip_sticks(rng.beta(1.0, self.phi_kappa, size=self.level_kappa - 1))
-        self.kappa_weights = stick_to_weights(self.kappa_sticks, self.level_kappa)
-        self.theta = np.maximum(rng.gamma(h.a_kappa, 1.0 / h.b_kappa, size=self.level_kappa), 1e-12)
-        if n:
-            self.v = np.searchsorted(np.cumsum(self.kappa_weights),
-                                     rng.random(n), side="right").astype(np.int64)
-            self.v = np.clip(self.v, 0, self.level_kappa - 1)
-        else:
-            self.v = np.empty(0, dtype=np.int64)
+            # BMZ: one effect per cluster; BZ-DP: none
+            self.eta = self._draw_mu_atoms(rng, j) if self.mu_mode == "param" else np.empty(0)
+            self.m = np.arange(self.eta.size, dtype=np.int64)
+        self.theta, self.v, self.kappa_sticks, self.kappa_weights, self.phi_kappa = \
+            self._prior_mixture(rng, self.level_kappa, n, self._draw_kappa_atoms)
 
         if self.baseline_variant == "piecewise":
             exposure = float(self.followup.sum())
@@ -403,7 +387,9 @@ class SamplerEngine:
             self.psi = 1.0
 
         if self.has_d:
-            p = self._susceptibility_probs()
+            with np.errstate(over="ignore"):
+                p = (1.0 / (1.0 + np.exp(-(self.u @ self.zeta))) if self.logistic
+                     else self.hyper.fixed_p)
             self.d_flags = ((rng.random(n) < p) & (self.q_events == 0)).astype(np.int8)
         else:
             self.d_flags = np.zeros(n, dtype=np.int8)
@@ -416,24 +402,74 @@ class SamplerEngine:
                 "non-finite log likelihood at initialization for participant "
                 f"{self.dataset.participant_index[pos]} in cluster {self.cluster_of[pos]}")
 
+    def _draw_mu_atoms(self, rng, size: int) -> np.ndarray:
+        return math.sqrt(self.hyper.sigma2_mu) * rng.standard_normal(size)
+
+    def _draw_kappa_atoms(self, rng, size: int) -> np.ndarray:
+        return np.maximum(rng.gamma(self.hyper.a_kappa, 1.0 / self.hyper.b_kappa, size=size),
+                          1e-12)
+
+    def _prior_mixture(self, rng, size: int, units: int, draw_atoms: Callable) -> tuple:
+        """A prior draw of a truncated stick-breaking mixture of ``size``
+        atoms over ``units`` units, in this order: concentration, sticks,
+        atoms (``draw_atoms(rng, size)``), assignments.  Returns (atoms,
+        assignments, sticks, weights, concentration)."""
+        h = self.hyper
+        phi = max(float(rng.gamma(h.a_phi, 1.0 / h.b_phi)), 1e-8)
+        sticks = _clip_sticks(rng.beta(1.0, phi, size=size - 1))
+        weights = stick_to_weights(sticks, size)
+        atoms = draw_atoms(rng, size)
+        assignments = np.searchsorted(np.cumsum(weights), rng.random(units), side="right")
+        return atoms, np.minimum(assignments, size - 1).astype(np.int64), sticks, weights, phi
+
+    def _update_sticks(self, assignments: np.ndarray, size: int, concentration: float,
+                       rng) -> tuple:
+        """Conjugate stick fractions given the assignment counts, then the
+        concentration's Gibbs draw (kept fixed unless ``update_concentrations``).
+        Returns (sticks, weights, concentration)."""
+        counts = np.bincount(assignments, minlength=size).astype(float)
+        sticks = _clip_sticks(posterior_stick_update(counts, concentration, rng))
+        if self.hyper.update_concentrations:
+            concentration = update_concentration(sticks, self.hyper.a_phi, self.hyper.b_phi, rng)
+        return sticks, stick_to_weights(sticks, size), concentration
+
+    def _move_atoms(self, rng, name: str, atoms: np.ndarray, assignments: np.ndarray,
+                    draw_atoms: Callable, log_ratio: Callable, post: bool) -> np.ndarray:
+        """One simultaneous random-walk Metropolis move of every occupied atom
+        of a mixture, accepted with the per-atom log ratio ``log_ratio(prop)``;
+        every empty atom is redrawn from its base measure.  Returns the atoms."""
+        size = atoms.size
+        prop = atoms + self.scales[name] * rng.standard_normal(size)
+        u = rng.random(size)
+        fresh = draw_atoms(rng, size)
+        accept = metropolis_decision(log_ratio(prop), u)
+        occupied = np.bincount(assignments, minlength=size) > 0
+        if occupied.any():
+            self._record_accept(name, float(accept[occupied].mean()), post)
+        return np.where(occupied, np.where(accept, prop, atoms), fresh)
+
     # -- caches -------------------------------------------------------------------
 
     def refresh_caches(self) -> None:
         self.lin_x = self.x @ self.beta
         self.lin_z = self.z @ self.alpha
-        self.cluster_mu = self.eta[self.m] if self.mu_mode != "none" else np.zeros(self.j)
-        self.mu_rec = self.cluster_mu[self.cluster_of] if self.n else np.empty(0)
         self.lgam = np.log(self.gamma)
         self.kap = self.theta[self.v]
-        self.d_scale = (self.log_followup - self.xi1 * self.lgam
-                        - (self.alpha0 + self.lin_z + self.xi2 * self.mu_rec))
-        self.ekd = _exp_capped(self.kap * self.d_scale)
-        self.erx = _exp_capped(self.lin_x + self.mu_rec)
+        self._refresh_mu_caches()
         self._refresh_baseline_caches()
         self.su = 1.0 - self.d_flags.astype(float)
         self.tm = self.su if self.literal else np.ones(self.n)
         if self.logistic:
             self.logit_p = self.u @ self.zeta
+
+    def _refresh_mu_caches(self) -> None:
+        """The caches that read the cluster effects."""
+        self.cluster_mu = self.eta[self.m] if self.mu_mode != "none" else np.zeros(self.j)
+        self.mu_rec = self.cluster_mu[self.cluster_of]
+        self.d_scale = (self.log_followup - self.xi1 * self.lgam
+                        - (self.alpha0 + self.lin_z + self.xi2 * self.mu_rec))
+        self.ekd = _exp_capped(self.kap * self.d_scale)
+        self.erx = _exp_capped(self.lin_x + self.mu_rec)
 
     def _refresh_baseline_caches(self) -> None:
         if self.baseline_variant == "piecewise":
@@ -600,67 +636,30 @@ class SamplerEngine:
         variant)."""
         if self.mu_mode == "none":
             return
+        coefficients = self._mu_coefficients()
         if self.mu_mode == "dp":
-            coefficients = self._mu_coefficients()
-            if self.j:
-                scores = self._cluster_mu_loglik(coefficients, self.eta)
-                with np.errstate(divide="ignore"):
-                    scores += np.log(self.mu_weights)
-                self.m = _categorical_rows(scores, rng.random(self.j))
-            counts = np.bincount(self.m, minlength=self.level_mu).astype(float)
-            self.mu_sticks = _clip_sticks(posterior_stick_update(counts, self.phi_mu, rng))
-            self.mu_weights = stick_to_weights(self.mu_sticks, self.level_mu)
-            if self.hyper.update_concentrations:
-                self.phi_mu = update_concentration(self.mu_sticks, self.hyper.a_phi,
-                                                   self.hyper.b_phi, rng)
-            self._update_mu_atoms(rng, coefficients, refresh_empty=True, post=post)
-        else:
-            self._update_mu_atoms(rng, self._mu_coefficients(), refresh_empty=False, post=post)
-        self.cluster_mu = self.eta[self.m] if self.j else np.zeros(0)
-        self.mu_rec = self.cluster_mu[self.cluster_of]
-        self.d_scale = (self.log_followup - self.xi1 * self.lgam
-                        - (self.alpha0 + self.lin_z + self.xi2 * self.mu_rec))
-        self.ekd = _exp_capped(self.kap * self.d_scale)
-        self.erx = _exp_capped(self.lin_x + self.mu_rec)
+            scores = self._cluster_mu_loglik(coefficients, self.eta)
+            with np.errstate(divide="ignore"):
+                scores += np.log(self.mu_weights)
+            self.m = _categorical_rows(scores, rng.random(self.j))
+            self.mu_sticks, self.mu_weights, self.phi_mu = self._update_sticks(
+                self.m, self.level_mu, self.phi_mu, rng)
+        self.eta = self._move_atoms(rng, "eta", self.eta, self.m, self._draw_mu_atoms,
+                                    lambda prop: self._mu_atom_log_ratio(coefficients, prop), post)
+        self._refresh_mu_caches()
 
-    def _update_mu_atoms(self, rng, coefficients, refresh_empty: bool, post=False) -> None:
-        size = self.eta.size
-        if size == 0:
-            return
-        h = self.hyper
-        prop = self.eta + self.scales["eta"] * rng.standard_normal(size)
-        u = rng.random(size)
-        fresh = math.sqrt(h.sigma2_mu) * rng.standard_normal(size)
+    def _mu_atom_log_ratio(self, coefficients, prop: np.ndarray) -> np.ndarray:
         lin, rec_scale, term_scale = coefficients
-        counts = np.bincount(self.m, minlength=size)
-        if self.n:
-            atom_of_rec = self.m[self.cluster_of]
-            cur_r = self.eta[atom_of_rec]
-            new_r = prop[atom_of_rec]
-            d_ll = (lin * (new_r - cur_r)
-                    - rec_scale * (_exp_capped(new_r) - _exp_capped(cur_r))
-                    - term_scale * (_exp_capped(-self.kap * self.xi2 * new_r)
-                                    - _exp_capped(-self.kap * self.xi2 * cur_r)))
-            atom_delta = np.bincount(atom_of_rec, weights=d_ll, minlength=size)
-        else:
-            atom_delta = np.zeros(size)
-        atom_delta += (self.eta ** 2 - prop ** 2) / (2.0 * h.sigma2_mu)
-        accept = metropolis_decision(atom_delta, u)
-        occupied = counts > 0
-        self.eta = np.where(occupied & accept, prop, self.eta)
-        if refresh_empty:
-            self.eta = np.where(occupied, self.eta, fresh)
-        if occupied.any():
-            self._record_accept("eta", float(accept[occupied].mean()), post)
+        atom_of_rec = self.m[self.cluster_of]
+        cur_r, new_r = self.eta[atom_of_rec], prop[atom_of_rec]
+        d_ll = (lin * (new_r - cur_r)
+                - rec_scale * (_exp_capped(new_r) - _exp_capped(cur_r))
+                - term_scale * (_exp_capped(-self.kap * self.xi2 * new_r)
+                                - _exp_capped(-self.kap * self.xi2 * cur_r)))
+        return (np.bincount(atom_of_rec, weights=d_ll, minlength=prop.size)
+                + (self.eta ** 2 - prop ** 2) / (2.0 * self.hyper.sigma2_mu))
 
     # -- susceptibility block ----------------------------------------------------------
-
-    def _susceptibility_probs(self) -> np.ndarray:
-        if self.hyper.fixed_p is not None:
-            return np.full(self.n, self.hyper.fixed_p)
-        t = self.u @ self.zeta
-        with np.errstate(over="ignore"):
-            return 1.0 / (1.0 + np.exp(-t))
 
     def update_susceptibility(self, rng) -> None:
         if not self.has_d or self.n == 0:
@@ -756,44 +755,27 @@ class SamplerEngine:
         return v
 
     def update_kappa_block(self, rng, post=False) -> None:
-        if self.n:
-            self.v = self._kappa_assignments(rng)
-        counts = np.bincount(self.v, minlength=self.level_kappa).astype(float)
-        self.kappa_sticks = _clip_sticks(posterior_stick_update(counts, self.phi_kappa, rng))
-        self.kappa_weights = stick_to_weights(self.kappa_sticks, self.level_kappa)
-        if self.hyper.update_concentrations:
-            self.phi_kappa = update_concentration(self.kappa_sticks, self.hyper.a_phi,
-                                                  self.hyper.b_phi, rng)
-        self._update_theta_atoms(rng, post)
+        self.v = self._kappa_assignments(rng)
+        self.kappa_sticks, self.kappa_weights, self.phi_kappa = self._update_sticks(
+            self.v, self.level_kappa, self.phi_kappa, rng)
+        self.theta = self._move_atoms(rng, "theta", self.theta, self.v, self._draw_kappa_atoms,
+                                      self._theta_atom_log_ratio, post)
         self.kap = self.theta[self.v]
         self.ekd = _exp_capped(self.kap * self.d_scale)
 
-    def _update_theta_atoms(self, rng, post=False) -> None:
+    def _theta_atom_log_ratio(self, prop: np.ndarray) -> np.ndarray:
         h = self.hyper
-        size = self.level_kappa
-        prop = self.theta + self.scales["theta"] * rng.standard_normal(size)
-        u = rng.random(size)
-        fresh = np.maximum(rng.gamma(h.a_kappa, 1.0 / h.b_kappa, size=size), 1e-12)
-        counts = np.bincount(self.v, minlength=size)
         valid = prop > 0.0
         safe = np.where(valid, prop, 1.0)
-        if self.n:
-            kc = self.theta[self.v]
-            kp = safe[self.v]
-            d_ll = self.tm * (self.delta * (np.log(kp) - np.log(kc) + (kp - kc) * self.d_scale)
-                              - (_exp_capped(kp * self.d_scale) - _exp_capped(kc * self.d_scale)))
-            atom_delta = np.bincount(self.v, weights=d_ll, minlength=size)
-        else:
-            atom_delta = np.zeros(size)
+        kc, kp = self.theta[self.v], safe[self.v]
+        d_ll = self.tm * (self.delta * (np.log(kp) - np.log(kc) + (kp - kc) * self.d_scale)
+                          - (_exp_capped(kp * self.d_scale) - _exp_capped(kc * self.d_scale)))
         # Gamma(a_kappa, b_kappa) base density keeps the conditional proper
-        atom_delta += ((h.a_kappa - 1.0) * (np.log(safe) - np.log(self.theta))
-                       - h.b_kappa * (prop - self.theta))
-        accept = valid & metropolis_decision(atom_delta, u)
-        occupied = counts > 0
-        self.theta = np.where(occupied & accept, prop, self.theta)
-        self.theta = np.where(occupied, self.theta, fresh)
-        if occupied.any():
-            self._record_accept("theta", float(accept[occupied].mean()), post)
+        ratio = (np.bincount(self.v, weights=d_ll, minlength=prop.size)
+                 + ((h.a_kappa - 1.0) * (np.log(safe) - np.log(self.theta))
+                    - h.b_kappa * (prop - self.theta)))
+        # a nonpositive shape is rejected outright
+        return np.where(valid, ratio, -np.inf)
 
     # -- frailty-loading blocks ------------------------------------------------------------------
 
@@ -873,108 +855,130 @@ class SamplerEngine:
     def load_state(self, state: ParamState) -> None:
         """Replace the chain state by ``state`` and rebuild every cache.
 
-        Rejects a state sized for another dataset, and one that flags a
-        participant with recurrent events as unsusceptible."""
-        if self.mu_mode != "none" and state.mu_dp is None:
-            raise ValueError("state has no cluster-effect mixture for this variant")
-        sizes = [("gamma", state.gamma.size, self.n),
-                 ("unsusceptible", state.unsusceptible.size, self.n),
-                 ("shape-mixture assignments", state.kappa_dp.assignments.size, self.n),
-                 ("tau2", state.tau2.size, self.j)]
-        if self.mu_mode != "none":
-            sizes.append(("cluster-effect assignments", state.mu_dp.assignments.size, self.j))
-        if self.mu_mode == "param":
-            sizes.append(("cluster-effect atoms", state.mu_dp.atoms.size, self.j))
-        for name, got, want in sizes:
-            if got != want:
-                raise ValueError(f"state dimensions do not match the dataset: {name} has "
-                                 f"{got} entries, expected {want}")
-        with_events = np.flatnonzero((state.unsusceptible == 1) & (self.q_events > 0))
-        if with_events.size:
-            pos = with_events[0]
-            raise ValueError("participants with recurrent events cannot be unsusceptible: "
-                             f"participant {self.dataset.participant_index[pos]} in cluster "
-                             f"{self.cluster_of[pos]}")
+        This is the one place a state is checked: every rule of
+        :meth:`_check_state` is checked before any field is written, so a
+        rejected state leaves the engine as it was."""
+        self._check_state(state)
         self.beta = np.array(state.beta, dtype=float)
         self.alpha = np.array(state.alpha, dtype=float)
         self.alpha0 = float(state.alpha0)
         self.xi1 = float(state.xi1)
         self.xi2 = float(state.xi2)
         self.zeta = None if state.zeta is None else np.array(state.zeta, dtype=float)
-        if self.logistic and self.zeta is None:
-            raise ValueError("state has no zeta but the logistic model is active")
         self.gamma = np.array(state.gamma, dtype=float)
         self.tau2 = np.array(state.tau2, dtype=float)
         self.d_flags = np.array(state.unsusceptible, dtype=np.int8)
-        if self.mu_mode != "none":
-            self.eta = np.array(state.mu_dp.atoms, dtype=float)
-            self.m = np.array(state.mu_dp.assignments, dtype=np.int64)
-            if self.mu_mode == "dp":
-                self.mu_sticks = np.array(state.mu_dp.raw_sticks, dtype=float)
-                self.mu_weights = np.array(state.mu_dp.weights, dtype=float)
-                self.phi_mu = float(state.mu_dp.concentration)
-                self.level_mu = self.eta.size
+        if self.mu_mode == "dp":
+            self.eta, self.m, self.mu_sticks, self.mu_weights, self.phi_mu = \
+                _mixture_arrays(state.cluster_effects)
+            self.level_mu = self.eta.size
         else:
-            self.eta = np.empty(0)
-            self.m = np.empty(0, dtype=np.int64)
-        self.theta = np.array(state.kappa_dp.atoms, dtype=float)
-        self.v = np.array(state.kappa_dp.assignments, dtype=np.int64)
-        self.kappa_sticks = np.array(state.kappa_dp.raw_sticks, dtype=float)
-        self.kappa_weights = np.array(state.kappa_dp.weights, dtype=float)
-        self.phi_kappa = float(state.kappa_dp.concentration)
+            self.eta = np.array(state.cluster_effects if self.mu_mode == "param" else (),
+                                dtype=float)
+            self.m = np.arange(self.eta.size, dtype=np.int64)
+        self.theta, self.v, self.kappa_sticks, self.kappa_weights, self.phi_kappa = \
+            _mixture_arrays(state.kappa_dp)
         self.level_kappa = self.theta.size
-        if isinstance(state.baseline, PiecewiseConstantHazard):
-            if self.baseline_variant != "piecewise":
-                raise ValueError("state baseline variant does not match the engine")
+        if self.baseline_variant == "piecewise":
             self.grid = np.array(state.baseline.grid, dtype=float)
             self.lam = np.array(state.baseline.levels, dtype=float)
             self._set_piecewise_design()
         else:
-            if self.baseline_variant != "powerlaw":
-                raise ValueError("state baseline variant does not match the engine")
             self.psi = float(state.baseline.shape)
         self.s2b = float(state.sigma2_beta)
         self.s2a = float(state.sigma2_alpha)
         self.refresh_caches()
 
+    def _check_state(self, state: ParamState) -> None:
+        """Raise ValueError, naming the field (and its first bad index), at
+        the first rule ``state`` breaks for this engine's dataset and
+        variant."""
+        effects = state.cluster_effects
+        form = {"dp": (TruncatedDP, "a TruncatedDP mixture"),
+                "param": (np.ndarray, f"an array of {self.j} effects"),
+                "none": (type(None), "None")}[self.mu_mode]
+        if not isinstance(effects, form[0]):
+            raise ValueError(f"cluster_effects must be {form[1]} for the {self.variant} "
+                             f"variant, got {type(effects).__name__}")
+        if isinstance(state.baseline, PiecewiseConstantHazard) != (self.baseline_variant
+                                                                   == "piecewise"):
+            raise ValueError("state baseline variant does not match the engine")
+        if self.logistic and state.zeta is None:
+            raise ValueError("state has no zeta but the logistic model is active")
+
+        mixtures = [("shape-mixture", state.kappa_dp, self.n)]
+        if self.mu_mode == "dp":
+            mixtures.append(("cluster-effect", effects, self.j))
+        sizes = [("beta", state.beta, self.x.shape[1]), ("alpha", state.alpha, self.z.shape[1]),
+                 ("gamma", state.gamma, self.n), ("unsusceptible", state.unsusceptible, self.n),
+                 ("tau2", state.tau2, self.j)]
+        if self.logistic:
+            sizes.append(("zeta", state.zeta, self.u.shape[1]))
+        if self.mu_mode == "param":
+            sizes.append(("cluster-effect atoms", effects, self.j))
+        sizes += [(f"{name} assignments", dp.assignments, units) for name, dp, units in mixtures]
+        for name, values, want in sizes:
+            if values.size != want:
+                raise ValueError(f"state dimensions do not match the dataset: {name} has "
+                                 f"{values.size} entries, expected {want}")
+        for name, dp, _ in mixtures:
+            if dp.raw_sticks.size != dp.atoms.size - 1:
+                raise ValueError(f"{name} sticks has {dp.raw_sticks.size} entries, expected "
+                                 f"one fewer than its {dp.atoms.size} atoms")
+
+        flags, kappa = state.unsusceptible, state.kappa_dp
+        # (field, rule, values, mask of the entries that break it); values
+        # None names the participant instead of the value
+        rules = [("gamma", "must be positive", state.gamma, ~(state.gamma > 0)),
+                 ("tau2", "must be positive", state.tau2, ~(state.tau2 > 0)),
+                 ("unsusceptible", "must be 0 or 1", flags, ~np.isin(flags, (0, 1))),
+                 ("unsusceptible", "participants with recurrent events cannot be unsusceptible",
+                  None, (flags == 1) & (self.q_events > 0)),
+                 ("shape-mixture atoms", "must be positive", kappa.atoms, ~(kappa.atoms > 0))]
+        for name, dp, _ in mixtures:
+            sticks, assignments, k = dp.raw_sticks, dp.assignments, dp.atoms.size
+            concentration = np.asarray(dp.concentration, dtype=float)
+            rules += [(f"{name} sticks", "must lie in (0, 1)", sticks,
+                       ~((sticks > 0) & (sticks < 1))),
+                      (f"{name} assignments", f"must lie in [0, {k})", assignments,
+                       (assignments < 0) | (assignments >= k)),
+                      (f"{name} concentration", "must be positive", concentration,
+                       ~(concentration > 0))]
+        for name, rule, values, bad in rules:
+            if np.any(bad):
+                pos = int(np.argmax(bad))
+                field = f"{name}[{pos}]" if np.ndim(bad) else name
+                detail = (f", got {values.flat[pos]}" if values is not None else
+                          f": participant {self.dataset.participant_index[pos]} in cluster "
+                          f"{self.cluster_of[pos]}")
+                raise ValueError(f"{field}: {rule}{detail}")
+
     # -- trace assembly ----------------------------------------------------------------------------
 
-    def trace_columns(self) -> list:
-        cols = [f"beta_{i + 1}" for i in range(self.x.shape[1])]
-        cols += [f"alpha_{i + 1}" for i in range(self.z.shape[1])]
-        cols += ["alpha0", "xi1", "xi2"]
+    def _trace_parts(self) -> list:
+        """(name, value) pairs in trace order: a scalar fills the column
+        ``name``, an array the columns ``name`` + "1", "2", ..."""
+        parts = [("beta_", self.beta), ("alpha_", self.alpha), ("alpha0", self.alpha0),
+                 ("xi1", self.xi1), ("xi2", self.xi2)]
         if self.logistic:
-            cols += [f"zeta_{i + 1}" for i in range(self.u.shape[1])]
-        cols += ["sigma2_beta", "sigma2_alpha"]
-        if self.baseline_variant == "piecewise":
-            cols += [f"lambda_0{i + 1}" for i in range(self.n_levels)]
-        else:
-            cols += ["psi"]
-        cols += [f"tau2_{i + 1}" for i in range(self.j)]
+            parts.append(("zeta_", self.zeta))
+        parts += [("sigma2_beta", self.s2b), ("sigma2_alpha", self.s2a),
+                  ("lambda_0", self.lam) if self.baseline_variant == "piecewise"
+                  else ("psi", self.psi), ("tau2_", self.tau2)]
         if self.mu_mode != "none":
-            cols += [f"mu_{i + 1}" for i in range(self.j)]
+            parts.append(("mu_", self.eta[self.m]))
         if self.mu_mode == "dp":
-            cols += ["phi_mu"] + [f"eta_{i + 1}" for i in range(self.level_mu)]
-        cols += ["phi_kappa"] + [f"theta_{i + 1}" for i in range(self.level_kappa)]
-        cols += ["n_unsusceptible"]
-        return cols
+            parts += [("phi_mu", self.phi_mu), ("eta_", self.eta)]
+        return parts + [("phi_kappa", self.phi_kappa), ("theta_", self.theta),
+                        ("n_unsusceptible", float(self.d_flags.sum()))]
+
+    def trace_columns(self) -> list:
+        return [name if np.ndim(value) == 0 else f"{name}{i + 1}"
+                for name, value in self._trace_parts() for i in range(np.size(value))]
 
     def trace_row(self) -> np.ndarray:
-        parts = [self.beta, self.alpha, [self.alpha0, self.xi1, self.xi2]]
-        if self.logistic:
-            parts.append(self.zeta)
-        parts.append([self.s2b, self.s2a])
-        parts.append(self.lam if self.baseline_variant == "piecewise" else [self.psi])
-        parts.append(self.tau2)
-        if self.mu_mode != "none":
-            parts.append(self.eta[self.m])
-        if self.mu_mode == "dp":
-            parts.append([self.phi_mu])
-            parts.append(self.eta)
-        parts.append([self.phi_kappa])
-        parts.append(self.theta)
-        parts.append([float(self.d_flags.sum())])
-        return np.concatenate([np.asarray(p, dtype=float).ravel() for p in parts])
+        return np.concatenate([np.asarray(value, dtype=float).ravel()
+                               for _, value in self._trace_parts()])
 
 
 # ---------------------------------------------------------------------------

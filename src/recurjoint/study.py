@@ -13,7 +13,7 @@ import numpy as np
 from . import simulate as sim
 from .diagnostics import cpo_lpml, gelman_rubin_psrf, replicate_aggregate, summarize_draws
 from .model import Dataset, Hyperparams
-from .sampler import ChainTrace, McmcConfig, ProposalScales, run_chain
+from .sampler import McmcConfig, ProposalScales, run_chain
 
 __all__ = [
     "run_fit",
@@ -50,6 +50,15 @@ def generator_truth(baseline_variant: str = "piecewise") -> dict:
 # Single fit
 # ---------------------------------------------------------------------------
 
+def _map(fn, tasks: list, threads: int) -> list:
+    """``[fn(t) for t in tasks]``, on a pool of ``threads`` worker processes
+    when there is more than one of each; results keep the order of ``tasks``."""
+    if threads > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, tasks))
+    return [fn(t) for t in tasks]
+
+
 def _chain_task(args):
     dataset, config, hyper, scales, seed, index = args
     return run_chain(dataset, config, hyper, seed=seed, chain_index=index, scales=scales)
@@ -59,10 +68,7 @@ def run_fit(dataset: Dataset, config: McmcConfig, hyper: Hyperparams,
             scales: ProposalScales | None = None, threads: int = 1) -> list:
     """Run the configured number of independent chains."""
     tasks = [(dataset, config, hyper, scales, config.seed, k) for k in range(config.chains)]
-    if threads > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(_chain_task, tasks))
-    return [_chain_task(t) for t in tasks]
+    return _map(_chain_task, tasks, threads)
 
 
 def fit_manifest(traces, config: McmcConfig, hyper: Hyperparams) -> dict:
@@ -181,11 +187,7 @@ def run_replicate_study(study: dict, threads: int = 1) -> tuple:
     study = _resolve_study(study)
     tasks = [(study, r, v) for r in range(study["replicates"]) for v in study["variants"]]
     started = time.monotonic()
-    if threads > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_study_task, tasks))
-    else:
-        results = [_study_task(t) for t in tasks]
+    results = _map(_study_task, tasks, threads)
     elapsed = time.monotonic() - started
 
     truth = generator_truth(study["baseline_variant"])

@@ -6,7 +6,6 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from recurjoint.dp import stick_to_weights
 from recurjoint.model import (
     Dataset,
     Hyperparams,
@@ -59,17 +58,22 @@ def uniform_sticks(k):
 
 def make_dp(atoms, assignments, sticks=None, concentration=1.0):
     atoms = np.asarray(atoms, dtype=float)
-    k = atoms.size
     if sticks is None:
-        sticks = uniform_sticks(k)
-    return TruncatedDP(atoms, sticks, stick_to_weights(sticks, k),
-                       np.asarray(assignments, dtype=np.int64), concentration)
+        sticks = uniform_sticks(atoms.size)
+    return TruncatedDP(atoms, sticks, assignments, concentration)
 
 
 def make_state(n=1, j=1, beta=(0.0, 0.0, 0.0), alpha=(0.0, 0.0, 0.0), alpha0=0.0,
                xi1=0.0, xi2=0.0, zeta=None, gamma=None, tau2=None, unsusceptible=None,
                mu_atoms=(0.0,), mu_assign=None, kappa_atoms=(1.0,), kappa_assign=None,
-               baseline=None):
+               baseline=None, mu_effects=None):
+    """A state with a cluster-effect mixture of ``mu_atoms``, as the DP
+    variants take it, or with the BMZ variant's array ``mu_effects``."""
+    if mu_effects is not None:
+        cluster_effects = np.asarray(mu_effects, dtype=float)
+    else:
+        cluster_effects = make_dp(mu_atoms, np.zeros(j, dtype=int) if mu_assign is None
+                                  else mu_assign)
     if baseline is None:
         baseline = PiecewiseConstantHazard(np.array([0.0, 1.0]), np.array([1.0]))
     return ParamState(
@@ -81,7 +85,7 @@ def make_state(n=1, j=1, beta=(0.0, 0.0, 0.0), alpha=(0.0, 0.0, 0.0), alpha0=0.0
         tau2=np.ones(j) if tau2 is None else np.asarray(tau2, dtype=float),
         unsusceptible=np.zeros(n, dtype=np.int8) if unsusceptible is None
         else np.asarray(unsusceptible, dtype=np.int8),
-        mu_dp=make_dp(mu_atoms, np.zeros(j, dtype=int) if mu_assign is None else mu_assign),
+        cluster_effects=cluster_effects,
         kappa_dp=make_dp(kappa_atoms, np.zeros(n, dtype=int) if kappa_assign is None
                          else kappa_assign),
         baseline=baseline)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import output_digest
 from recurjoint.cli import main
 from recurjoint.io import (
     load_config,
@@ -13,7 +14,7 @@ from recurjoint.io import (
     write_chain_trace,
     write_dataset,
 )
-from recurjoint.model import Hyperparams
+from recurjoint.model import BASELINE_VARIANTS, VARIANTS, Hyperparams
 from recurjoint.sampler import McmcConfig, run_chain
 from recurjoint.simulate import simulate_dataset
 from recurjoint.study import fit_manifest, run_replicate_study
@@ -288,3 +289,16 @@ class TestCliCommands:
         assert main(["fit", "--data", str(tmp_path / "missing.csv"),
                      "--out", str(tmp_path / "x")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_output_digest_is_deterministic(self, tmp_path):
+        first, second = (output_digest.digest(tmp_path / name) for name in ("a", "b"))
+        assert first == second
+        paths = [line.split("  ", 1)[1] for line in first]
+        assert all(len(line.split("  ", 1)[0]) == 64 for line in first)
+        for variant in VARIANTS:
+            for baseline in BASELINE_VARIANTS:
+                assert f"fit/{variant}_{baseline}_corrected/chain00.csv" in paths
+        assert "fit/BMZ-DP_piecewise_literal/chain00.csv" in paths
+        assert "fit/BMZ-DP_piecewise_corrected/chain01.csv" in paths
+        assert {"summarize.json", "study/report.json", "data/powerlaw/events.csv"} <= set(paths)
+        assert not any(path.endswith("timing.json") for path in paths)

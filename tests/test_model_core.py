@@ -6,6 +6,7 @@ import pytest
 from scipy import integrate
 
 import oracles
+import recurjoint.model as model
 from conftest import engine_for, engine_loglik, make_dataset, make_record, make_state
 from recurjoint.model import (
     Dataset,
@@ -119,6 +120,33 @@ class TestRecordValidation:
         assert (rec.participant_index, rec.followup_time, rec.event_indicator) == (1, 2.0, 1)
         assert rec.num_events == 0 and ds.records[0].recurrent_times.tolist() == [0.25, 0.5]
         assert ds.records is ds.records
+
+    def test_records_built_one_per_read(self, monkeypatch):
+        ds, _ = simulate_dataset(200, 10, seed=3)
+        built = []
+
+        class CountingRecord(model.ParticipantRecord):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(model, "ParticipantRecord", CountingRecord)
+        rec = ds.records[7]
+        assert len(built) == 1
+        start, stop = ds.event_offsets[7], ds.event_offsets[8]
+        assert (rec.cluster_index, rec.participant_index, rec.followup_time,
+                rec.event_indicator) == (ds.cluster_index[7], ds.participant_index[7],
+                                         ds.followup_time[7], ds.event_indicator[7])
+        assert np.shares_memory(rec.covariates_x, ds.covariates_x)
+        np.testing.assert_array_equal(rec.recurrent_times, ds.event_times[start:stop])
+        assert ds.records[-1].participant_index == ds.participant_index[-1]
+        assert len(built) == 2
+        head = ds.records[:3]
+        assert isinstance(head, tuple) and len(built) == 5
+        assert [r.participant_index for r in head] == ds.participant_index[:3].tolist()
+        assert len(ds.records) == 200 and len(list(ds.records)) == 200
+        with pytest.raises(IndexError):
+            ds.records[200]
 
 
 class TestCumulativeBaselineHazard:
@@ -441,19 +469,20 @@ class TestTotalLikelihood:
         dataset, _ = simulate_dataset(60, 6, seed=4)
         eng = SamplerEngine(dataset, Hyperparams(fixed_p=0.5), variant=variant)
         kwargs = dict(n=60, j=6, kappa_atoms=(1.5,))
-        if variant == "BMZ":
-            kwargs.update(mu_atoms=np.zeros(6), mu_assign=np.arange(6))
         got = 6 + extra
-        wrong_assign = make_state(**{**kwargs, "mu_assign": np.zeros(got, dtype=int)})
-        with pytest.raises(ValueError, match="dimensions do not match the dataset: cluster-effect "
-                                             f"assignments has {got} entries, expected 6"):
-            eng.load_state(wrong_assign)
         if variant == "BMZ":
-            wrong_atoms = make_state(**{**kwargs, "mu_atoms": np.zeros(got),
-                                        "mu_assign": np.zeros(6, dtype=int)})
+            # a BMZ state holds one effect per cluster and no assignments
+            kwargs.update(mu_effects=np.zeros(6))
+            wrong_atoms = make_state(**{**kwargs, "mu_effects": np.zeros(got)})
             with pytest.raises(ValueError, match="dimensions do not match the dataset: "
                                                  f"cluster-effect atoms has {got} entries"):
                 eng.load_state(wrong_atoms)
+        else:
+            wrong_assign = make_state(**{**kwargs, "mu_assign": np.zeros(got, dtype=int)})
+            with pytest.raises(ValueError, match="dimensions do not match the dataset: "
+                                                 f"cluster-effect assignments has {got} entries, "
+                                                 "expected 6"):
+                eng.load_state(wrong_assign)
         eng.load_state(make_state(**kwargs))
         assert np.isfinite(eng.total_loglik())
 

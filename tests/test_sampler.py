@@ -34,7 +34,7 @@ def truth_state(dataset, truth, tau2=0.3):
         beta=truth.beta, alpha=truth.alpha, alpha0=truth.alpha0, xi1=truth.xi1,
         xi2=truth.xi2, zeta=truth.zeta, gamma=truth.gamma,
         tau2=np.full(j, tau2), unsusceptible=truth.unsusceptible,
-        mu_dp=mdp, kappa_dp=kdp, baseline=truth.baseline)
+        cluster_effects=mdp, kappa_dp=kdp, baseline=truth.baseline)
 
 
 class TestMetropolisRule:
@@ -191,7 +191,8 @@ class TestMuBlock:
         dataset, truth = simulate_dataset(40, 4, seed=5)
         state = truth_state(dataset, truth)
         state = ParamState(**{**state.__dict__,
-                              "mu_dp": make_dp([0.0, 40.0, 41.0], np.zeros(4, dtype=int))})
+                              "cluster_effects": make_dp([0.0, 40.0, 41.0],
+                                                         np.zeros(4, dtype=int))})
         eng = SamplerEngine(dataset, Hyperparams(update_concentrations=False), variant="BMZ-DP")
         first_sticks = []
         for _ in range(800):
@@ -260,7 +261,7 @@ class TestMuBlock:
     def test_bz_dp_has_no_block(self, rng):
         dataset, truth = simulate_dataset(20, 2, seed=1)
         eng = SamplerEngine(dataset, Hyperparams(), variant="BZ-DP")
-        eng.load_state(truth_state(dataset, truth))
+        eng.load_state(dataclasses.replace(truth_state(dataset, truth), cluster_effects=None))
         before = rng.bit_generator.state
         eng.update_mu_block(rng, post=True)
         assert rng.bit_generator.state == before
