@@ -14,6 +14,7 @@ import pytest
 
 import oracles
 from conftest import engine_for, make_dataset, make_record, make_state
+from recurjoint import sampler
 from recurjoint.model import BASELINE_VARIANTS, LIKELIHOOD_MODES, VARIANTS, Hyperparams
 from recurjoint.sampler import _CHUNK_ELEMENTS, _EXP_CAP, _SCORE_CLIP, SamplerEngine
 from recurjoint.simulate import simulate_dataset
@@ -101,6 +102,120 @@ def test_caches_match_full_refresh_after_every_block(variant, baseline, mode):
         for block in BLOCKS:
             getattr(eng, block)(rng)
             _assert_caches_fresh(eng, present, block)
+
+
+# log priors of the scalar-ratio blocks, written out here rather than read
+# from the engine; the zeta entry adds the Bernoulli likelihood of the flags,
+# the only term of the target that zeta enters
+def _zeta_log_target(eng):
+    t = eng.u @ eng.zeta
+    return (float(eng.d_flags @ t) - float(np.logaddexp(0.0, t).sum())
+            - float(eng.zeta @ eng.zeta) / (2.0 * eng.hyper.sigma2_zeta))
+
+
+SCALAR_PRIORS = {
+    "update_beta": lambda e: -float(e.beta @ e.beta) / (2.0 * e.s2b),
+    "update_alpha": lambda e: -float(e.alpha @ e.alpha) / (2.0 * e.s2a),
+    "update_alpha0": lambda e: 0.0,  # flat
+    "update_xi1": lambda e: -e.xi1 ** 2 / (2.0 * e.hyper.sigma2_xi1),
+    "update_xi2": lambda e: -e.xi2 ** 2 / (2.0 * e.hyper.sigma2_xi2),
+    "update_zeta": _zeta_log_target,
+    "update_baseline_block": lambda e: (0.0 if e.psi is None else  # flat on the levels
+                                        (e.hyper.a_psi - 1.0) * math.log(e.psi)
+                                        - e.hyper.b_psi * e.psi),
+}
+# a log ratio and a difference of two summed log likelihoods each round at
+# about eps times the summed magnitudes; the bound scales with them
+RATIO_TOL = 1e-10
+
+
+def _gamma_log_prior(eng):
+    lg = np.log(eng.gamma)
+    return -lg - lg * lg / (2.0 * eng.tau2[eng.cluster_of])
+
+
+def _atom_log_prior(eng, name, atoms):
+    if name == "eta":
+        return -atoms ** 2 / (2.0 * eng.hyper.sigma2_mu)
+    h = eng.hyper
+    return (h.a_kappa - 1.0) * np.log(atoms) - h.b_kappa * atoms
+
+
+def _assert_ratio(ratio, d_target, scale, label):
+    assert math.isclose(ratio, d_target, rel_tol=0.0, abs_tol=RATIO_TOL * scale), \
+        (label, ratio, d_target)
+
+
+@pytest.mark.parametrize("variant,baseline,mode", CASES)
+def test_block_log_ratio_is_change_of_log_target(variant, baseline, mode, monkeypatch):
+    """Every Metropolis block's log ratio equals the change of the summed
+    per-participant log likelihood plus the change of its log prior, found
+    by accepting every proposal and recomputing both from a refreshed state."""
+    eng = _engine(variant, baseline, mode, seed=404)
+    rng = np.random.default_rng(19)
+    for _ in range(10):
+        eng.sweep(rng)
+
+    ratios = []
+
+    def accept_all(log_ratio, uniform):
+        ratios.append(np.array(log_ratio, dtype=float))
+        # a ratio of -inf marks an invalid proposal: it stays rejected
+        return np.asarray(log_ratio) > -np.inf
+
+    monkeypatch.setattr(sampler, "metropolis_decision", accept_all)
+    moves = []
+    move_atoms = eng._move_atoms
+
+    def recorded_move(rng, name, atoms, assignments, *rest):
+        # the likelihood before the atom move alone, after the assignment draw
+        eng.refresh_caches()
+        moves.append((name, atoms.copy(), np.array(assignments), eng.participant_loglik()))
+        return move_atoms(rng, name, atoms, assignments, *rest)
+
+    monkeypatch.setattr(eng, "_move_atoms", recorded_move)
+
+    checked = set()
+    for _ in range(3):
+        for block in BLOCKS:
+            eng.refresh_caches()
+            before = copy.deepcopy(eng)
+            ll0 = before.participant_loglik()
+            ratios.clear()
+            moves.clear()
+            getattr(eng, block)(rng)
+            eng.refresh_caches()
+            ll1 = eng.participant_loglik()
+            scale = 1.0 + np.abs(ll0).sum() + np.abs(ll1).sum()
+            if not ratios:  # a Gibbs block, or one with nothing to move
+                continue
+            (ratio,) = ratios
+            checked.add(block)
+            if block == "update_gamma":
+                moved = eng.gamma != before.gamma
+                d_target = (ll1 - ll0 + _gamma_log_prior(eng) - _gamma_log_prior(before))[moved]
+                for r, d, i in zip(ratio[moved], d_target, np.flatnonzero(moved)):
+                    _assert_ratio(r, d, 1.0 + abs(ll0[i]) + abs(ll1[i]), (block, i))
+            elif block in ("update_mu_block", "update_kappa_block"):
+                ((name, atoms0, assignments, ll_before),) = moves
+                atoms1 = eng.eta if name == "eta" else eng.theta
+                moved = (np.bincount(assignments, minlength=atoms0.size) > 0) & (atoms1 != atoms0)
+                d_prior = (_atom_log_prior(eng, name, atoms1[moved])
+                           - _atom_log_prior(eng, name, atoms0[moved])).sum()
+                _assert_ratio(ratio[moved].sum(), (ll1 - ll_before).sum() + d_prior,
+                              1.0 + np.abs(ll_before).sum() + np.abs(ll1).sum(), block)
+            elif ratio.ndim:  # the baseline levels, under their flat prior
+                moved = eng.lam != before.lam
+                _assert_ratio(ratio[moved].sum(), (ll1 - ll0).sum(), scale, block)
+            else:
+                d_prior = SCALAR_PRIORS[block](eng) - SCALAR_PRIORS[block](before)
+                _assert_ratio(float(ratio), (ll1 - ll0).sum() + d_prior, scale, block)
+    expected = set(SCALAR_PRIORS) | {"update_gamma", "update_kappa_block"}
+    if not eng.logistic:
+        expected.discard("update_zeta")
+    if eng.mu_mode != "none":
+        expected.add("update_mu_block")
+    assert checked == expected
 
 
 @pytest.mark.parametrize("variant,baseline,mode", CASES)
