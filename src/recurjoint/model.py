@@ -263,7 +263,8 @@ class TruncatedDP:
     concentration: float
 
     def __post_init__(self):
-        for name, dtype in (("atoms", float), ("raw_sticks", float), ("assignments", np.int64)):
+        # assignments keep their type, so that load_state sees an index of 1.7
+        for name, dtype in (("atoms", float), ("raw_sticks", float), ("assignments", None)):
             object.__setattr__(self, name, _readonly(getattr(self, name), dtype))
 
 
@@ -346,6 +347,12 @@ class Hyperparams:
                 raise ValueError(f"{name} must be strictly positive")
         if self.grid_count < 1:
             raise ValueError("grid_count must be at least 1")
+        for name in ("truncation_kappa", "truncation_mu"):
+            value = getattr(self, name)
+            if value is not None and not (isinstance(value, (int, np.integer))
+                                          and not isinstance(value, bool) and value >= 1):
+                raise ValueError(f"{name} must be None or an integer of at least 1, "
+                                 f"got {value!r}")
         if self.fixed_p is not None and not 0.0 < self.fixed_p < 1.0:
             raise ValueError("fixed_p must lie in (0, 1)")
 

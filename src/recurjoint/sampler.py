@@ -15,6 +15,11 @@ conditionally independent given the rest of the state (frailties, mixture
 atoms, baseline levels) are updated as simultaneous ensembles of
 random-walk Metropolis moves, which leaves the invariant distribution
 unchanged while keeping the per-sweep cost a handful of vectorized passes.
+The scalar-decision blocks (beta, alpha, alpha0, xi1, xi2, zeta) share one
+accept-and-record step, :meth:`SamplerEngine._step`, and every block that
+moves the terminal offset ``d_scale`` (alpha, alpha0, gamma, xi1, xi2) takes
+its change of terminal log density from one move,
+:meth:`SamplerEngine._terminal_shift`.
 
 Memory stays linear in the number of records N: no array spans clusters
 by records (J x N), and a records-by-atoms (N x K) matrix exists only as a
@@ -482,11 +487,15 @@ class SamplerEngine:
                 self.lam0_followup = self.followup ** self.psi
             self.ev_logsum = self.q_events * math.log(self.psi) + (self.psi - 1.0) * self.slog_ev
 
+    def _terminal_loglik(self) -> np.ndarray:
+        """Per-record terminal log density, before the ``tm`` weight."""
+        return (self.delta * (np.log(self.kap) - self.log_followup + self.kap * self.d_scale)
+                - self.ekd)
+
     def participant_loglik(self) -> np.ndarray:
         """Per-record observed-data log likelihood under the current state."""
         with np.errstate(invalid="ignore"):
-            terminal = self.tm * (self.delta * (np.log(self.kap) - self.log_followup
-                                                + self.kap * self.d_scale) - self.ekd)
+            terminal = self.tm * self._terminal_loglik()
             recurrent = self.su * (self.q_events * (self.lgam + self.lin_x + self.mu_rec)
                                    + self.ev_logsum - self.gamma * self.erx * self.lam0_followup)
         return terminal + recurrent
@@ -502,6 +511,22 @@ class SamplerEngine:
             tot = self._accept_totals[name]
             tot[0] += rate
             tot[1] += 1
+
+    def _step(self, rng, name: str, log_ratio: float, post: bool) -> bool:
+        """The Metropolis decision on block ``name``'s scalar ``log_ratio``,
+        recorded as its acceptance; the caller commits on True."""
+        ok = bool(_accept(log_ratio, rng))
+        self._record_accept(name, float(ok), post)
+        return ok
+
+    def _terminal_shift(self, shift):
+        """Lower every record's terminal offset ``d_scale`` by ``shift``.
+        Returns the new offsets, their capped ``exp(kappa * d)`` and each
+        record's change of terminal log density."""
+        d2 = self.d_scale - shift
+        ekd2 = _exp_capped(self.kap * d2)
+        d_ll = self.tm * (self.delta * self.kap * (d2 - self.d_scale) - (ekd2 - self.ekd))
+        return d2, ekd2, d_ll
 
     def acceptance_rates(self) -> dict:
         return {name: tot[0] / tot[1] for name, tot in self._accept_totals.items() if tot[1]}
@@ -524,46 +549,25 @@ class SamplerEngine:
         logr = (float(self.su @ (self.q_events * (lin2 - self.lin_x)))
                 - float((self.su * self.gamma * self.lam0_followup) @ (erx2 - self.erx))
                 + (self.beta @ self.beta - prop @ prop) / (2.0 * self.s2b))
-        ok = bool(_accept(logr, rng))
-        if ok:
-            self.beta = prop
-            self.lin_x = lin2
-            self.erx = erx2
-        self._record_accept("beta", float(ok), post)
+        if self._step(rng, "beta", logr, post):
+            self.beta, self.lin_x, self.erx = prop, lin2, erx2
 
     def update_alpha(self, rng, post=False) -> None:
         if self.alpha.size == 0:
             return
         prop = self.alpha + self.scales["alpha"] * rng.standard_normal(self.alpha.size)
         lin2 = self.z @ prop
-        shift = lin2 - self.lin_z
-        d2 = self.d_scale - shift
-        ekd2 = _exp_capped(self.kap * d2)
-        logr = (-float((self.tm * self.delta * self.kap) @ shift)
-                - float(self.tm @ (ekd2 - self.ekd))
-                + (self.alpha @ self.alpha - prop @ prop) / (2.0 * self.s2a))
-        ok = bool(_accept(logr, rng))
-        if ok:
-            self.alpha = prop
-            self.lin_z = lin2
-            self.d_scale = d2
-            self.ekd = ekd2
-        self._record_accept("alpha", float(ok), post)
+        d2, ekd2, d_ll = self._terminal_shift(lin2 - self.lin_z)
+        logr = float(d_ll.sum()) + (self.alpha @ self.alpha - prop @ prop) / (2.0 * self.s2a)
+        if self._step(rng, "alpha", logr, post):
+            self.alpha, self.lin_z, self.d_scale, self.ekd = prop, lin2, d2, ekd2
 
     def update_alpha0(self, rng, post=False) -> None:
         prop = self.alpha0 + self.scales["alpha0"] * rng.standard_normal()
-        shift = prop - self.alpha0
-        d2 = self.d_scale - shift
-        ekd2 = _exp_capped(self.kap * d2)
+        d2, ekd2, d_ll = self._terminal_shift(prop - self.alpha0)
         # flat prior: the full conditional is proportional to the likelihood
-        logr = (-shift * float((self.tm * self.delta) @ self.kap)
-                - float(self.tm @ (ekd2 - self.ekd)))
-        ok = bool(_accept(logr, rng))
-        if ok:
-            self.alpha0 = prop
-            self.d_scale = d2
-            self.ekd = ekd2
-        self._record_accept("alpha0", float(ok), post)
+        if self._step(rng, "alpha0", float(d_ll.sum()), post):
+            self.alpha0, self.d_scale, self.ekd = prop, d2, ekd2
 
     def update_tau2(self, rng) -> None:
         if self.j == 0:
@@ -582,12 +586,11 @@ class SamplerEngine:
         safe = np.where(valid, prop, 1.0)
         lg2 = np.log(safe)
         dlg = lg2 - self.lgam
-        d2 = self.d_scale - self.xi1 * dlg
-        ekd2 = _exp_capped(self.kap * d2)
+        d2, ekd2, d_ll = self._terminal_shift(self.xi1 * dlg)
         tau2_rec = self.tau2[self.cluster_of]
+        # log-normal prior: -log(gamma) is its Jacobian term
         logr = (self.su * (self.q_events * dlg - self.erx * self.lam0_followup * (prop - self.gamma))
-                + self.tm * (self.delta * self.kap * (d2 - self.d_scale) - (ekd2 - self.ekd))
-                - dlg - (lg2 * lg2 - self.lgam * self.lgam) / (2.0 * tau2_rec))
+                + d_ll - dlg - (lg2 * lg2 - self.lgam * self.lgam) / (2.0 * tau2_rec))
         accept = valid & metropolis_decision(logr, u)
         self.gamma = np.where(accept, prop, self.gamma)
         self.lgam = np.where(accept, lg2, self.lgam)
@@ -672,9 +675,7 @@ class SamplerEngine:
         log_s = -self.gamma * self.erx * self.lam0_followup
         logit = logit_p - log_s
         if self.literal:
-            terminal = (self.delta * (np.log(self.kap) - self.log_followup
-                                      + self.kap * self.d_scale) - self.ekd)
-            logit = logit - terminal
+            logit = logit - self._terminal_loglik()
         with np.errstate(over="ignore"):
             prob_one = 1.0 / (1.0 + np.exp(-logit))
         draws = rng.random(self.n)
@@ -781,33 +782,17 @@ class SamplerEngine:
 
     def update_xi1(self, rng, post=False) -> None:
         prop = self.xi1 + self.scales["xi1"] * rng.standard_normal()
-        shift = prop - self.xi1
-        d2 = self.d_scale - shift * self.lgam
-        ekd2 = _exp_capped(self.kap * d2)
-        logr = (-shift * float((self.tm * self.delta * self.kap) @ self.lgam)
-                - float(self.tm @ (ekd2 - self.ekd))
-                + (self.xi1 ** 2 - prop ** 2) / (2.0 * self.hyper.sigma2_xi1))
-        ok = bool(_accept(logr, rng))
-        if ok:
-            self.xi1 = prop
-            self.d_scale = d2
-            self.ekd = ekd2
-        self._record_accept("xi1", float(ok), post)
+        d2, ekd2, d_ll = self._terminal_shift((prop - self.xi1) * self.lgam)
+        logr = float(d_ll.sum()) + (self.xi1 ** 2 - prop ** 2) / (2.0 * self.hyper.sigma2_xi1)
+        if self._step(rng, "xi1", logr, post):
+            self.xi1, self.d_scale, self.ekd = prop, d2, ekd2
 
     def update_xi2(self, rng, post=False) -> None:
         prop = self.xi2 + self.scales["xi2"] * rng.standard_normal()
-        shift = prop - self.xi2
-        d2 = self.d_scale - shift * self.mu_rec
-        ekd2 = _exp_capped(self.kap * d2)
-        logr = (-shift * float((self.tm * self.delta * self.kap) @ self.mu_rec)
-                - float(self.tm @ (ekd2 - self.ekd))
-                + (self.xi2 ** 2 - prop ** 2) / (2.0 * self.hyper.sigma2_xi2))
-        ok = bool(_accept(logr, rng))
-        if ok:
-            self.xi2 = prop
-            self.d_scale = d2
-            self.ekd = ekd2
-        self._record_accept("xi2", float(ok), post)
+        d2, ekd2, d_ll = self._terminal_shift((prop - self.xi2) * self.mu_rec)
+        logr = float(d_ll.sum()) + (self.xi2 ** 2 - prop ** 2) / (2.0 * self.hyper.sigma2_xi2)
+        if self._step(rng, "xi2", logr, post):
+            self.xi2, self.d_scale, self.ekd = prop, d2, ekd2
 
     def update_zeta(self, rng, post=False) -> None:
         if not self.logistic or self.zeta.size == 0:
@@ -818,11 +803,8 @@ class SamplerEngine:
         logr = (float(d @ (t2 - self.logit_p))
                 - float(np.logaddexp(0.0, t2).sum() - np.logaddexp(0.0, self.logit_p).sum())
                 + (self.zeta @ self.zeta - prop @ prop) / (2.0 * self.hyper.sigma2_zeta))
-        ok = bool(_accept(logr, rng))
-        if ok:
-            self.zeta = prop
-            self.logit_p = t2
-        self._record_accept("zeta", float(ok), post)
+        if self._step(rng, "zeta", logr, post):
+            self.zeta, self.logit_p = prop, t2
 
     def update_coef_variances(self, rng) -> None:
         if not self.hyper.resample_coef_variances:
@@ -932,6 +914,8 @@ class SamplerEngine:
         rules = [("gamma", "must be positive", state.gamma, ~(state.gamma > 0)),
                  ("tau2", "must be positive", state.tau2, ~(state.tau2 > 0)),
                  ("unsusceptible", "must be 0 or 1", flags, ~np.isin(flags, (0, 1))),
+                 ("unsusceptible", f"must be 0 in the {self.variant} variant, which has no "
+                  "zero-inflation", flags, (flags != 0) & (not self.has_d)),
                  ("unsusceptible", "participants with recurrent events cannot be unsusceptible",
                   None, (flags == 1) & (self.q_events > 0)),
                  ("shape-mixture atoms", "must be positive", kappa.atoms, ~(kappa.atoms > 0))]
@@ -940,6 +924,8 @@ class SamplerEngine:
             concentration = np.asarray(dp.concentration, dtype=float)
             rules += [(f"{name} sticks", "must lie in (0, 1)", sticks,
                        ~((sticks > 0) & (sticks < 1))),
+                      (f"{name} assignments", "must be integers", assignments,
+                       assignments != np.round(assignments)),
                       (f"{name} assignments", f"must lie in [0, {k})", assignments,
                        (assignments < 0) | (assignments >= k)),
                       (f"{name} concentration", "must be positive", concentration,

@@ -25,6 +25,9 @@ CASES = list(itertools.product(VARIANTS, BASELINE_VARIANTS, LIKELIHOOD_MODES))
 # carries ~1e-16 absolute rounding; below the floor agreement is absolute
 ORACLE_REL_TOL = 1e-10
 ORACLE_ABS_TOL = 1e-12
+# a cache such as d_scale is a difference of O(1) terms, so an entry near 0
+# carries absolute rounding: each cache's floor is CACHE_REL_TOL times its
+# largest entry
 CACHE_REL_TOL = 1e-12
 # the factored cluster-effect scores add per-record terms in another order
 MU_SCORE_REL_TOL = 1e-12
@@ -87,7 +90,8 @@ def _assert_caches_fresh(eng, present, label):
     eng.refresh_caches()
     for name in present:
         fresh = np.asarray(getattr(eng, name), dtype=float)
-        np.testing.assert_allclose(incremental[name], fresh, rtol=CACHE_REL_TOL, atol=0,
+        floor = CACHE_REL_TOL * float(np.abs(fresh).max(initial=0.0))
+        np.testing.assert_allclose(incremental[name], fresh, rtol=CACHE_REL_TOL, atol=floor,
                                    err_msg=f"{name} after {label}")
 
 

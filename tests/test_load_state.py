@@ -52,8 +52,8 @@ def valid_state(dataset, variant, baseline="piecewise", shift=0):
         baseline=base, sigma2_beta=s, sigma2_alpha=2.0 * s)
 
 
-def _events_index(dataset):
-    return int(np.flatnonzero(np.diff(dataset.event_offsets) > 0)[0])
+def _events_index(dataset, has_events=True):
+    return int(np.flatnonzero((np.diff(dataset.event_offsets) > 0) == has_events)[0])
 
 
 def _with(state, **fields):
@@ -119,6 +119,9 @@ RULES = [
      lambda st, ds: _flags(st, _events_index(ds), 1),
      r"unsusceptible\[0\]: participants with recurrent events cannot be unsusceptible: "
      r"participant 0 in cluster 0"),
+    ("unsusceptible-without-zero-inflation", "BM-DP",
+     lambda st, ds: _flags(st, _events_index(ds, has_events=False), 1),
+     r"unsusceptible\[1\]: must be 0 in the BM-DP variant, which has no zero-inflation, got 1"),
     ("kappa-sticks-range", "BMZ-DP",
      lambda st, ds: _with_mixture(st, "kappa_dp", raw_sticks=[0.5, 1.0]),
      r"shape-mixture sticks\[1\]: must lie in \(0, 1\)"),
@@ -131,6 +134,9 @@ RULES = [
     ("mu-assignments-range", "BMZ-DP",
      lambda st, ds: _with_mixture(st, "cluster_effects", assignments=[0, -1, 1]),
      r"cluster-effect assignments\[1\]: must lie in \[0, 2\)"),
+    ("mu-assignments-integer", "BMZ-DP",
+     lambda st, ds: _with_mixture(st, "cluster_effects", assignments=[1, 1.7, 1]),
+     r"cluster-effect assignments\[1\]: must be integers, got 1.7"),
     ("kappa-concentration", "BMZ-DP",
      lambda st, ds: _with_mixture(st, "kappa_dp", concentration=0.0),
      "shape-mixture concentration: must be positive"),

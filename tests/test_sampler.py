@@ -461,3 +461,12 @@ class TestConfigValidation:
             McmcConfig(variant="BOGUS")
         with pytest.raises(ValueError):
             ProposalScales(rho_beta=0.0)
+
+    @pytest.mark.parametrize("field", ["truncation_kappa", "truncation_mu"])
+    def test_truncation_must_be_a_positive_integer(self, field):
+        for bad in (0, -3, 2.5, True, "3"):
+            with pytest.raises(ValueError, match=f"{field} must be None or an integer of at "
+                                                 "least 1"):
+                Hyperparams(**{field: bad})
+        for good in (None, 1, np.int64(7)):
+            assert getattr(Hyperparams(**{field: good}), field) == good
