@@ -6,6 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "summarize_columns",
     "summarize_draws",
     "posterior_summary",
     "gelman_rubin_psrf",
@@ -14,19 +15,27 @@ __all__ = [
 ]
 
 
+def summarize_columns(draws: np.ndarray) -> list:
+    """Mean, sd and type-7 empirical 2.5/50/97.5% quantiles of every column
+    of a draws-by-parameters matrix, one dict per column.
+
+    The columns are reduced in one pass over the C-contiguous transpose, so
+    each is summed as a contiguous series, exactly as a single column on
+    its own would be.
+    """
+    x = np.ascontiguousarray(np.asarray(draws, dtype=float).T)
+    if x.shape[1] == 0:
+        raise ValueError("cannot summarize an empty trace")
+    mean = x.mean(axis=1)
+    sd = x.std(axis=1, ddof=1) if x.shape[1] > 1 else np.zeros(x.shape[0])
+    q = np.quantile(x, [0.025, 0.5, 0.975], axis=1)
+    return [{"mean": float(mean[k]), "sd": float(sd[k]), "q2.5": float(q[0, k]),
+             "q50": float(q[1, k]), "q97.5": float(q[2, k])} for k in range(x.shape[0])]
+
+
 def summarize_draws(draws: np.ndarray) -> dict:
     """Mean, sd and type-7 empirical 2.5/50/97.5% quantiles of one series."""
-    x = np.asarray(draws, dtype=float)
-    if x.size == 0:
-        raise ValueError("cannot summarize an empty trace")
-    q = np.quantile(x, [0.025, 0.5, 0.975])
-    return {
-        "mean": float(x.mean()),
-        "sd": float(x.std(ddof=1)) if x.size > 1 else 0.0,
-        "q2.5": float(q[0]),
-        "q50": float(q[1]),
-        "q97.5": float(q[2]),
-    }
+    return summarize_columns(np.reshape(np.asarray(draws, dtype=float), (-1, 1)))[0]
 
 
 def posterior_summary(trace, parameter: str) -> dict:

@@ -345,14 +345,14 @@ class Hyperparams:
                      "a_phi", "b_phi", "a_psi", "b_psi"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be strictly positive")
-        if self.grid_count < 1:
-            raise ValueError("grid_count must be at least 1")
-        for name in ("truncation_kappa", "truncation_mu"):
+        for name, optional in (("grid_count", False), ("truncation_kappa", True),
+                               ("truncation_mu", True)):
             value = getattr(self, name)
-            if value is not None and not (isinstance(value, (int, np.integer))
-                                          and not isinstance(value, bool) and value >= 1):
-                raise ValueError(f"{name} must be None or an integer of at least 1, "
-                                 f"got {value!r}")
+            if not ((optional and value is None)
+                    or (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+                        and value >= 1)):
+                raise ValueError(f"{name} must be {'None or ' if optional else ''}an integer "
+                                 f"of at least 1, got {value!r}")
         if self.fixed_p is not None and not 0.0 < self.fixed_p < 1.0:
             raise ValueError("fixed_p must lie in (0, 1)")
 

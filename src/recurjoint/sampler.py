@@ -22,8 +22,8 @@ its change of terminal log density from one move,
 :meth:`SamplerEngine._terminal_shift`.
 
 Memory stays linear in the number of records N: no array spans clusters
-by records (J x N), and a records-by-atoms (N x K) matrix exists only as a
-row chunk of at most ``_CHUNK_ELEMENTS`` entries.  The two mixture
+by records (J x N), and an atoms-by-records (K x N) matrix exists only as a
+chunk of at most ``_CHUNK_ELEMENTS`` entries.  The two mixture
 assignment steps are blocked-Gibbs categorical draws (Ishwaran & James
 2001) scored without either:
 
@@ -35,8 +35,10 @@ assignment steps are blocked-Gibbs categorical draws (Ishwaran & James
   recurrent coefficients and T the bincount of the terminal coefficient
   over (cluster, shape atom): O(N + J K_kappa K_mu) work;
 * shapes: per-record scores are built, max-shifted, exponentiated and
-  drawn from in cache-sized row chunks, from uniforms drawn once for all
-  N rows, so the draws do not depend on the chunk size.
+  drawn from in cache-sized chunks of records, laid out atoms by records so
+  that the max and cumulative sum run along the long axis, from uniforms
+  drawn once for all N records, so the draws do not depend on the chunk
+  size.
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ _EXP_CAP = 700.0
 # +-_SCORE_CLIP so that an overflowing term cannot meet another as inf - inf
 _SCORE_CLIP = 1e306
 
-# entries per row chunk of a records-by-atoms score matrix: 128 KB of
+# entries per chunk of an atoms-by-records score matrix: 128 KB of
 # float64, so a chunk's few temporaries stay in a per-core L2 cache
 _CHUNK_ELEMENTS = 16_384
 
@@ -227,21 +229,22 @@ def adapt_scale(rate: float, scale: float, target: float = TARGET_SCALAR) -> flo
     return scale * math.exp(ADAPT_RATE_COEF * (rate - target))
 
 
-def _categorical_rows(scores: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Row-wise softmax sampling with max-shifted exponentiation: row i
-    draws with the uniform ``uniforms[i]``.
+def _categorical_columns(scores: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Column-wise softmax sampling with max-shifted exponentiation: scores
+    are categories by units, and unit i draws from column i with the
+    uniform ``uniforms[i]``.
 
     Mutates ``scores`` in place; callers pass a scratch matrix.
     """
-    mx = scores.max(axis=1)
+    mx = scores.max(axis=0)
     if not np.all(np.isfinite(mx)):
         kind = "contains NaN" if np.isnan(mx).any() else "is entirely -inf"
-        raise ValueError(f"a row of assignment scores {kind}")
-    scores -= mx[:, None]
+        raise ValueError(f"a unit's assignment scores {kind}")
+    scores -= mx
     np.exp(scores, out=scores)
-    cum = np.cumsum(scores, axis=1, out=scores)
-    u = uniforms * cum[:, -1]
-    return np.count_nonzero(cum < u[:, None], axis=1)
+    cum = np.cumsum(scores, axis=0, out=scores)
+    u = uniforms * cum[-1]
+    return np.count_nonzero(cum < u, axis=0)
 
 
 def _clip_sticks(sticks: np.ndarray) -> np.ndarray:
@@ -644,7 +647,7 @@ class SamplerEngine:
             scores = self._cluster_mu_loglik(coefficients, self.eta)
             with np.errstate(divide="ignore"):
                 scores += np.log(self.mu_weights)
-            self.m = _categorical_rows(scores, rng.random(self.j))
+            self.m = _categorical_columns(scores.T, rng.random(self.j))
             self.mu_sticks, self.mu_weights, self.phi_mu = self._update_sticks(
                 self.m, self.level_mu, self.phi_mu, rng)
         self.eta = self._move_atoms(rng, "eta", self.eta, self.m, self._draw_mu_atoms,
@@ -732,27 +735,27 @@ class SamplerEngine:
 
     def _kappa_assignments(self, rng) -> np.ndarray:
         """Draw every record's shape atom, scoring ``_CHUNK_ELEMENTS``-sized
-        row chunks of the records-by-atoms matrix one at a time."""
+        chunks of the atoms-by-records matrix one at a time."""
         uniforms = rng.random(self.n)
-        log_theta = np.log(self.theta)
+        log_theta = np.log(self.theta)[:, None]
         with np.errstate(divide="ignore"):
-            log_w = np.log(self.kappa_weights)
+            log_w = np.log(self.kappa_weights)[:, None]
         rows = max(1, _CHUNK_ELEMENTS // self.level_kappa)
         v = np.empty(self.n, dtype=np.int64)
         for start in range(0, self.n, rows):
             r = slice(start, start + rows)
-            powers = np.multiply.outer(self.d_scale[r], self.theta)
+            powers = np.multiply.outer(self.theta, self.d_scale[r])
             expo = np.minimum(powers, _EXP_CAP)
             np.exp(expo, out=expo)
-            ll = log_theta - self.log_followup[r, None]
+            ll = log_theta - self.log_followup[r]
             ll += powers
-            ll *= self.delta[r, None]
+            ll *= self.delta[r]
             ll -= expo
             if self.literal:
-                ll *= self.tm[r, None]
+                ll *= self.tm[r]
             np.clip(ll, -_SCORE_CLIP, _SCORE_CLIP, out=ll)
             ll += log_w
-            v[r] = _categorical_rows(ll, uniforms[r])
+            v[r] = _categorical_columns(ll, uniforms[r])
         return v
 
     def update_kappa_block(self, rng, post=False) -> None:

@@ -11,7 +11,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import simulate as sim
-from .diagnostics import cpo_lpml, gelman_rubin_psrf, replicate_aggregate, summarize_draws
+from .diagnostics import cpo_lpml, gelman_rubin_psrf, replicate_aggregate, summarize_columns
 from .model import Dataset, Hyperparams
 from .sampler import McmcConfig, ProposalScales, run_chain
 
@@ -90,12 +90,14 @@ def build_summary(traces, manifest: dict) -> dict:
     """Merged posterior summary across chains plus convergence and
     model-comparison scalars.  Works on in-memory or re-read traces."""
     columns = manifest["columns"]
+    for t in traces:
+        if t.columns != columns:
+            raise ValueError(f"chain {t.chain_index}: trace columns differ from the manifest's")
     multi = len(traces) > 1
+    entries = summarize_columns(np.concatenate([t.draws for t in traces]))
     parameters = {}
-    for name in columns:
-        series = [t.column(name) for t in traces]
-        entry = summarize_draws(np.concatenate(series))
-        entry["psrf"] = gelman_rubin_psrf(series) if multi else None
+    for k, (name, entry) in enumerate(zip(columns, entries)):
+        entry["psrf"] = gelman_rubin_psrf([t.draws[:, k] for t in traces]) if multi else None
         parameters[name] = entry
 
     total = [np.asarray(t.total_loglik) for t in traces]

@@ -7,13 +7,13 @@ from recurjoint.dp import (
     stick_to_weights,
     update_concentration,
 )
-from recurjoint.sampler import _categorical_rows
+from recurjoint.sampler import _categorical_columns
 
 
 def draw_rows(scores, rows, rng):
     """``rows`` category draws from the softmax of one score vector."""
-    return _categorical_rows(np.tile(np.asarray(scores, dtype=float), (rows, 1)),
-                             rng.random(rows))
+    return _categorical_columns(np.tile(np.asarray(scores, dtype=float)[:, None], (1, rows)),
+                                rng.random(rows))
 
 
 class TestStickToWeights:
@@ -101,13 +101,13 @@ class TestSampleAssignment:
     def test_all_minus_inf_rejected(self, rng):
         scores = np.array([[0.0, 1.0], [-np.inf, -np.inf]])
         with pytest.raises(ValueError, match="entirely -inf"):
-            _categorical_rows(scores, rng.random(2))
+            _categorical_columns(scores.T, rng.random(2))
 
     @pytest.mark.parametrize("nan_row", [[0.0, np.nan], [-np.inf, np.nan]])
     def test_nan_row_rejected(self, rng, nan_row):
         scores = np.array([[0.0, 1.0], nan_row])
         with pytest.raises(ValueError, match="contains NaN"):
-            _categorical_rows(scores, rng.random(2))
+            _categorical_columns(scores.T, rng.random(2))
 
     def test_frequencies_match_weights(self, rng):
         sticks = rng.uniform(0.2, 0.8, 4)

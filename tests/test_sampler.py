@@ -470,3 +470,10 @@ class TestConfigValidation:
                 Hyperparams(**{field: bad})
         for good in (None, 1, np.int64(7)):
             assert getattr(Hyperparams(**{field: good}), field) == good
+
+    def test_grid_count_must_be_a_positive_integer(self):
+        for bad in (0, -3, 2.5, True, "3", None):
+            with pytest.raises(ValueError, match="grid_count must be an integer of at least 1"):
+                Hyperparams(grid_count=bad)
+        for good in (1, 5, np.int64(7)):
+            assert Hyperparams(grid_count=good).grid_count == good
