@@ -2,7 +2,13 @@
 with a terminal event: simulation, MCMC inference for the full model and
 its ablations, and diagnostic tooling."""
 
-from .diagnostics import cpo_lpml, gelman_rubin_psrf, posterior_summary, replicate_aggregate
+from .diagnostics import (
+    cpo_accumulate,
+    cpo_lpml,
+    gelman_rubin_psrf,
+    posterior_summary,
+    replicate_aggregate,
+)
 from .dp import posterior_stick_update, stick_to_weights, update_concentration
 from .model import (
     BaselineHazard,
@@ -27,7 +33,7 @@ from .sampler import (
 from .simulate import SimTruth, sample_piecewise_nhpp, sample_terminal_times, simulate_dataset
 
 __all__ = [
-    "cpo_lpml", "gelman_rubin_psrf", "posterior_summary", "replicate_aggregate",
+    "cpo_accumulate", "cpo_lpml", "gelman_rubin_psrf", "posterior_summary", "replicate_aggregate",
     "posterior_stick_update", "stick_to_weights", "update_concentration",
     "BaselineHazard", "Dataset", "Hyperparams", "ParamState", "ParticipantRecord",
     "PiecewiseConstantHazard", "PowerLawHazard", "TruncatedDP", "cumulative_baseline_hazard",

@@ -1,5 +1,11 @@
 """Posterior summarization, convergence diagnostics, model comparison and
-replicate-study aggregation."""
+replicate-study aggregation.
+
+Model comparison by LPML needs one number per participant from a chain:
+the running ``log sum_s exp(-l_si)`` over the kept draws, folded in draw
+by draw (:func:`cpo_accumulate`), so no draws-by-participants matrix is
+ever held.
+"""
 
 from __future__ import annotations
 
@@ -10,6 +16,7 @@ __all__ = [
     "summarize_draws",
     "posterior_summary",
     "gelman_rubin_psrf",
+    "cpo_accumulate",
     "cpo_lpml",
     "replicate_aggregate",
 ]
@@ -66,23 +73,39 @@ def gelman_rubin_psrf(chains) -> float:
     return float(np.sqrt(pooled / within))
 
 
-def cpo_lpml(log_likelihoods: np.ndarray) -> tuple:
-    """Harmonic-mean conditional predictive ordinates and their summed log.
+def cpo_accumulate(neg_loglik_lse: np.ndarray, loglik: np.ndarray, draw: int) -> np.ndarray:
+    """Fold one posterior draw into each participant's running
+    ``log sum_s exp(-l_si)``, in place, and return the running vector.
 
-    ``log_likelihoods`` is draws x participants.  Computed in log space:
-    ``log CPO_i = log S - logsumexp(-l_si)``.
+    Start from a vector of ``-inf``.  ``np.logaddexp`` shifts by the larger
+    term, so no ``exp`` overflows.  A non-finite entry of ``loglik`` raises,
+    naming ``draw`` and the participant.
     """
-    ll = np.asarray(log_likelihoods, dtype=float)
-    if ll.ndim != 2:
-        raise ValueError("expected a draws-by-participants matrix")
+    ll = np.asarray(loglik, dtype=float)
     bad = ~np.isfinite(ll)
     if bad.any():
-        s, i = np.argwhere(bad)[0]
-        raise ValueError(f"non-finite log likelihood at draw {s}, participant {i}")
-    neg = -ll
-    top = neg.max(axis=0)
-    lse = top + np.log(np.exp(neg - top).sum(axis=0))
-    log_cpo = np.log(ll.shape[0]) - lse
+        raise ValueError(f"non-finite log likelihood at draw {draw}, "
+                         f"participant {np.flatnonzero(bad)[0]}")
+    return np.logaddexp(neg_loglik_lse, -ll, out=neg_loglik_lse)
+
+
+def cpo_lpml(neg_loglik_lse: np.ndarray, draws: int) -> tuple:
+    """Harmonic-mean conditional predictive ordinates and their summed log.
+
+    ``neg_loglik_lse`` holds each participant's ``log sum_s exp(-l_si)``
+    over ``draws`` posterior draws, as :func:`cpo_accumulate` builds it;
+    vectors of separate chains merge with ``np.logaddexp``.  Then
+    ``log CPO_i = log S - log sum_s exp(-l_si)``.
+    """
+    lse = np.asarray(neg_loglik_lse, dtype=float)
+    if lse.ndim != 1:
+        raise ValueError("expected one accumulated value per participant")
+    if draws < 1:
+        raise ValueError("at least one draw is required")
+    bad = ~np.isfinite(lse)
+    if bad.any():
+        raise ValueError(f"non-finite accumulated value for participant {np.flatnonzero(bad)[0]}")
+    log_cpo = np.log(draws) - lse
     return log_cpo, float(log_cpo.sum())
 
 

@@ -247,15 +247,16 @@ def config_to_dict(config: McmcConfig, hyper: Hyperparams) -> dict:
 
 def write_chain_trace(trace: ChainTrace, prefix) -> None:
     """Write one chain as ``<prefix>.csv`` (parameter draws plus the total
-    log likelihood) and ``<prefix>_loglik.npy`` (per-draw per-participant
-    log likelihoods)."""
+    log likelihood) and ``<prefix>_loglik.npy`` (a length-N vector: each
+    participant's ``log sum_s exp(-l_si)`` over the kept draws, from which
+    its CPO follows)."""
     prefix = Path(prefix)
     with open(prefix.with_suffix(".csv"), "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(trace.columns + ["total_loglik"])
         for row, total in zip(trace.draws, trace.total_loglik):
             writer.writerow([_fmt(v) for v in row] + [_fmt(total)])
-    np.save(str(prefix) + "_loglik.npy", trace.participant_loglik)
+    np.save(str(prefix) + "_loglik.npy", trace.neg_loglik_lse)
 
 
 def read_chain_trace(prefix, manifest: dict, chain_index: int) -> ChainTrace:
@@ -268,9 +269,14 @@ def read_chain_trace(prefix, manifest: dict, chain_index: int) -> ChainTrace:
         header = next(reader)
         rows = [[float(v) for v in row] for row in reader]
     data = np.asarray(rows, dtype=float) if rows else np.empty((0, len(header)))
-    part = np.load(str(prefix) + "_loglik.npy")
+    loglik_path = str(prefix) + "_loglik.npy"
+    neg_loglik_lse = np.load(loglik_path)
+    if neg_loglik_lse.ndim != 1:
+        raise ValueError(f"{loglik_path}: expected one value per participant, found an array "
+                         f"of shape {neg_loglik_lse.shape}; a draws-by-participants matrix "
+                         f"comes from an older version, so refit to rebuild it")
     grid = manifest["grid"]
-    return ChainTrace(columns=header[:-1], draws=data[:, :-1], participant_loglik=part,
+    return ChainTrace(columns=header[:-1], draws=data[:, :-1], neg_loglik_lse=neg_loglik_lse,
                       total_loglik=data[:, -1],
                       acceptance=manifest["acceptance"][chain_index],
                       final_scales=manifest["final_scales"][chain_index],

@@ -49,6 +49,7 @@ from typing import Callable
 
 import numpy as np
 
+from .diagnostics import cpo_accumulate
 from .dp import posterior_stick_update, stick_to_weights, update_concentration
 from .model import (
     BASELINE_VARIANTS,
@@ -157,12 +158,14 @@ class McmcConfig:
 
 @dataclass
 class ChainTrace:
-    """Post-burn-in draws of the flattened parameter vector, per-draw
-    participant log likelihoods, and per-block acceptance rates."""
+    """Post-burn-in draws of the flattened parameter vector and their total
+    log likelihoods, each participant's ``log sum_s exp(-l_si)`` over those
+    draws (the input of :func:`~recurjoint.diagnostics.cpo_lpml`), and
+    per-block acceptance rates."""
 
     columns: list
     draws: np.ndarray
-    participant_loglik: np.ndarray
+    neg_loglik_lse: np.ndarray
     total_loglik: np.ndarray
     acceptance: dict
     final_scales: dict
@@ -996,7 +999,7 @@ def run_chain(dataset: Dataset, config: McmcConfig, hyper: Hyperparams,
     columns = eng.trace_columns()
     kept = config.kept_draws
     draws = np.empty((kept, len(columns)))
-    part_ll = np.empty((kept, eng.n))
+    neg_loglik_lse = np.full(eng.n, -np.inf)
     total_ll = np.empty(kept)
 
     row = 0
@@ -1008,13 +1011,13 @@ def run_chain(dataset: Dataset, config: McmcConfig, hyper: Hyperparams,
         if post and (it - config.burn_in) % config.thin == 0:
             draws[row] = eng.trace_row()
             ll = eng.participant_loglik()
-            part_ll[row] = ll
+            cpo_accumulate(neg_loglik_lse, ll, row)
             total_ll[row] = ll.sum()
             row += 1
     assert row == kept
 
     return ChainTrace(
-        columns=columns, draws=draws, participant_loglik=part_ll, total_loglik=total_ll,
+        columns=columns, draws=draws, neg_loglik_lse=neg_loglik_lse, total_loglik=total_ll,
         acceptance=eng.acceptance_rates(), final_scales=dict(eng.scales),
         chain_index=chain_index,
         grid=None if eng.grid is None else eng.grid.copy())

@@ -101,8 +101,9 @@ def build_summary(traces, manifest: dict) -> dict:
         parameters[name] = entry
 
     total = [np.asarray(t.total_loglik) for t in traces]
-    pooled_ll = np.vstack([t.participant_loglik for t in traces])
-    lpml = cpo_lpml(pooled_ll)[1] if pooled_ll.shape[1] else None
+    neg_loglik_lse = np.logaddexp.reduce([t.neg_loglik_lse for t in traces])
+    draws = sum(t.draws.shape[0] for t in traces)
+    lpml = cpo_lpml(neg_loglik_lse, draws)[1] if neg_loglik_lse.size else None
 
     acceptance = {}
     for rates in manifest["acceptance"]:

@@ -8,7 +8,9 @@ dual-implementation check.
 The dense references at the end keep the sampler's former numpy scoring of
 the two mixture assignment steps: a full records-by-atoms matrix, summed
 over each cluster's records by a clusters-by-records one-hot for the
-cluster effects.  They read only the engine's state and caches.
+cluster effects.  They read only the engine's state and caches.  The
+dense CPO/LPML keeps the former computation from a whole
+draws-by-participants matrix of log likelihoods.
 """
 
 import math
@@ -147,3 +149,14 @@ def dense_kappa_assignments(eng, rng):
     cum = np.cumsum(ll, axis=1)
     u = rng.random(ll.shape[0]) * cum[:, -1]
     return (cum < u[:, None]).sum(axis=1)
+
+
+def dense_cpo_lpml(log_likelihoods):
+    """Harmonic-mean log CPOs and LPML from a draws x participants matrix:
+    ``log CPO_i = log S - logsumexp_s(-l_si)``, max-shifted per participant."""
+    ll = np.asarray(log_likelihoods, dtype=float)
+    neg = -ll
+    top = neg.max(axis=0)
+    lse = top + np.log(np.exp(neg - top).sum(axis=0))
+    log_cpo = np.log(ll.shape[0]) - lse
+    return log_cpo, float(log_cpo.sum())

@@ -133,7 +133,8 @@ class TestTraceFiles:
         assert back.columns == trace.columns
         assert np.array_equal(back.draws, trace.draws)
         assert np.array_equal(back.total_loglik, trace.total_loglik)
-        assert np.array_equal(back.participant_loglik, trace.participant_loglik)
+        assert np.array_equal(back.neg_loglik_lse, trace.neg_loglik_lse)
+        assert back.neg_loglik_lse.shape == (30,)
         assert back.acceptance == trace.acceptance
         assert back.final_scales == trace.final_scales
         assert np.array_equal(back.grid, trace.grid)
@@ -237,6 +238,22 @@ class TestCliCommands:
         target = tmp_path / "summary2.json"
         assert main(["summarize", "--fit-dir", str(fit_dir), "--out", str(target)]) == 0
         assert target.read_bytes() == (fit_dir / "summary.json").read_bytes()
+
+    def test_summarize_rejects_draws_by_participants_loglik(self, tmp_path, capsys):
+        out = self._simulate(tmp_path)
+        fit_dir = tmp_path / "fit"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"mcmc": {"iterations": 20, "burn_in": 10, "seed": 4,
+                                               "adapt_window": 5}}))
+        assert main(["fit", "--data", str(out / "events.csv"), "--config", str(config),
+                     "--out", str(fit_dir)]) == 0
+        # the per-draw matrix an older version wrote under the same name
+        np.save(fit_dir / "chain00_loglik.npy", np.zeros((10, 40)))
+        assert main(["summarize", "--fit-dir", str(fit_dir),
+                     "--out", str(tmp_path / "s.json")]) == 1
+        err = capsys.readouterr().err
+        assert "chain00_loglik.npy: expected one value per participant" in err
+        assert "(10, 40)" in err and "older version" in err
 
     def test_fit_determinism_byte_identical(self, tmp_path):
         out = self._simulate(tmp_path)

@@ -4,7 +4,9 @@ import mpmath
 import numpy as np
 import pytest
 
+import oracles
 from recurjoint.diagnostics import (
+    cpo_accumulate,
     cpo_lpml,
     gelman_rubin_psrf,
     posterior_summary,
@@ -72,40 +74,66 @@ class TestGelmanRubin:
             gelman_rubin_psrf([np.arange(10.0)])
 
 
+def streamed_cpo_lpml(ll):
+    """log CPOs and LPML of a draws x participants matrix, folded in one
+    draw at a time as a chain does."""
+    lse = np.full(ll.shape[1], -np.inf)
+    for s, row in enumerate(ll):
+        cpo_accumulate(lse, row, s)
+    return cpo_lpml(lse, ll.shape[0])
+
+
 class TestCpoLpml:
     def test_constant_loglik(self):
         ll = np.full((40, 3), -1.7)
-        log_cpo, lpml = cpo_lpml(ll)
+        log_cpo, lpml = streamed_cpo_lpml(ll)
         np.testing.assert_allclose(log_cpo, -1.7, atol=1e-12)
         assert lpml == pytest.approx(-3 * 1.7, abs=1e-10)
 
     def test_two_draw_harmonic_mean(self):
         ll = np.log(np.array([[1.0], [3.0]]))
-        log_cpo, lpml = cpo_lpml(ll)
+        log_cpo, lpml = streamed_cpo_lpml(ll)
         assert math.exp(log_cpo[0]) == pytest.approx(1.5, abs=1e-12)
 
     def test_against_high_precision_oracle(self, rng):
         ll = rng.normal(-2.0, 1.5, size=(60, 8))
-        log_cpo, lpml = cpo_lpml(ll)
+        log_cpo, lpml = streamed_cpo_lpml(ll)
         mpmath.mp.dps = 60
         for i in range(ll.shape[1]):
             inv = sum(mpmath.e ** (-mpmath.mpf(v)) for v in ll[:, i]) / ll.shape[0]
             expected = float(-mpmath.log(inv))
             assert log_cpo[i] == pytest.approx(expected, abs=1e-10)
 
+    def test_matches_dense_oracle(self, rng):
+        # spread over 80 nats, so the running maximum moves many times
+        ll = rng.normal(-30.0, 20.0, size=(500, 25))
+        log_cpo, lpml = streamed_cpo_lpml(ll)
+        dense_cpo, dense_lpml = oracles.dense_cpo_lpml(ll)
+        np.testing.assert_allclose(log_cpo, dense_cpo, rtol=1e-12)
+        assert lpml == pytest.approx(dense_lpml, rel=1e-12)
+
     def test_nonfinite_entry_named(self):
         ll = np.zeros((4, 3))
         ll[2, 1] = np.inf
         with pytest.raises(ValueError, match="draw 2, participant 1"):
-            cpo_lpml(ll)
+            streamed_cpo_lpml(ll)
 
     def test_order_invariance(self, rng):
         ll = rng.normal(-1.0, 0.7, size=(30, 6))
-        _, base = cpo_lpml(ll)
-        _, shuffled_draws = cpo_lpml(ll[rng.permutation(30)])
-        _, shuffled_parts = cpo_lpml(ll[:, rng.permutation(6)])
+        _, base = streamed_cpo_lpml(ll)
+        _, shuffled_draws = streamed_cpo_lpml(ll[rng.permutation(30)])
+        _, shuffled_parts = streamed_cpo_lpml(ll[:, rng.permutation(6)])
         assert shuffled_draws == pytest.approx(base, abs=1e-10)
         assert shuffled_parts == pytest.approx(base, abs=1e-10)
+
+    @pytest.mark.parametrize("lse, draws, message", [
+        (np.zeros((2, 3)), 2, "one accumulated value per participant"),
+        (np.zeros(3), 0, "at least one draw"),
+        (np.array([0.0, -np.inf]), 4, "participant 1"),
+    ])
+    def test_malformed_input_rejected(self, lse, draws, message):
+        with pytest.raises(ValueError, match=message):
+            cpo_lpml(lse, draws)
 
 
 class TestReplicateAggregate:

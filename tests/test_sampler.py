@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import oracles
 from conftest import engine_for, make_dataset, make_dp, make_record, make_state
+from recurjoint import sampler
+from recurjoint.diagnostics import cpo_accumulate
 from recurjoint.model import (
     Hyperparams,
     ParamState,
@@ -21,6 +24,7 @@ from recurjoint.sampler import (
     run_chain,
 )
 from recurjoint.simulate import KAPPA_VALUES, simulate_dataset
+from recurjoint.study import build_summary, fit_manifest
 
 
 def truth_state(dataset, truth, tau2=0.3):
@@ -384,8 +388,60 @@ class TestRunChain:
         a = run_chain(dataset, config, Hyperparams())
         b = run_chain(dataset, config, Hyperparams())
         assert a.draws.tobytes() == b.draws.tobytes()
-        assert a.participant_loglik.tobytes() == b.participant_loglik.tobytes()
+        assert a.neg_loglik_lse.tobytes() == b.neg_loglik_lse.tobytes()
         assert a.total_loglik.tobytes() == b.total_loglik.tobytes()
+
+    def test_trace_holds_no_draws_by_participants_array(self):
+        # draws has a row and total_loglik an entry per kept draw; every
+        # other array must not grow with the number of kept draws
+        dataset, _ = simulate_dataset(30, 3, seed=4)
+        sizes = []
+        for kept in (40, 400):
+            config = McmcConfig(iterations=kept + 10, burn_in=10, seed=2, adapt_window=10)
+            trace = run_chain(dataset, config, Hyperparams())
+            assert trace.draws.shape[0] == trace.total_loglik.size == kept
+            assert trace.neg_loglik_lse.shape == (30,)
+            sizes.append({name: value.size for name, value in vars(trace).items()
+                          if isinstance(value, np.ndarray)
+                          and name not in ("draws", "total_loglik")})
+        assert sizes[0] == sizes[1]
+
+    def test_two_chain_lpml_matches_dense_oracle(self, monkeypatch):
+        # record each kept draw's log likelihoods as the chain folds them in
+        kept = []
+
+        def recording(lse, loglik, draw):
+            kept[-1].append(np.array(loglik))
+            return cpo_accumulate(lse, loglik, draw)
+
+        monkeypatch.setattr(sampler, "cpo_accumulate", recording)
+        dataset, _ = simulate_dataset(48, 4, seed=6)
+        config = McmcConfig(iterations=90, burn_in=30, seed=5, adapt_window=10, chains=2)
+        traces = []
+        for k in range(2):
+            kept.append([])
+            traces.append(run_chain(dataset, config, Hyperparams(), chain_index=k))
+        summary = build_summary(traces, fit_manifest(traces, config, Hyperparams()))
+        dense = oracles.dense_cpo_lpml(np.vstack(kept[0] + kept[1]))[1]
+        assert len(kept[0]) == len(kept[1]) == 60
+        assert summary["lpml"] == pytest.approx(dense, rel=1e-12)
+
+    def test_nonfinite_loglik_names_draw_and_participant(self, monkeypatch):
+        calls = []
+        original = SamplerEngine.participant_loglik
+
+        def poisoned(self):
+            ll = original(self)
+            calls.append(None)
+            if len(calls) == 8:
+                ll[3] = np.nan
+            return ll
+
+        monkeypatch.setattr(SamplerEngine, "participant_loglik", poisoned)
+        dataset, _ = simulate_dataset(20, 2, seed=1)
+        config = McmcConfig(iterations=20, burn_in=10, seed=1, adapt_window=10)
+        with pytest.raises(ValueError, match="non-finite log likelihood at draw 6, participant 3"):
+            run_chain(dataset, config, Hyperparams())
 
     def test_chain_index_changes_stream(self):
         dataset, _ = simulate_dataset(60, 4, seed=2)
