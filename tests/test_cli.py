@@ -17,7 +17,7 @@ from recurjoint.io import (
 from recurjoint.model import BASELINE_VARIANTS, VARIANTS, Hyperparams
 from recurjoint.sampler import McmcConfig, run_chain
 from recurjoint.simulate import simulate_dataset
-from recurjoint.study import fit_manifest, run_replicate_study
+from recurjoint.study import build_summary, fit_manifest, run_replicate_study
 from conftest import make_dataset, make_record
 
 
@@ -139,6 +139,15 @@ class TestTraceFiles:
         assert back.final_scales == trace.final_scales
         assert np.array_equal(back.grid, trace.grid)
         assert back.chain_index == 1
+
+    def test_summary_rejects_columns_unlike_the_manifest(self, tmp_path):
+        dataset, _ = simulate_dataset(30, 3, seed=5)
+        config = McmcConfig(iterations=20, burn_in=10, seed=3, adapt_window=10)
+        trace = run_chain(dataset, config, Hyperparams())
+        manifest = fit_manifest([trace], config, Hyperparams())
+        manifest["columns"] = manifest["columns"][::-1]
+        with pytest.raises(ValueError, match="chain 0: trace columns differ"):
+            build_summary([trace], manifest)
 
 
 class TestConfigDocuments:
