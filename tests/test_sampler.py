@@ -427,6 +427,7 @@ class TestRunChain:
         assert summary["lpml"] == pytest.approx(dense, rel=1e-12)
 
     def test_nonfinite_loglik_names_draw_and_participant(self, monkeypatch):
+        # init_state evaluates the likelihood once, so call 8 is kept draw 6
         calls = []
         original = SamplerEngine.participant_loglik
 
