@@ -25,7 +25,7 @@ Memory stays linear in the number of records N: no array spans clusters
 by records (J x N), and an atoms-by-records (K x N) matrix exists only as a
 chunk of at most ``_CHUNK_ELEMENTS`` entries.  The two mixture
 assignment steps are blocked-Gibbs categorical draws (Ishwaran & James
-2001) scored without either:
+2001) made without either:
 
 * cluster effects: every record of cluster c shares the candidate atom
   eta_k, and a record's shape enters only through its atom theta[v], so
@@ -34,11 +34,25 @@ assignment steps are blocked-Gibbs categorical draws (Ishwaran & James
   + log w_k``, with L, R the bincounts of the per-record linear and
   recurrent coefficients and T the bincount of the terminal coefficient
   over (cluster, shape atom): O(N + J K_kappa K_mu) work;
-* shapes: per-record scores are built, max-shifted, exponentiated and
-  drawn from in cache-sized chunks of records, laid out atoms by records so
-  that the max and cumulative sum run along the long axis, from uniforms
-  drawn once for all N records, so the draws do not depend on the chunk
-  size.
+* shapes: record i takes atom k with probability proportional to
+  ``exp(s_k(d_i))``, ``s_k(d) = log w_k + delta (log theta_k + theta_k d)
+  - exp(theta_k d)`` (exp argument capped; the record's own -delta log t
+  cancels), d_i its terminal offset ``d_scale``.  The draw is exact
+  rejection from an envelope (Devroye 1986, II.3) at about one score per
+  record, not K.  Once per sweep the range of d is cut into
+  B = N / ``_KAPPA_BIN_RECORDS`` equal-width bins, and for each terminal
+  flag, bin and atom an upper bound U of s_k over the bin is tabulated
+  (2B rows of K entries).  In each of up to ``_KAPPA_ROUNDS`` rounds a
+  record proposes k with probability proportional to ``exp(U)`` of its
+  row and accepts it with probability ``exp(s_k(d_i) - U)``; an accepted
+  k is distributed exactly as the target, whatever the bound's slack.
+  The records no round accepted, and those whose scores the dense draw
+  would clip or reject (non-finite d, theta_max |d| near overflow, zero
+  terminal weight in the literal mode), are drawn from their full scores,
+  built in cache-sized chunks laid out atoms by records, one uniform each
+  in record order.  The number of uniforms drawn depends on the
+  acceptances, and which record reads which uniform on ``_KAPPA_BLOCK``;
+  the chunk size does not change the draws.
 """
 
 from __future__ import annotations
@@ -88,6 +102,18 @@ _SCORE_CLIP = 1e306
 # entries per chunk of an atoms-by-records score matrix: 128 KB of
 # float64, so a chunk's few temporaries stay in a per-core L2 cache
 _CHUNK_ELEMENTS = 16_384
+
+# the shape step's rejection sampler: records per bin of the envelope, so
+# that for up to 64 atoms each of its two tables (2 rows per bin, 64 wide)
+# is no larger than a per-record array; rounds before the dense draw takes
+# the records left; and records per block of a round, which bounds its
+# temporaries
+_KAPPA_BIN_RECORDS = 128
+_KAPPA_ROUNDS = 3
+_KAPPA_BLOCK = 4096
+# a record with |theta d| possibly past this takes the dense draw, since its
+# scores may reach the +-_SCORE_CLIP clip
+_KAPPA_ROUTE_LIMIT = 1e300
 
 
 def _exp_capped(x):
@@ -188,8 +214,9 @@ def metropolis_decision(log_ratio, uniform):
     """The Metropolis rule: accept iff ``log(u) < min(0, log_ratio)``.
 
     Works for scalars and arrays; a NaN ratio (overflowing target at the
-    proposal) rejects.  Every accept/reject decision in this module flows
-    through this predicate.
+    proposal) rejects.  Every Metropolis accept/reject decision in this
+    module flows through this predicate; the shape step's rejection sampler
+    is not a Metropolis step and does not.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.log(uniform) < log_ratio
@@ -737,16 +764,116 @@ class SamplerEngine:
     # -- shape-parameter block ---------------------------------------------------------------
 
     def _kappa_assignments(self, rng) -> np.ndarray:
-        """Draw every record's shape atom, scoring ``_CHUNK_ELEMENTS``-sized
+        """Draw every record's shape atom: rejection rounds from the binned
+        envelope, then the dense draw for the records they leave."""
+        v = np.empty(self.n, dtype=np.int64)
+        left = np.flatnonzero(self._kappa_rejection_rounds(rng, v))
+        v[left] = self._kappa_dense(rng, left)
+        return v
+
+    def _kappa_rejection_rounds(self, rng, v: np.ndarray) -> np.ndarray:
+        """Up to ``_KAPPA_ROUNDS`` rounds of envelope rejection for each
+        record whose dense scores would not be clipped, each round in blocks
+        of ``_KAPPA_BLOCK`` records; writes each accepted atom into ``v``.
+        Returns the mask of the records left to the dense draw."""
+        d = self.d_scale
+        # false for a non-finite offset, so the dense draw raises on NaN
+        dense = ~(np.abs(d) <= _KAPPA_ROUTE_LIMIT / max(float(self.theta.max()), 1.0))
+        if self.literal:
+            dense |= self.tm == 0.0
+        todo = np.flatnonzero(~dense)
+        if not todo.size:
+            return dense
+        span = d[todo]
+        lo, hi = float(span.min()), float(span.max())
+        bins = max(1, todo.size // _KAPPA_BIN_RECORDS)
+        width = (hi - lo) / bins
+        # a single value of d, or a range too narrow to cut, is one bin
+        if not width >= np.finfo(float).tiny:
+            bins, width = 1, 1.0
+        edges = np.linspace(lo, hi, bins + 1)
+        # the rounding of a record's bin index and of the edges stays within
+        # `slack` of its bin, so the bin's bound covers the record's d
+        slack = 2.0 ** -48 * (abs(lo) + abs(hi))
+        bound, cdf = self._kappa_envelope(edges[:-1] - slack, edges[1:] + slack)
+        stride = cdf.size // (2 * bins)
+        # (step, view) pairs of the binary search: view[pos] is cdf[pos + step - 1]
+        probes = [(1 << s, cdf[(1 << s) - 1:]) for s in reversed(range(stride.bit_length() - 1))]
+        for _ in range(_KAPPA_ROUNDS):
+            left = []
+            for start in range(0, todo.size, _KAPPA_BLOCK):
+                idx = todo[start:start + _KAPPA_BLOCK]
+                di, flag = d[idx], self.delta[idx]
+                row = (np.minimum(((di - lo) / width).astype(np.int64), bins - 1)
+                       + bins * flag.astype(np.int64))
+                u = rng.random((2, idx.size))
+                # inverse CDF by a branchless binary search within each row
+                base = row * stride
+                pos = base.copy()
+                for step, probe in probes:
+                    np.add(pos, step, out=pos, where=probe[pos] <= u[0])
+                k = pos - base
+                x = self.theta[k] * di
+                log_ratio = flag * x - _exp_capped(x) - bound[pos]
+                with np.errstate(divide="ignore"):
+                    ok = np.log(u[1]) < log_ratio
+                v[idx[ok]] = k[ok]
+                left.append(idx[~ok])
+            todo = np.concatenate(left)
+            if not todo.size:
+                break
+        dense[todo] = True
+        return dense
+
+    def _kappa_envelope(self, lo: np.ndarray, hi: np.ndarray) -> tuple:
+        """The shape step's rejection envelope over the bins [lo, hi]: two
+        row-major tables of rows (terminal flag, bin), each row padded to a
+        power-of-two stride.
+
+        ``bound`` holds each atom's upper bound, over the bin, of the term
+        ``flag x - exp(x)``, ``x = theta d`` with the exp argument capped,
+        which with ``log w + flag log theta`` makes the atom's score.
+        ``cdf`` holds the cumulative proposal probabilities, proportional
+        to ``w theta^flag exp(bound)``, padded with +inf.  Without the flag
+        the term falls in d, so its bound is at the bin's lower edge; with
+        it, ``x - exp(x)`` is concave up to the cap with its peak at x = 0
+        and rises past the cap, so its bound is the larger of its values at
+        the point of the bin nearest 0 and at the upper edge.
+        """
+        lo, hi = lo[:, None], hi[:, None]
+
+        def peak(x):
+            return x - _exp_capped(x)
+
+        k_atoms, bins = self.theta.size, lo.shape[0]
+        stride = 1 << (k_atoms - 1).bit_length()
+        bound = np.zeros((2 * bins, stride))
+        bound[:bins, :k_atoms] = -_exp_capped(lo * self.theta)
+        bound[bins:, :k_atoms] = np.maximum(peak(np.clip(0.0, lo, hi) * self.theta),
+                                            peak(hi * self.theta))
+        with np.errstate(divide="ignore"):
+            p = bound[:, :k_atoms] + np.log(self.kappa_weights)
+        p[bins:] += np.log(self.theta)
+        p -= p.max(axis=1, keepdims=True)
+        np.exp(p, out=p)
+        np.cumsum(p, axis=1, out=p)
+        cdf = np.full_like(bound, np.inf)
+        np.divide(p, p[:, -1:], out=cdf[:, :k_atoms])
+        return bound.ravel(), cdf.ravel()
+
+    def _kappa_dense(self, rng, records: np.ndarray) -> np.ndarray:
+        """Draw the shape atoms of ``records`` from their full scores, one
+        uniform each in record order, scoring ``_CHUNK_ELEMENTS``-sized
         chunks of the atoms-by-records matrix one at a time."""
-        uniforms = rng.random(self.n)
+        uniforms = rng.random(records.size)
         log_theta = np.log(self.theta)[:, None]
         with np.errstate(divide="ignore"):
             log_w = np.log(self.kappa_weights)[:, None]
         rows = max(1, _CHUNK_ELEMENTS // self.level_kappa)
-        v = np.empty(self.n, dtype=np.int64)
-        for start in range(0, self.n, rows):
-            r = slice(start, start + rows)
+        v = np.empty(records.size, dtype=np.int64)
+        for start in range(0, records.size, rows):
+            c = slice(start, start + rows)
+            r = records[c]
             powers = np.multiply.outer(self.theta, self.d_scale[r])
             expo = np.minimum(powers, _EXP_CAP)
             np.exp(expo, out=expo)
@@ -758,7 +885,7 @@ class SamplerEngine:
                 ll *= self.tm[r]
             np.clip(ll, -_SCORE_CLIP, _SCORE_CLIP, out=ll)
             ll += log_w
-            v[r] = _categorical_columns(ll, uniforms[r])
+            v[c] = _categorical_columns(ll, uniforms[c])
         return v
 
     def update_kappa_block(self, rng, post=False) -> None:

@@ -101,6 +101,12 @@ def build_summary(traces, manifest: dict) -> dict:
         parameters[name] = entry
 
     total = [np.asarray(t.total_loglik) for t in traces]
+    first = traces[0]
+    for t in traces[1:]:
+        if t.neg_loglik_lse.size != first.neg_loglik_lse.size:
+            raise ValueError(f"chain {t.chain_index}: {t.neg_loglik_lse.size} per-participant "
+                             f"CPO sums, but chain {first.chain_index} has "
+                             f"{first.neg_loglik_lse.size}")
     neg_loglik_lse = np.logaddexp.reduce([t.neg_loglik_lse for t in traces])
     draws = sum(t.draws.shape[0] for t in traces)
     lpml = cpo_lpml(neg_loglik_lse, draws)[1] if neg_loglik_lse.size else None

@@ -8,9 +8,10 @@ dual-implementation check.
 The dense references at the end keep the sampler's former numpy scoring of
 the two mixture assignment steps: a full records-by-atoms matrix, summed
 over each cluster's records by a clusters-by-records one-hot for the
-cluster effects.  They read only the engine's state and caches.  The
-dense CPO/LPML keeps the former computation from a whole
-draws-by-participants matrix of log likelihoods.
+cluster effects.  They read only the engine's state and caches, and so
+does the exact shape-atom softmax of one record.  The dense CPO/LPML
+keeps the former computation from a whole draws-by-participants matrix
+of log likelihoods.
 """
 
 import math
@@ -149,6 +150,26 @@ def dense_kappa_assignments(eng, rng):
     cum = np.cumsum(ll, axis=1)
     u = rng.random(ll.shape[0]) * cum[:, -1]
     return (cum < u[:, None]).sum(axis=1)
+
+
+def kappa_probabilities(eng, i):
+    """Exact shape-atom probabilities of record ``i`` under the engine's
+    state, from its offset ``d_scale``: the softmax of the clipped, capped
+    terminal scores plus the log mixture weights, in plain floats."""
+    d, delta = float(eng.d_scale[i]), float(eng.delta[i])
+    tm, log_t = float(eng.tm[i]), math.log(float(eng.followup[i]))
+    scores = []
+    for theta, w in zip(eng.theta.tolist(), eng.kappa_weights.tolist()):
+        if w == 0.0:
+            scores.append(-math.inf)
+            continue
+        x = theta * d
+        s = tm * (delta * (math.log(theta) - log_t + x) - math.exp(min(x, _EXP_CAP)))
+        scores.append(min(max(s, -1e306), 1e306) + math.log(w))
+    top = max(scores)
+    p = [math.exp(s - top) for s in scores]
+    total = sum(p)
+    return [q / total for q in p]
 
 
 def dense_cpo_lpml(log_likelihoods):

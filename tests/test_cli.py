@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -149,6 +150,17 @@ class TestTraceFiles:
         with pytest.raises(ValueError, match="chain 0: trace columns differ"):
             build_summary([trace], manifest)
 
+    def test_summary_rejects_chains_of_unequal_length(self):
+        dataset, _ = simulate_dataset(30, 3, seed=5)
+        config = McmcConfig(iterations=20, burn_in=10, seed=3, adapt_window=10, chains=2)
+        trace = run_chain(dataset, config, Hyperparams())
+        traces = [dataclasses.replace(trace, neg_loglik_lse=np.zeros(5)),
+                  dataclasses.replace(trace, neg_loglik_lse=np.zeros(6), chain_index=1)]
+        manifest = fit_manifest(traces, config, Hyperparams())
+        with pytest.raises(ValueError, match="chain 1: 6 per-participant CPO sums, "
+                                             "but chain 0 has 5"):
+            build_summary(traces, manifest)
+
 
 class TestConfigDocuments:
     def test_parse_round_trip(self, tmp_path):
@@ -263,6 +275,21 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert "chain00_loglik.npy: expected one value per participant" in err
         assert "(10, 40)" in err and "older version" in err
+
+    def test_summarize_rejects_truncated_chain_loglik(self, tmp_path, capsys):
+        out = self._simulate(tmp_path)
+        fit_dir = tmp_path / "fit"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"mcmc": {"iterations": 20, "burn_in": 10, "seed": 4,
+                                               "adapt_window": 5, "chains": 2}}))
+        assert main(["fit", "--data", str(out / "events.csv"), "--config", str(config),
+                     "--out", str(fit_dir)]) == 0
+        path = fit_dir / "chain01_loglik.npy"
+        np.save(path, np.load(path)[:-1])
+        assert main(["summarize", "--fit-dir", str(fit_dir),
+                     "--out", str(tmp_path / "s.json")]) == 1
+        err = capsys.readouterr().err
+        assert "chain 1: 39 per-participant CPO sums, but chain 0 has 40" in err
 
     def test_fit_determinism_byte_identical(self, tmp_path):
         out = self._simulate(tmp_path)

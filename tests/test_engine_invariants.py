@@ -2,12 +2,14 @@
 likelihood mode: the engine's per-participant log likelihood agrees with
 the brute-force oracle, and every incremental cache agrees with a full
 recomputation after each block update.  Also pinned: the two mixture
-assignment steps against their dense references, the overflow guards, and
-engine memory linear in the number of records."""
+assignment steps against their dense references, the overflow guards,
+engine memory linear in the number of records, and the peak memory of
+the shape-assignment step."""
 
 import copy
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -249,6 +251,7 @@ def test_chunked_kappa_block_matches_dense_reference(n, mode, monkeypatch):
         eng.init_state(np.random.default_rng(n))
     monkeypatch.setattr(dense, "_kappa_assignments",
                         lambda rng: oracles.dense_kappa_assignments(dense, rng))
+    monkeypatch.setattr(sampler, "_KAPPA_ROUNDS", 0)
     rng_chunked = np.random.default_rng(5)
     rng_dense = copy.deepcopy(rng_chunked)
     for _ in range(3):
@@ -309,3 +312,20 @@ def test_engine_memory_linear_in_records():
     eng.sweep(rng)
     nbytes = sum(v.nbytes for v in vars(eng).values() if isinstance(v, np.ndarray))
     assert nbytes < 1000 * eng.n
+
+
+def test_kappa_assignments_peak_memory_stays_small():
+    # one shape-assignment step at N=20000, K=50 allocates far less than
+    # the 8 MB of an N x K score matrix
+    dataset, _ = simulate_dataset(20000, 500, seed=3)
+    eng = SamplerEngine(dataset, Hyperparams(truncation_kappa=50))
+    rng = np.random.default_rng(3)
+    eng.init_state(rng)
+    eng.sweep(rng)
+    tracemalloc.start()
+    try:
+        eng._kappa_assignments(rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20

@@ -10,6 +10,7 @@ from conftest import engine_for, make_dataset, make_dp, make_record, make_state
 from recurjoint import sampler
 from recurjoint.diagnostics import cpo_accumulate
 from recurjoint.model import (
+    LIKELIHOOD_MODES,
     Hyperparams,
     ParamState,
     PiecewiseConstantHazard,
@@ -319,6 +320,91 @@ class TestKappaBlock:
         pooled = np.concatenate(atoms)
         assert pooled.mean() == pytest.approx(1.0, abs=0.1)
         assert pooled.var() == pytest.approx(1.0, abs=0.2)
+
+
+    def test_envelope_bounds_every_score_in_its_bin(self, rng):
+        # atoms from 1e-12 to 1e12; bins all negative, straddling 0, all
+        # positive, past the exp cap, and at the routing limit on each side
+        theta = np.concatenate(([1e-12], np.sort(rng.gamma(1.0, 1.0, 6)), [350.0, 1e6, 1e12]))
+        limit = sampler._KAPPA_ROUTE_LIMIT / theta.max()
+        lo = np.array([-5.0, -1e-3, 0.5, 2.0, -limit, 0.5 * limit])
+        hi = np.array([-3.0, 2e-3, 0.7, 3.0, -0.5 * limit, limit])
+        n = 4
+        eng = engine_for([make_record(participant=i) for i in range(n)],
+                         make_state(n=n, kappa_atoms=theta))
+        eng.kappa_weights = rng.dirichlet(np.ones(theta.size))
+        bound, cdf = eng._kappa_envelope(lo, hi)
+        rows = 2 * lo.size
+        bound = bound.reshape(rows, -1)
+        cdf = cdf.reshape(rows, -1)
+        k = theta.size
+        assert np.all(np.isinf(cdf[:, k:]))
+        for flag in (0, 1):
+            for b in range(lo.size):
+                row = flag * lo.size + b
+                x = np.outer(np.linspace(lo[b], hi[b], 202), theta)
+                assert (np.abs(x) <= sampler._KAPPA_ROUTE_LIMIT).all()
+                e = np.exp(np.minimum(x, sampler._EXP_CAP))
+                score = flag * x - e
+                rounding = 8 * np.finfo(float).eps * (1.0 + np.abs(x) + e)
+                assert np.all(score <= bound[row, :k] + rounding), (flag, b)
+                # proposals proportional to w theta^flag exp(bound)
+                log_p = bound[row, :k] + np.log(eng.kappa_weights) + flag * np.log(theta)
+                p = np.exp(log_p - log_p.max())
+                np.testing.assert_allclose(np.diff(cdf[row, :k], prepend=0.0), p / p.sum(),
+                                           rtol=1e-9, atol=1e-15)
+                assert cdf[row, k - 1] == 1.0
+
+    # the module's settings, one round, and one bin over the whole range,
+    # where the bounds are loose and the acceptance step shapes the draws;
+    # max_left caps the share of susceptible records left to the dense draw
+    @pytest.mark.parametrize("rounds,bin_records,max_left", [
+        (sampler._KAPPA_ROUNDS, None, 0.01), (1, None, 0.1), (sampler._KAPPA_ROUNDS, 10**9, 0.8)])
+    @pytest.mark.parametrize("mode", LIKELIHOOD_MODES)
+    def test_rejection_draws_match_exact_softmax(self, mode, rounds, bin_records, max_left,
+                                                 monkeypatch):
+        monkeypatch.setattr(sampler, "_KAPPA_ROUNDS", rounds)
+        if bin_records is not None:
+            monkeypatch.setattr(sampler, "_KAPPA_BIN_RECORDS", bin_records)
+        # record types (offset d = log followup, terminal flag, unsusceptible);
+        # from d = 3 on, the largest atom's theta d is past the exp cap
+        offsets = (-4.0, -1.0, -0.2, 0.3, 1.2, 3.0)
+        types = [(d, delta, 0) for d in offsets for delta in (0, 1)]
+        if mode == "literal":
+            types += [(0.3, 0, 1), (-1.0, 1, 1)]
+        reps = 400
+        records = [make_record(followup=math.exp(d), delta=delta, participant=i)
+                   for i, (d, delta, _) in enumerate(t for t in types for _ in range(reps))]
+        flags = np.repeat([flag for _, _, flag in types], reps)
+        n = len(records)
+        eng = engine_for(records, make_state(n=n, kappa_atoms=(1e-12, 0.005, 0.3, 1.0, 2.5, 300.0),
+                                             unsusceptible=flags), mode)
+        # atom 3 has zero weight
+        eng.kappa_weights = np.array([0.1, 0.2, 0.25, 0.0, 0.2, 0.25])
+        assert (eng.theta.max() * eng.d_scale > sampler._EXP_CAP).any()
+
+        # the rounds draw nearly every susceptible record; in the literal
+        # mode the unsusceptible ones, whose scores are all 0, go dense
+        left = eng._kappa_rejection_rounds(np.random.default_rng(1), np.empty(n, dtype=np.int64))
+        assert left[flags == 0].mean() < max_left
+        assert left[flags == 1].all()
+        v = eng._kappa_assignments(np.random.default_rng(2))
+        tested = 0
+        for t in range(len(types)):
+            counts = np.bincount(v[t * reps:(t + 1) * reps], minlength=eng.level_kappa)
+            expected = reps * np.array(oracles.kappa_probabilities(eng, t * reps))
+            assert counts[expected == 0].sum() == 0, types[t]
+            # pool the least likely atoms until every cell expects 5 draws
+            order = np.argsort(expected)
+            cut = max(np.searchsorted(np.cumsum(expected[order]), 5.0) + 1,
+                      np.searchsorted(expected[order], 5.0))
+            observed = [counts[order[:cut]].sum(), *counts[order[cut:]]]
+            wanted = [expected[order[:cut]].sum(), *expected[order[cut:]]]
+            if len(wanted) > 1:
+                tested += 1
+                p = stats.chisquare(observed, wanted).pvalue
+                assert p > 1e-6, (types[t], counts, expected)
+        assert tested >= 8
 
 
 class TestBaselineBlock:
