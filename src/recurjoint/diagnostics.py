@@ -73,20 +73,35 @@ def gelman_rubin_psrf(chains) -> float:
     return float(np.sqrt(pooled / within))
 
 
+def log_add_exp(a, b, out=None) -> np.ndarray:
+    """``log(exp(a) + exp(b))`` elementwise, as ``max(a, b) +
+    log1p(exp(-|a - b|))``: the same guard against overflow as
+    ``np.logaddexp`` in fewer passes.  ``out`` may be ``a``; at most one
+    of ``a`` and ``b`` may be ``-inf`` at an entry."""
+    tail = np.subtract(a, b)
+    np.abs(tail, out=tail)
+    np.negative(tail, out=tail)
+    np.exp(tail, out=tail)
+    np.log1p(tail, out=tail)
+    out = np.maximum(a, b, out=out)
+    out += tail
+    return out
+
+
 def cpo_accumulate(neg_loglik_lse: np.ndarray, loglik: np.ndarray, draw: int) -> np.ndarray:
     """Fold one posterior draw into each participant's running
     ``log sum_s exp(-l_si)``, in place, and return the running vector.
 
-    Start from a vector of ``-inf``.  ``np.logaddexp`` shifts by the larger
-    term, so no ``exp`` overflows.  A non-finite entry of ``loglik`` raises,
-    naming ``draw`` and the participant.
+    Start from a vector of ``-inf``; :func:`log_add_exp` shifts by the
+    larger term, so no ``exp`` overflows.  A non-finite entry of ``loglik``
+    raises, naming ``draw`` and the participant.
     """
     ll = np.asarray(loglik, dtype=float)
     bad = ~np.isfinite(ll)
     if bad.any():
         raise ValueError(f"non-finite log likelihood at draw {draw}, "
                          f"participant {np.flatnonzero(bad)[0]}")
-    return np.logaddexp(neg_loglik_lse, -ll, out=neg_loglik_lse)
+    return log_add_exp(neg_loglik_lse, -ll, out=neg_loglik_lse)
 
 
 def cpo_lpml(neg_loglik_lse: np.ndarray, draws: int) -> tuple:

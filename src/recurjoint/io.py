@@ -251,12 +251,31 @@ def write_chain_trace(trace: ChainTrace, prefix) -> None:
     participant's ``log sum_s exp(-l_si)`` over the kept draws, from which
     its CPO follows)."""
     prefix = Path(prefix)
+    # "%.17g" writes the same text as format(v, ".17g"), nan and -0 included
+    line = ",".join(["%.17g"] * (len(trace.columns) + 1)) + "\n"
     with open(prefix.with_suffix(".csv"), "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(trace.columns + ["total_loglik"])
-        for row, total in zip(trace.draws, trace.total_loglik):
-            writer.writerow([_fmt(v) for v in row] + [_fmt(total)])
+        csv.writer(fh, lineterminator="\n").writerow(trace.columns + ["total_loglik"])
+        for row, total in zip(trace.draws, trace.total_loglik.tolist()):
+            fh.write(line % (*row.tolist(), total))
     np.save(str(prefix) + "_loglik.npy", trace.neg_loglik_lse)
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _trace_width_error(path, line_no: int, header: list, row: list) -> ValueError:
+    """The error for a trace row with more or fewer cells than its header,
+    naming the first column missing from it or the first one past the
+    header."""
+    col = min(len(row), len(header))
+    name = f" ({header[col]}): missing" if col < len(header) else ": not in the header"
+    return ValueError(f"{path}: row {line_no}, column {col + 1}{name}; the row has "
+                      f"{len(row)} cells, the header {len(header)} columns")
 
 
 def read_chain_trace(prefix, manifest: dict, chain_index: int) -> ChainTrace:
@@ -264,10 +283,22 @@ def read_chain_trace(prefix, manifest: dict, chain_index: int) -> ChainTrace:
     :func:`write_chain_trace`; the acceptance rates, final proposal scales
     and piecewise grid come from the fit's manifest."""
     prefix = Path(prefix)
-    with open(prefix.with_suffix(".csv"), newline="") as fh:
+    path = prefix.with_suffix(".csv")
+    with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(v) for v in row] for row in reader]
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty trace file, expected a header row")
+        rows = []
+        for line_no, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise _trace_width_error(path, line_no, header, row)
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError:
+                col = next(c for c, v in enumerate(row) if not _is_number(v))
+                raise ValueError(f"{path}: row {line_no}, column {col + 1} ({header[col]}): "
+                                 f"not a number: {row[col]!r}") from None
     data = np.asarray(rows, dtype=float) if rows else np.empty((0, len(header)))
     loglik_path = str(prefix) + "_loglik.npy"
     neg_loglik_lse = np.load(loglik_path)

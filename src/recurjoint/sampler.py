@@ -21,6 +21,16 @@ moves the terminal offset ``d_scale`` (alpha, alpha0, gamma, xi1, xi2) takes
 its change of terminal log density from one move,
 :meth:`SamplerEngine._terminal_shift`.
 
+The engine holds per-record caches of the state (linear predictors, log
+frailties, shapes, terminal offsets, capped exponentials, baseline
+integrals, susceptibility weights, the logistic predictor and its summed
+softplus).  Only :meth:`SamplerEngine.init_state` and
+:meth:`SamplerEngine.load_state` rebuild them, through
+:meth:`SamplerEngine.refresh_caches`; each block keeps current the caches
+its moves change, so a sweep rebuilds none.  The terminal offset is moved
+by increments, so it carries rounding that grows slowly with the sweeps
+wherever no cluster-effect block rebuilds it.
+
 Memory stays linear in the number of records N: no array spans clusters
 by records (J x N), and an atoms-by-records (K x N) matrix exists only as a
 chunk of at most ``_CHUNK_ELEMENTS`` entries.  The two mixture
@@ -63,7 +73,7 @@ from typing import Callable
 
 import numpy as np
 
-from .diagnostics import cpo_accumulate
+from .diagnostics import cpo_accumulate, log_add_exp
 from .dp import posterior_stick_update, stick_to_weights, update_concentration
 from .model import (
     BASELINE_VARIANTS,
@@ -259,17 +269,20 @@ def adapt_scale(rate: float, scale: float, target: float = TARGET_SCALAR) -> flo
     return scale * math.exp(ADAPT_RATE_COEF * (rate - target))
 
 
-def _categorical_columns(scores: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+def _categorical_columns(scores: np.ndarray, uniforms: np.ndarray,
+                         unit: Callable = "unit {}".format) -> np.ndarray:
     """Column-wise softmax sampling with max-shifted exponentiation: scores
     are categories by units, and unit i draws from column i with the
-    uniform ``uniforms[i]``.
+    uniform ``uniforms[i]``.  A column holding NaN, or only -inf, raises a
+    ValueError naming the first such unit as ``unit(i)``.
 
     Mutates ``scores`` in place; callers pass a scratch matrix.
     """
     mx = scores.max(axis=0)
     if not np.all(np.isfinite(mx)):
-        kind = "contains NaN" if np.isnan(mx).any() else "is entirely -inf"
-        raise ValueError(f"a unit's assignment scores {kind}")
+        pos = int(np.flatnonzero(~np.isfinite(mx))[0])
+        kind = "contains NaN" if np.isnan(mx[pos]) else "is entirely -inf"
+        raise ValueError(f"the assignment score row of {unit(pos)} {kind}")
     scores -= mx
     np.exp(scores, out=scores)
     cum = np.cumsum(scores, axis=0, out=scores)
@@ -436,9 +449,8 @@ class SamplerEngine:
         ll = self.participant_loglik()
         if n and not np.all(np.isfinite(ll)):
             pos = int(np.flatnonzero(~np.isfinite(ll))[0])
-            raise RuntimeError(
-                "non-finite log likelihood at initialization for participant "
-                f"{self.dataset.participant_index[pos]} in cluster {self.cluster_of[pos]}")
+            raise RuntimeError("non-finite log likelihood at initialization for "
+                               + self._record_name(pos))
 
     def _draw_mu_atoms(self, rng, size: int) -> np.ndarray:
         return math.sqrt(self.hyper.sigma2_mu) * rng.standard_normal(size)
@@ -489,6 +501,11 @@ class SamplerEngine:
     # -- caches -------------------------------------------------------------------
 
     def refresh_caches(self) -> None:
+        """Rebuild every per-record cache from the primary state.
+
+        Only :meth:`init_state` and :meth:`load_state` call it; between
+        them, each block keeps current the caches its moves change.  Code
+        that writes a primary field directly calls it afterwards."""
         self.lin_x = self.x @ self.beta
         self.lin_z = self.z @ self.alpha
         self.lgam = np.log(self.gamma)
@@ -499,6 +516,7 @@ class SamplerEngine:
         self.tm = self.su if self.literal else np.ones(self.n)
         if self.logistic:
             self.logit_p = self.u @ self.zeta
+            self.softplus_sum = float(log_add_exp(0.0, self.logit_p).sum())
 
     def _refresh_mu_caches(self) -> None:
         """The caches that read the cluster effects."""
@@ -524,6 +542,10 @@ class SamplerEngine:
         """Per-record terminal log density, before the ``tm`` weight."""
         return (self.delta * (np.log(self.kap) - self.log_followup + self.kap * self.d_scale)
                 - self.ekd)
+
+    def _record_name(self, i: int) -> str:
+        return (f"participant {self.dataset.participant_index[i]} in cluster "
+                f"{self.cluster_of[i]}")
 
     def participant_loglik(self) -> np.ndarray:
         """Per-record observed-data log likelihood under the current state."""
@@ -677,7 +699,8 @@ class SamplerEngine:
             scores = self._cluster_mu_loglik(coefficients, self.eta)
             with np.errstate(divide="ignore"):
                 scores += np.log(self.mu_weights)
-            self.m = _categorical_columns(scores.T, rng.random(self.j))
+            self.m = _categorical_columns(scores.T, rng.random(self.j),
+                                          "cluster {} (cluster-effect mixture)".format)
             self.mu_sticks, self.mu_weights, self.phi_mu = self._update_sticks(
                 self.m, self.level_mu, self.phi_mu, rng)
         self.eta = self._move_atoms(rng, "eta", self.eta, self.m, self._draw_mu_atoms,
@@ -885,7 +908,8 @@ class SamplerEngine:
                 ll *= self.tm[r]
             np.clip(ll, -_SCORE_CLIP, _SCORE_CLIP, out=ll)
             ll += log_w
-            v[c] = _categorical_columns(ll, uniforms[c])
+            v[c] = _categorical_columns(ll, uniforms[c],
+                                        lambda i: f"{self._record_name(r[i])} (shape mixture)")
         return v
 
     def update_kappa_block(self, rng, post=False) -> None:
@@ -901,13 +925,14 @@ class SamplerEngine:
         h = self.hyper
         valid = prop > 0.0
         safe = np.where(valid, prop, 1.0)
+        # log(kp / kc) per atom, gathered per record
+        d_log = np.log(safe) - np.log(self.theta)
         kc, kp = self.theta[self.v], safe[self.v]
-        d_ll = self.tm * (self.delta * (np.log(kp) - np.log(kc) + (kp - kc) * self.d_scale)
+        d_ll = self.tm * (self.delta * (d_log[self.v] + (kp - kc) * self.d_scale)
                           - (_exp_capped(kp * self.d_scale) - _exp_capped(kc * self.d_scale)))
         # Gamma(a_kappa, b_kappa) base density keeps the conditional proper
         ratio = (np.bincount(self.v, weights=d_ll, minlength=prop.size)
-                 + ((h.a_kappa - 1.0) * (np.log(safe) - np.log(self.theta))
-                    - h.b_kappa * (prop - self.theta)))
+                 + ((h.a_kappa - 1.0) * d_log - h.b_kappa * (prop - self.theta)))
         # a nonpositive shape is rejected outright
         return np.where(valid, ratio, -np.inf)
 
@@ -932,12 +957,12 @@ class SamplerEngine:
             return
         prop = self.zeta + self.scales["zeta"] * rng.standard_normal(self.zeta.size)
         t2 = self.u @ prop
+        softplus2 = float(log_add_exp(0.0, t2).sum())
         d = self.d_flags.astype(float)
-        logr = (float(d @ (t2 - self.logit_p))
-                - float(np.logaddexp(0.0, t2).sum() - np.logaddexp(0.0, self.logit_p).sum())
+        logr = (float(d @ (t2 - self.logit_p)) - (softplus2 - self.softplus_sum)
                 + (self.zeta @ self.zeta - prop @ prop) / (2.0 * self.hyper.sigma2_zeta))
         if self._step(rng, "zeta", logr, post):
-            self.zeta, self.logit_p = prop, t2
+            self.zeta, self.logit_p, self.softplus_sum = prop, t2, softplus2
 
     def update_coef_variances(self, rng) -> None:
         if not self.hyper.resample_coef_variances:
@@ -950,7 +975,6 @@ class SamplerEngine:
     # -- sweep ------------------------------------------------------------------------------
 
     def sweep(self, rng: np.random.Generator, post_burn_in: bool = False) -> None:
-        self.refresh_caches()
         self.update_beta(rng, post_burn_in)
         self.update_alpha(rng, post_burn_in)
         self.update_alpha0(rng, post_burn_in)
@@ -1068,8 +1092,7 @@ class SamplerEngine:
                 pos = int(np.argmax(bad))
                 field = f"{name}[{pos}]" if np.ndim(bad) else name
                 detail = (f", got {values.flat[pos]}" if values is not None else
-                          f": participant {self.dataset.participant_index[pos]} in cluster "
-                          f"{self.cluster_of[pos]}")
+                          f": {self._record_name(pos)}")
                 raise ValueError(f"{field}: {rule}{detail}")
 
     # -- trace assembly ----------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from recurjoint.io import (
     write_dataset,
 )
 from recurjoint.model import BASELINE_VARIANTS, VARIANTS, Hyperparams
-from recurjoint.sampler import McmcConfig, run_chain
+from recurjoint.sampler import ChainTrace, McmcConfig, run_chain
 from recurjoint.simulate import simulate_dataset
 from recurjoint.study import build_summary, fit_manifest, run_replicate_study
 from conftest import make_dataset, make_record
@@ -140,6 +140,28 @@ class TestTraceFiles:
         assert back.final_scales == trace.final_scales
         assert np.array_equal(back.grid, trace.grid)
         assert back.chain_index == 1
+
+    def test_extreme_values_write_17g_text_and_read_back_bit_for_bit(self, tmp_path):
+        values = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 0.1, 1.0 / 3.0,
+                  -1.2345678901234567e-300, 9007199254740993.0, 2.0 ** 0.5]
+        draws = np.array([values[:5], values[5:]])
+        total = np.array([-12.345678901234567, -0.0])
+        trace = ChainTrace(columns=[f"c{k}" for k in range(5)], draws=draws,
+                           neg_loglik_lse=np.zeros(3), total_loglik=total, acceptance={},
+                           final_scales={}, chain_index=0, grid=None)
+        write_chain_trace(trace, tmp_path / "chain00")
+        expected = "c0,c1,c2,c3,c4,total_loglik\n" + "".join(
+            ",".join(format(v, ".17g") for v in [*row, t]) + "\n" for row, t in zip(draws, total))
+        assert (tmp_path / "chain00.csv").read_text() == expected
+        manifest = {"grid": None, "acceptance": [{}], "final_scales": [{}]}
+        back = read_chain_trace(tmp_path / "chain00", manifest, 0)
+        assert back.draws.view(np.int64).tolist() == draws.view(np.int64).tolist()
+        assert back.total_loglik.view(np.int64).tolist() == total.view(np.int64).tolist()
+
+    def test_empty_trace_file_is_named(self, tmp_path):
+        (tmp_path / "chain00.csv").write_text("")
+        with pytest.raises(ValueError, match=r"chain00\.csv: empty trace file"):
+            read_chain_trace(tmp_path / "chain00", {}, 0)
 
     def test_summary_rejects_columns_unlike_the_manifest(self, tmp_path):
         dataset, _ = simulate_dataset(30, 3, seed=5)
@@ -290,6 +312,41 @@ class TestCliCommands:
                      "--out", str(tmp_path / "s.json")]) == 1
         err = capsys.readouterr().err
         assert "chain 1: 39 per-participant CPO sums, but chain 0 has 40" in err
+
+    def _fit_with_edited_trace(self, tmp_path, edit):
+        """A one-chain fit whose chain00.csv lines pass through ``edit``."""
+        out = self._simulate(tmp_path)
+        fit_dir = tmp_path / "fit"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"mcmc": {"iterations": 20, "burn_in": 10, "seed": 4,
+                                               "adapt_window": 5}}))
+        assert main(["fit", "--data", str(out / "events.csv"), "--config", str(config),
+                     "--out", str(fit_dir)]) == 0
+        path = fit_dir / "chain00.csv"
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(edit(lines)) + "\n")
+        return fit_dir, lines[0].split(",")
+
+    def test_summarize_names_a_short_trace_row(self, tmp_path, capsys):
+        fit_dir, header = self._fit_with_edited_trace(
+            tmp_path, lambda lines: lines[:4] + [lines[4].rsplit(",", 1)[0]] + lines[5:])
+        assert main(["summarize", "--fit-dir", str(fit_dir),
+                     "--out", str(tmp_path / "s.json")]) == 1
+        err = capsys.readouterr().err
+        assert (f"chain00.csv: row 5, column {len(header)} (total_loglik): missing; the row has "
+                f"{len(header) - 1} cells, the header {len(header)} columns") in err
+
+    def test_summarize_names_a_non_numeric_trace_cell(self, tmp_path, capsys):
+        def edit(lines):
+            cells = lines[3].split(",")
+            cells[2] = "abc"
+            return lines[:3] + [",".join(cells)] + lines[4:]
+
+        fit_dir, header = self._fit_with_edited_trace(tmp_path, edit)
+        assert main(["summarize", "--fit-dir", str(fit_dir),
+                     "--out", str(tmp_path / "s.json")]) == 1
+        err = capsys.readouterr().err
+        assert f"chain00.csv: row 4, column 3 ({header[2]}): not a number: 'abc'" in err
 
     def test_fit_determinism_byte_identical(self, tmp_path):
         out = self._simulate(tmp_path)

@@ -1,7 +1,8 @@
 """Whole-engine invariants, pinned for every variant, baseline and
 likelihood mode: the engine's per-participant log likelihood agrees with
 the brute-force oracle, and every incremental cache agrees with a full
-recomputation after each block update.  Also pinned: the two mixture
+recomputation after each block update and after thousands of sweeps with
+no recomputation between them.  Also pinned: the two mixture
 assignment steps against their dense references, the overflow guards,
 engine memory linear in the number of records, and the peak memory of
 the shape-assignment step."""
@@ -9,6 +10,7 @@ the shape-assignment step."""
 import copy
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -34,8 +36,12 @@ CACHE_REL_TOL = 1e-12
 # the factored cluster-effect scores add per-record terms in another order
 MU_SCORE_REL_TOL = 1e-12
 
+# a cache's drift over many sweeps: each incremental update of d_scale
+# rounds once, and the errors add up
+DRIFT_REL_TOL = 1e-9
+
 CACHES = ("lin_x", "lin_z", "mu_rec", "lgam", "kap", "d_scale", "ekd", "erx",
-          "lam0_followup", "ev_logsum", "su", "tm", "logit_p")
+          "lam0_followup", "ev_logsum", "su", "tm", "logit_p", "softplus_sum")
 BLOCKS = ("update_beta", "update_alpha", "update_alpha0", "update_tau2", "update_gamma",
           "update_mu_block", "update_susceptibility", "update_baseline_block",
           "update_kappa_block", "update_xi1", "update_xi2", "update_zeta",
@@ -87,13 +93,13 @@ def test_engine_matches_oracle(variant, baseline, mode):
     assert eng.total_loglik() == float(ll.sum())
 
 
-def _assert_caches_fresh(eng, present, label):
+def _assert_caches_fresh(eng, present, label, tol=CACHE_REL_TOL):
     incremental = {name: np.array(getattr(eng, name), dtype=float) for name in present}
     eng.refresh_caches()
     for name in present:
         fresh = np.asarray(getattr(eng, name), dtype=float)
-        floor = CACHE_REL_TOL * float(np.abs(fresh).max(initial=0.0))
-        np.testing.assert_allclose(incremental[name], fresh, rtol=CACHE_REL_TOL, atol=floor,
+        floor = tol * float(np.abs(fresh).max(initial=0.0))
+        np.testing.assert_allclose(incremental[name], fresh, rtol=tol, atol=floor,
                                    err_msg=f"{name} after {label}")
 
 
@@ -102,12 +108,39 @@ def test_caches_match_full_refresh_after_every_block(variant, baseline, mode):
     eng = _engine(variant, baseline, mode, seed=202)
     rng = np.random.default_rng(11)
     present = [name for name in CACHES if hasattr(eng, name)]
-    assert ("logit_p" in present) == eng.logistic
+    assert ("logit_p" in present) == ("softplus_sum" in present) == eng.logistic
     for _ in range(20):
         eng.refresh_caches()
         for block in BLOCKS:
             getattr(eng, block)(rng)
             _assert_caches_fresh(eng, present, block)
+
+
+# BZ-DP has no cluster-effect block, the one block that rebuilds d_scale
+# from the primary state, so its d_scale drifts the most
+@pytest.mark.parametrize("variant,sweeps", [("BZ-DP", 10_000), ("BMZ-DP", 1_000),
+                                            ("BM-DP", 1_000), ("BMZ", 1_000)])
+def test_caches_do_not_drift_over_many_sweeps(variant, sweeps):
+    dataset, _ = simulate_dataset(32, 4, seed=505)
+    eng = SamplerEngine(dataset, Hyperparams(), variant=variant)
+    rng = np.random.default_rng(23)
+    eng.init_state(rng)
+    present = [name for name in CACHES if hasattr(eng, name)]
+    for _ in range(sweeps):
+        eng.sweep(rng)
+    _assert_caches_fresh(eng, present, f"{sweeps} sweeps", tol=DRIFT_REL_TOL)
+
+
+@pytest.mark.parametrize("block,unit", [
+    ("update_kappa_block", "score row of participant 1 in cluster 2 (shape mixture)"),
+    ("update_mu_block", "score row of cluster 2 (cluster-effect mixture)")])
+def test_nan_terminal_offset_names_its_unit(block, unit):
+    eng = _engine("BMZ-DP", "piecewise", "corrected", seed=606)
+    i = int(np.flatnonzero(eng.cluster_of == 2)[1])
+    eng.d_scale[i] = np.nan
+    assert eng.dataset.participant_index[i] == 1
+    with pytest.raises(ValueError, match=f"{re.escape(unit)} contains NaN"):
+        getattr(eng, block)(np.random.default_rng(29))
 
 
 # log priors of the scalar-ratio blocks, written out here rather than read
