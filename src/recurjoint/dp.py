@@ -27,11 +27,14 @@ def stick_to_weights(raw_sticks: np.ndarray, truncation: int) -> np.ndarray:
     s = np.asarray(raw_sticks, dtype=float)
     if s.size != truncation - 1:
         raise ValueError(f"expected {truncation - 1} stick fractions, got {s.size}")
-    if s.size and (np.any(s <= 0.0) or np.any(s >= 1.0)):
+    # fmin/fmax skip NaN, as the elementwise comparisons do
+    if s.size and (np.fmin.reduce(s) <= 0.0 or np.fmax.reduce(s) >= 1.0):
         raise ValueError("stick fractions must lie strictly inside (0, 1)")
-    full = np.append(s, 1.0)
-    remaining = np.concatenate(([1.0], np.cumprod(1.0 - s)))
-    return full * remaining
+    weights = np.empty(truncation)
+    weights[0] = 1.0
+    np.multiply.accumulate(1.0 - s, out=weights[1:])
+    weights[:-1] *= s
+    return weights
 
 
 def posterior_stick_update(assignment_counts: np.ndarray, concentration: float,
@@ -42,15 +45,14 @@ def posterior_stick_update(assignment_counts: np.ndarray, concentration: float,
     the last stick stays fixed at 1 and is not returned.
     """
     counts = np.asarray(assignment_counts, dtype=float)
-    if np.any(counts < 0):
+    if (counts < 0).any():
         raise ValueError("assignment counts must be nonnegative")
     if not concentration > 0:
         raise ValueError("concentration must be positive")
-    k = counts.size
-    if k == 1:
+    if counts.size == 1:
         return np.empty(0)
-    above = counts[::-1].cumsum()[::-1] - counts  # counts assigned past each stick
-    return rng.beta(1.0 + counts[:-1], concentration + above[:-1])
+    above = counts[:0:-1].cumsum()[::-1]  # counts assigned past each stick
+    return rng.beta(1.0 + counts[:-1], concentration + above)
 
 
 def update_concentration(raw_sticks: np.ndarray, a: float, b: float,
@@ -61,7 +63,5 @@ def update_concentration(raw_sticks: np.ndarray, a: float, b: float,
     are clamped away from 1 to keep the rate finite.
     """
     s = np.asarray(raw_sticks, dtype=float)
-    comp = np.clip(1.0 - s, _STICK_FLOOR, None)
-    shape = a + s.size
-    rate = b - float(np.log(comp).sum())
-    return float(rng.gamma(shape, 1.0 / rate))
+    rate = b - float(np.log(np.maximum(1.0 - s, _STICK_FLOOR)).sum())
+    return float(rng.gamma(a + s.size, 1.0 / rate))

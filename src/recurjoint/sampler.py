@@ -49,24 +49,37 @@ assignment steps are blocked-Gibbs categorical draws (Ishwaran & James
   - exp(theta_k d)`` (exp argument capped; the record's own -delta log t
   cancels), d_i its terminal offset ``d_scale``.  The draw is exact
   rejection from an envelope (Devroye 1986, II.3) at about one score per
-  record, not K.  Once per sweep the range of d is cut into
-  B = N / ``_KAPPA_BIN_RECORDS`` equal-width bins, and for each terminal
-  flag, bin and atom an upper bound U of s_k over the bin is tabulated
-  (2B rows of K entries).  In each of up to ``_KAPPA_ROUNDS`` rounds a
-  record proposes k with probability proportional to ``exp(U)`` of its
-  row and accepts it with probability ``exp(s_k(d_i) - U)``; an accepted
-  k is distributed exactly as the target, whatever the bound's slack.
-  The records no round accepted, and those whose scores the dense draw
-  would clip or reject (non-finite d, theta_max |d| near overflow, zero
-  terminal weight in the literal mode), are drawn from their full scores,
-  built in cache-sized chunks laid out atoms by records, one uniform each
-  in record order.  The number of uniforms drawn depends on the
-  acceptances, and which record reads which uniform on ``_KAPPA_BLOCK``;
-  the chunk size does not change the draws.
+  record, not K.  Once per sweep the records' offsets are cut into B
+  bins.  Below ``_KAPPA_SORT_LIMIT`` records a bin is a run of the sorted
+  offsets, and its edges are the least and greatest offset it holds: up
+  to ``_KAPPA_SORTED_BINS`` runs, no more than one per
+  ``_KAPPA_SORTED_BIN_RECORDS`` records, starting at Chebyshev-spaced
+  ranks, so that they are shortest, down to single records, in the sparse
+  tails of d.  From ``_KAPPA_SORT_LIMIT`` records on the range of d is cut
+  into B = N / ``_KAPPA_BIN_RECORDS`` equal-width bins, which need no
+  sort.  For each terminal flag, bin and atom an upper bound U of s_k over
+  the bin is tabulated (2B rows of K entries).  A record proposes k with
+  probability proportional to ``exp(U)`` of its row, by searching its row
+  of the table's CDF, held as integers in units of 2^-53, with a 53-bit
+  uniform: sorted records search the whole table at once, the others take
+  a branchless binary search.  It accepts k with probability
+  ``exp(s_k(d_i) - U)``; an accepted k is distributed exactly as the
+  target, whatever the bound's slack.  There are up to
+  ``_KAPPA_ROUNDS`` rounds; round r makes up to
+  ``_KAPPA_TRY_GROWTH ** (r - 1)`` proposals for each record left and
+  takes its first accepted one.  The records no round accepted, and those
+  whose scores the dense draw would clip or reject (non-finite d,
+  theta_max |d| near overflow, zero terminal weight in the literal mode),
+  are drawn from their full scores, built in cache-sized chunks laid out
+  atoms by records, one uniform each in record order; this dense draw
+  runs only when some record is left.  The number of uniforms drawn
+  depends on the acceptances, and which record reads which uniform on
+  ``_KAPPA_BLOCK``; the chunk size does not change the draws.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -113,14 +126,25 @@ _SCORE_CLIP = 1e306
 # float64, so a chunk's few temporaries stay in a per-core L2 cache
 _CHUNK_ELEMENTS = 16_384
 
-# the shape step's rejection sampler: records per bin of the envelope, so
-# that for up to 64 atoms each of its two tables (2 rows per bin, 64 wide)
-# is no larger than a per-record array; rounds before the dense draw takes
-# the records left; and records per block of a round, which bounds its
-# temporaries
+# the shape step's rejection sampler.  Below _KAPPA_SORT_LIMIT records the
+# envelope has up to _KAPPA_SORTED_BINS bins, and no more than one per
+# _KAPPA_SORTED_BIN_RECORDS records; from there on, equal-width bins of
+# about _KAPPA_BIN_RECORDS records each, so that for up to 64 atoms each of
+# the envelope's two tables (2 rows per bin) is no larger than a per-record
+# array, and at most _KAPPA_MAX_BINS of them, so that a row number shifted
+# past a 53-bit uniform fits an int64.  Then: rounds before the dense draw
+# takes the records left; records per block of a round, which bounds its
+# temporaries (a round makes no more proposals per record than fill one
+# block); and the growth from round to round of the proposals per record
+_KAPPA_SORT_LIMIT = 4096
+_KAPPA_SORTED_BINS = 40
+_KAPPA_SORTED_BIN_RECORDS = 8
 _KAPPA_BIN_RECORDS = 128
+_KAPPA_MAX_BINS = 511
 _KAPPA_ROUNDS = 3
 _KAPPA_BLOCK = 4096
+_KAPPA_TRY_GROWTH = 8
+_TWO_53 = 2.0 ** 53
 # a record with |theta d| possibly past this takes the dense draw, since its
 # scores may reach the +-_SCORE_CLIP clip
 _KAPPA_ROUTE_LIMIT = 1e300
@@ -128,6 +152,26 @@ _KAPPA_ROUTE_LIMIT = 1e300
 
 def _exp_capped(x):
     return np.exp(np.minimum(x, _EXP_CAP))
+
+
+def _clip_scores(x):
+    """Clip ``x`` to +-_SCORE_CLIP in place; NaN stays NaN."""
+    return np.minimum(np.maximum(x, -_SCORE_CLIP, out=x), _SCORE_CLIP, out=x)
+
+
+@functools.lru_cache(maxsize=16)
+def _rank_bins(m: int, bins: int) -> tuple:
+    """Up to ``bins`` runs of ``m`` ranks that start at the Chebyshev-spaced
+    ranks ``m (1 - cos(pi j / bins)) / 2``: short, down to single ranks,
+    at both ends and longest in the middle.  Returns (each run's first
+    rank, each run's last rank, each rank's run), read-only."""
+    first = np.unique((0.5 * m * (1.0 - np.cos(np.arange(bins) * (math.pi / bins))))
+                      .astype(np.int64))
+    ends = np.append(first[1:], m)
+    parts = first, ends - 1, np.arange(first.size).repeat(ends - first)
+    for part in parts:
+        part.flags.writeable = False
+    return parts
 
 
 # ---------------------------------------------------------------------------
@@ -228,14 +272,11 @@ def metropolis_decision(log_ratio, uniform):
     module flows through this predicate; the shape step's rejection sampler
     is not a Metropolis step and does not.
     """
+    if isinstance(uniform, float):
+        # a scalar step's uniform: plain floats, no array machinery
+        return (math.log(uniform) if uniform > 0.0 else -math.inf) < log_ratio
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.log(uniform) < log_ratio
-
-
-def _accept(log_ratio, rng: np.random.Generator):
-    log_ratio = np.asarray(log_ratio)
-    u = rng.random(log_ratio.shape) if log_ratio.shape else rng.random()
-    return metropolis_decision(log_ratio, u)
 
 
 def mh_step(current, scale: float, target_log_density: Callable, rng: np.random.Generator,
@@ -253,13 +294,13 @@ def mh_step(current, scale: float, target_log_density: Callable, rng: np.random.
         proposal = current + scale * rng.standard_normal(current.shape)
     else:
         proposal = float(current) + scale * rng.standard_normal()
-    if positive and np.any(np.asarray(proposal) <= 0.0):
+    if positive and (np.asarray(proposal) <= 0.0).any():
         return current, False
     cur_target = target_log_density(current)
-    if not np.isfinite(cur_target):
+    if not math.isfinite(cur_target):
         raise ValueError("target log density is not finite at the current value")
     log_ratio = target_log_density(proposal) - cur_target
-    if bool(_accept(log_ratio, rng)):
+    if bool(metropolis_decision(log_ratio, rng.random())):
         return proposal, True
     return current, False
 
@@ -278,21 +319,20 @@ def _categorical_columns(scores: np.ndarray, uniforms: np.ndarray,
 
     Mutates ``scores`` in place; callers pass a scratch matrix.
     """
-    mx = scores.max(axis=0)
-    if not np.all(np.isfinite(mx)):
+    mx = np.maximum.reduce(scores, axis=0)
+    if not np.logical_and.reduce(np.isfinite(mx)):
         pos = int(np.flatnonzero(~np.isfinite(mx))[0])
         kind = "contains NaN" if np.isnan(mx[pos]) else "is entirely -inf"
         raise ValueError(f"the assignment score row of {unit(pos)} {kind}")
     scores -= mx
     np.exp(scores, out=scores)
-    cum = np.cumsum(scores, axis=0, out=scores)
-    u = uniforms * cum[-1]
-    return np.count_nonzero(cum < u, axis=0)
+    cum = np.add.accumulate(scores, axis=0, out=scores)
+    return np.add.reduce(cum < uniforms * cum[-1], axis=0)
 
 
 def _clip_sticks(sticks: np.ndarray) -> np.ndarray:
     # Beta draws can round to the closed boundary; keep them strictly inside
-    return np.clip(sticks, 1e-12, 1.0 - 1e-12)
+    return np.minimum(np.maximum(sticks, 1e-12, out=sticks), 1.0 - 1e-12, out=sticks)
 
 
 def _mixture_arrays(dp: TruncatedDP) -> tuple:
@@ -344,8 +384,12 @@ class SamplerEngine:
         self.delta = dataset.event_indicator.astype(float)
         counts = np.diff(dataset.event_offsets)
         self.q_events = counts.astype(float)
+        # only a record without recurrent events can be unsusceptible, so
+        # su * q_events is q_events
+        self.eventless = counts == 0
         self.cluster_of = dataset.cluster_index
         self.cluster_sizes = dataset.cluster_sizes.astype(float)
+        self.tau2_shape = hyper.a0 + 0.5 * self.cluster_sizes
         self.ev_times = dataset.event_times
         self.ev_record = np.repeat(np.arange(n), counts)
 
@@ -477,8 +521,8 @@ class SamplerEngine:
         """Conjugate stick fractions given the assignment counts, then the
         concentration's Gibbs draw (kept fixed unless ``update_concentrations``).
         Returns (sticks, weights, concentration)."""
-        counts = np.bincount(assignments, minlength=size).astype(float)
-        sticks = _clip_sticks(posterior_stick_update(counts, concentration, rng))
+        sticks = _clip_sticks(posterior_stick_update(np.bincount(assignments, minlength=size),
+                                                     concentration, rng))
         if self.hyper.update_concentrations:
             concentration = update_concentration(sticks, self.hyper.a_phi, self.hyper.b_phi, rng)
         return sticks, stick_to_weights(sticks, size), concentration
@@ -494,8 +538,9 @@ class SamplerEngine:
         fresh = draw_atoms(rng, size)
         accept = metropolis_decision(log_ratio(prop), u)
         occupied = np.bincount(assignments, minlength=size) > 0
-        if occupied.any():
-            self._record_accept(name, float(accept[occupied].mean()), post)
+        n_occupied = np.count_nonzero(occupied)
+        if n_occupied:
+            self._record_accept(name, np.count_nonzero(accept & occupied) / n_occupied, post)
         return np.where(occupied, np.where(accept, prop, atoms), fresh)
 
     # -- caches -------------------------------------------------------------------
@@ -550,7 +595,9 @@ class SamplerEngine:
     def participant_loglik(self) -> np.ndarray:
         """Per-record observed-data log likelihood under the current state."""
         with np.errstate(invalid="ignore"):
-            terminal = self.tm * self._terminal_loglik()
+            terminal = self._terminal_loglik()
+            if self.literal:
+                terminal *= self.tm
             recurrent = self.su * (self.q_events * (self.lgam + self.lin_x + self.mu_rec)
                                    + self.ev_logsum - self.gamma * self.erx * self.lam0_followup)
         return terminal + recurrent
@@ -570,7 +617,7 @@ class SamplerEngine:
     def _step(self, rng, name: str, log_ratio: float, post: bool) -> bool:
         """The Metropolis decision on block ``name``'s scalar ``log_ratio``,
         recorded as its acceptance; the caller commits on True."""
-        ok = bool(_accept(log_ratio, rng))
+        ok = bool(metropolis_decision(log_ratio, rng.random()))
         self._record_accept(name, float(ok), post)
         return ok
 
@@ -580,7 +627,9 @@ class SamplerEngine:
         record's change of terminal log density."""
         d2 = self.d_scale - shift
         ekd2 = _exp_capped(self.kap * d2)
-        d_ll = self.tm * (self.delta * self.kap * (d2 - self.d_scale) - (ekd2 - self.ekd))
+        d_ll = (self.ekd - ekd2) - self.delta * self.kap * shift
+        if self.literal:
+            d_ll *= self.tm
         return d2, ekd2, d_ll
 
     def acceptance_rates(self) -> dict:
@@ -601,7 +650,7 @@ class SamplerEngine:
         prop = self.beta + self.scales["beta"] * rng.standard_normal(self.beta.size)
         lin2 = self.x @ prop
         erx2 = _exp_capped(lin2 + self.mu_rec)
-        logr = (float(self.su @ (self.q_events * (lin2 - self.lin_x)))
+        logr = (float(self.q_events @ (lin2 - self.lin_x))
                 - float((self.su * self.gamma * self.lam0_followup) @ (erx2 - self.erx))
                 + (self.beta @ self.beta - prop @ prop) / (2.0 * self.s2b))
         if self._step(rng, "beta", logr, post):
@@ -628,9 +677,8 @@ class SamplerEngine:
         if self.j == 0:
             return
         ssq = np.bincount(self.cluster_of, weights=self.lgam * self.lgam, minlength=self.j)
-        shape = self.hyper.a0 + 0.5 * self.cluster_sizes
         rate = self.hyper.b0 + 0.5 * ssq
-        self.tau2 = rate / np.maximum(rng.gamma(shape, 1.0), 1e-300)
+        self.tau2 = rate / np.maximum(rng.standard_gamma(self.tau2_shape), 1e-300)
 
     def update_gamma(self, rng, post=False) -> None:
         if self.n == 0:
@@ -642,16 +690,16 @@ class SamplerEngine:
         lg2 = np.log(safe)
         dlg = lg2 - self.lgam
         d2, ekd2, d_ll = self._terminal_shift(self.xi1 * dlg)
-        tau2_rec = self.tau2[self.cluster_of]
+        half_precision = (0.5 / self.tau2)[self.cluster_of]
         # log-normal prior: -log(gamma) is its Jacobian term
-        logr = (self.su * (self.q_events * dlg - self.erx * self.lam0_followup * (prop - self.gamma))
-                + d_ll - dlg - (lg2 * lg2 - self.lgam * self.lgam) / (2.0 * tau2_rec))
+        logr = (self.q_events * dlg - self.su * self.erx * self.lam0_followup * (prop - self.gamma)
+                + d_ll - dlg - dlg * (lg2 + self.lgam) * half_precision)
         accept = valid & metropolis_decision(logr, u)
         self.gamma = np.where(accept, prop, self.gamma)
         self.lgam = np.where(accept, lg2, self.lgam)
         self.d_scale = np.where(accept, d2, self.d_scale)
         self.ekd = np.where(accept, ekd2, self.ekd)
-        self._record_accept("gamma", float(accept.mean()), post)
+        self._record_accept("gamma", np.count_nonzero(accept) / self.n, post)
 
     # -- cluster-effect block -----------------------------------------------------------
 
@@ -659,11 +707,13 @@ class SamplerEngine:
         """Per-record coefficients of the log likelihood as a function of the
         cluster effect: the linear term, the -exp(mu) factor and the
         -exp(-kappa*xi2*mu) factor."""
-        lin = self.su * self.q_events - self.tm * self.delta * self.kap * self.xi2
+        lin_term = self.delta * self.kap * self.xi2
+        term_scale = _exp_capped(self.kap * (self.d_scale + self.xi2 * self.mu_rec))
+        if self.literal:
+            lin_term *= self.tm
+            term_scale *= self.tm
         rec_scale = self.su * self.gamma * _exp_capped(self.lin_x) * self.lam0_followup
-        d_without_mu = self.d_scale + self.xi2 * self.mu_rec
-        term_scale = self.tm * _exp_capped(self.kap * d_without_mu)
-        return lin, rec_scale, term_scale
+        return self.q_events - lin_term, rec_scale, term_scale
 
     def _cluster_mu_loglik(self, coefficients, atoms: np.ndarray) -> np.ndarray:
         """J x K matrix: the log likelihood of cluster c's records with their
@@ -680,13 +730,13 @@ class SamplerEngine:
                 np.bincount(self.cluster_of, weights=rec_scale, minlength=self.j),
                 np.bincount(self.cluster_of * k_kappa + self.v, weights=term_scale,
                             minlength=self.j * k_kappa).reshape(self.j, k_kappa))
-        lin_c, rec_c, term_c = (np.clip(x, -_SCORE_CLIP, _SCORE_CLIP) for x in sums)
-        e_term = _exp_capped(np.outer(-self.theta * self.xi2, atoms))
+        lin_c, rec_c, term_c = (_clip_scores(x) for x in sums)
+        e_term = _exp_capped(np.multiply.outer(self.theta * -self.xi2, atoms))
         with np.errstate(over="ignore"):
-            ll = np.clip(np.outer(lin_c, atoms), -_SCORE_CLIP, _SCORE_CLIP)
-            ll -= np.minimum(np.outer(rec_c, _exp_capped(atoms)), _SCORE_CLIP)
+            ll = _clip_scores(np.multiply.outer(lin_c, atoms))
+            ll -= np.minimum(np.multiply.outer(rec_c, _exp_capped(atoms)), _SCORE_CLIP)
             ll -= np.minimum(term_c @ e_term, _SCORE_CLIP)
-        return np.clip(ll, -_SCORE_CLIP, _SCORE_CLIP, out=ll)
+        return _clip_scores(ll)
 
     def update_mu_block(self, rng, post=False) -> None:
         """Assignments, sticks, concentration and atom moves for the cluster
@@ -710,11 +760,12 @@ class SamplerEngine:
     def _mu_atom_log_ratio(self, coefficients, prop: np.ndarray) -> np.ndarray:
         lin, rec_scale, term_scale = coefficients
         atom_of_rec = self.m[self.cluster_of]
-        cur_r, new_r = self.eta[atom_of_rec], prop[atom_of_rec]
-        d_ll = (lin * (new_r - cur_r)
-                - rec_scale * (_exp_capped(new_r) - _exp_capped(cur_r))
-                - term_scale * (_exp_capped(-self.kap * self.xi2 * new_r)
-                                - _exp_capped(-self.kap * self.xi2 * cur_r)))
+        w = self.kap * -self.xi2
+        # terms of one atom are taken per atom and gathered per record
+        d_ll = (lin * (prop - self.eta)[atom_of_rec]
+                - rec_scale * (_exp_capped(prop) - _exp_capped(self.eta))[atom_of_rec]
+                - term_scale * (_exp_capped(w * prop[atom_of_rec])
+                                - _exp_capped(w * self.eta[atom_of_rec])))
         return (np.bincount(atom_of_rec, weights=d_ll, minlength=prop.size)
                 + (self.eta ** 2 - prop ** 2) / (2.0 * self.hyper.sigma2_mu))
 
@@ -728,15 +779,15 @@ class SamplerEngine:
             logit_p = np.full(self.n, math.log(p) - math.log1p(-p))
         else:
             logit_p = self.logit_p
-        log_s = -self.gamma * self.erx * self.lam0_followup
-        logit = logit_p - log_s
+        # log_s = -gamma * erx * lam0 is the log survival of the recurrent process
+        logit = logit_p + self.gamma * self.erx * self.lam0_followup
         if self.literal:
             logit = logit - self._terminal_loglik()
         with np.errstate(over="ignore"):
             prob_one = 1.0 / (1.0 + np.exp(-logit))
         draws = rng.random(self.n)
-        self.d_flags = ((draws < prob_one) & (self.q_events == 0)).astype(np.int8)
-        self.su = 1.0 - self.d_flags.astype(float)
+        self.d_flags = ((draws < prob_one) & self.eventless).astype(np.int8)
+        self.su = 1.0 - self.d_flags
         if self.literal:
             self.tm = self.su
 
@@ -763,7 +814,7 @@ class SamplerEngine:
         if accept.any():
             self.lam = np.where(accept, prop, self.lam)
             self._refresh_baseline_caches()
-        self._record_accept("lambda", float(accept.mean()), post)
+        self._record_accept("lambda", np.count_nonzero(accept) / g, post)
 
     def _update_psi(self, rng, post=False) -> None:
         h = self.hyper
@@ -791,66 +842,124 @@ class SamplerEngine:
         envelope, then the dense draw for the records they leave."""
         v = np.empty(self.n, dtype=np.int64)
         left = np.flatnonzero(self._kappa_rejection_rounds(rng, v))
-        v[left] = self._kappa_dense(rng, left)
+        if left.size:
+            v[left] = self._kappa_dense(rng, left)
         return v
 
-    def _kappa_rejection_rounds(self, rng, v: np.ndarray) -> np.ndarray:
-        """Up to ``_KAPPA_ROUNDS`` rounds of envelope rejection for each
-        record whose dense scores would not be clipped, each round in blocks
-        of ``_KAPPA_BLOCK`` records; writes each accepted atom into ``v``.
-        Returns the mask of the records left to the dense draw."""
-        d = self.d_scale
-        # false for a non-finite offset, so the dense draw raises on NaN
-        dense = ~(np.abs(d) <= _KAPPA_ROUTE_LIMIT / max(float(self.theta.max()), 1.0))
-        if self.literal:
-            dense |= self.tm == 0.0
-        todo = np.flatnonzero(~dense)
-        if not todo.size:
-            return dense
-        span = d[todo]
+    def _kappa_bins(self, span: np.ndarray) -> tuple:
+        """The envelope's bins over the offsets ``span``: (lower edges,
+        upper edges, the bin of each offset of ``span[order]``, ``order``).
+
+        Below ``_KAPPA_SORT_LIMIT`` offsets the bins are the runs of
+        :func:`_rank_bins` over the sorted offsets, and their edges are the
+        least and greatest offset they hold: the runs are shortest in the
+        sparse tails, where an atom's score changes most across a run.
+        ``order`` sorts the offsets.  From there on the bins have equal
+        widths, which need no sort, and ``order`` is None: the offsets keep
+        their order.
+        """
+        m = span.size
+        if m < _KAPPA_SORT_LIMIT:
+            first, last, run = _rank_bins(
+                m, max(1, min(_KAPPA_SORTED_BINS, m // _KAPPA_SORTED_BIN_RECORDS)))
+            order = np.argsort(span)
+            ranked = span[order]
+            return ranked[first], ranked[last], run, order
         lo, hi = float(span.min()), float(span.max())
-        bins = max(1, todo.size // _KAPPA_BIN_RECORDS)
+        bins = min(_KAPPA_MAX_BINS, max(1, m // _KAPPA_BIN_RECORDS))
         width = (hi - lo) / bins
         # a single value of d, or a range too narrow to cut, is one bin
         if not width >= np.finfo(float).tiny:
             bins, width = 1, 1.0
-        edges = np.linspace(lo, hi, bins + 1)
-        # the rounding of a record's bin index and of the edges stays within
-        # `slack` of its bin, so the bin's bound covers the record's d
+        edges = lo + width * np.arange(bins + 1)
+        # the rounding of an offset's bin index and of the edges stays within
+        # `slack` of its bin, so the bin's bound covers the offset
         slack = 2.0 ** -48 * (abs(lo) + abs(hi))
-        bound, cdf = self._kappa_envelope(edges[:-1] - slack, edges[1:] + slack)
-        stride = cdf.size // (2 * bins)
-        # (step, view) pairs of the binary search: view[pos] is cdf[pos + step - 1]
-        probes = [(1 << s, cdf[(1 << s) - 1:]) for s in reversed(range(stride.bit_length() - 1))]
-        for _ in range(_KAPPA_ROUNDS):
-            left = []
-            for start in range(0, todo.size, _KAPPA_BLOCK):
-                idx = todo[start:start + _KAPPA_BLOCK]
-                di, flag = d[idx], self.delta[idx]
-                row = (np.minimum(((di - lo) / width).astype(np.int64), bins - 1)
-                       + bins * flag.astype(np.int64))
-                u = rng.random((2, idx.size))
-                # inverse CDF by a branchless binary search within each row
-                base = row * stride
-                pos = base.copy()
-                for step, probe in probes:
-                    np.add(pos, step, out=pos, where=probe[pos] <= u[0])
-                k = pos - base
+        which = np.minimum(((span - lo) / width).astype(np.int64), bins - 1)
+        return edges[:-1] - slack, edges[1:] + slack, which, None
+
+    def _kappa_rejection_rounds(self, rng, v: np.ndarray) -> np.ndarray:
+        """Up to ``_KAPPA_ROUNDS`` rounds of envelope rejection for each
+        record whose dense scores would not be clipped; writes each accepted
+        atom into ``v``, and a rejected proposal for each record left, which
+        the dense draw overwrites.  Round r, on m records, makes
+        ``min(_KAPPA_TRY_GROWTH ** (r - 1), _KAPPA_BLOCK // m)`` proposals per
+        record, at least one, and takes each record's first accepted one; it
+        works in blocks of ``_KAPPA_BLOCK`` records.  Returns the mask of
+        the records left to the dense draw."""
+        d = self.d_scale
+        # false for a non-finite offset, so the dense draw raises on NaN
+        routed = np.abs(d) <= _KAPPA_ROUTE_LIMIT / max(float(self.theta.max()), 1.0)
+        if self.literal:
+            routed &= self.tm != 0.0
+        todo = np.flatnonzero(routed)
+        if not todo.size:
+            return ~routed
+        span = d[todo]
+        lo, hi, which, order = self._kappa_bins(span)
+        if order is not None:
+            todo, span = todo[order], span[order]
+        flag = self.delta[todo]
+        bound, cdf = self._kappa_envelope(lo, hi)
+        rows, stride = cdf.shape
+        # row r's cumulative probabilities in units of 2^-53, its padding at
+        # 1, offset by r * 2^53: sorted across rows.  A record's 53-bit
+        # uniform in those units, offset by its row, is at or above exactly
+        # the entries of its row that its draw passes
+        keys = np.ceil(np.minimum(cdf, 1.0) * _TWO_53).astype(np.int64)
+        keys += np.arange(rows, dtype=np.int64)[:, None] << 53
+        keys, bound = keys.ravel(), bound.ravel()
+        if order is None:
+            # (step, view) pairs of a branchless binary search within a row:
+            # view[pos] is keys[pos + step - 1]
+            probes = [(1 << s, keys[(1 << s) - 1:])
+                      for s in reversed(range(stride.bit_length() - 1))]
+        row_key = (which + lo.size * flag.astype(np.int64)) << 53
+        # (records, offsets, flags, row keys) of the records left, aligned
+        left = todo, span, flag, row_key
+        for r in range(_KAPPA_ROUNDS):
+            tries = max(1, min(_KAPPA_TRY_GROWTH ** r, _KAPPA_BLOCK // left[0].size))
+            parts = []
+            for start in range(0, left[0].size, _KAPPA_BLOCK):
+                idx, di, fi, ri = (a[start:start + _KAPPA_BLOCK] for a in left)
+                u = rng.random((2, tries, idx.size))
+                query = ri + (u[0] * _TWO_53).astype(np.int64)
+                if order is not None:
+                    # records in order of d: their queries rise with their
+                    # bins, so one search of the whole table branches
+                    # predictably; on unordered queries it mispredicts
+                    # enough to cost several times the branchless search
+                    pos = keys.searchsorted(query, side="right")
+                else:
+                    pos = (query >> 53) * stride
+                    for step, probe in probes:
+                        pos += step * (probe[pos] <= query)
+                k = pos & (stride - 1)
                 x = self.theta[k] * di
-                log_ratio = flag * x - _exp_capped(x) - bound[pos]
+                log_ratio = fi * x - _exp_capped(x) - bound[pos]
                 with np.errstate(divide="ignore"):
                     ok = np.log(u[1]) < log_ratio
-                v[idx[ok]] = k[ok]
-                left.append(idx[~ok])
-            todo = np.concatenate(left)
-            if not todo.size:
+                if tries > 1:
+                    # each record's first accepted proposal
+                    first = ok.argmax(axis=0), np.arange(idx.size)
+                    ok, k = ok[first], k[first]
+                else:
+                    ok, k = ok[0], k[0]
+                # a rejected record's atom is overwritten by a later round
+                # or the dense draw
+                v[idx] = k
+                rest = np.flatnonzero(~ok)
+                parts.append(tuple(a[rest] for a in (idx, di, fi, ri)))
+            left = parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
+            if not left[0].size:
                 break
-        dense[todo] = True
+        dense = ~routed
+        dense[left[0]] = True
         return dense
 
     def _kappa_envelope(self, lo: np.ndarray, hi: np.ndarray) -> tuple:
         """The shape step's rejection envelope over the bins [lo, hi]: two
-        row-major tables of rows (terminal flag, bin), each row padded to a
+        tables of rows (terminal flag, bin) by atoms, each row padded to a
         power-of-two stride.
 
         ``bound`` holds each atom's upper bound, over the bin, of the term
@@ -863,26 +972,24 @@ class SamplerEngine:
         and rises past the cap, so its bound is the larger of its values at
         the point of the bin nearest 0 and at the upper edge.
         """
-        lo, hi = lo[:, None], hi[:, None]
-
-        def peak(x):
-            return x - _exp_capped(x)
-
-        k_atoms, bins = self.theta.size, lo.shape[0]
-        stride = 1 << (k_atoms - 1).bit_length()
-        bound = np.zeros((2 * bins, stride))
-        bound[:bins, :k_atoms] = -_exp_capped(lo * self.theta)
-        bound[bins:, :k_atoms] = np.maximum(peak(np.clip(0.0, lo, hi) * self.theta),
-                                            peak(hi * self.theta))
+        theta, bins, k_atoms = self.theta, lo.size, self.theta.size
+        bound = np.zeros((2 * bins, 1 << (k_atoms - 1).bit_length()))
+        body = bound[:, :k_atoms]
+        x = np.multiply.outer(np.concatenate((lo, np.minimum(np.maximum(lo, 0.0), hi))), theta)
+        np.negative(_exp_capped(x), out=body)
+        body[bins:] += x[bins:]
+        if float(hi.max()) * float(theta.max()) > _EXP_CAP:
+            x = np.multiply.outer(hi, theta)
+            np.maximum(body[bins:], x - _exp_capped(x), out=body[bins:])
         with np.errstate(divide="ignore"):
-            p = bound[:, :k_atoms] + np.log(self.kappa_weights)
-        p[bins:] += np.log(self.theta)
+            p = body + np.log(self.kappa_weights)
+        p[bins:] += np.log(theta)
         p -= p.max(axis=1, keepdims=True)
         np.exp(p, out=p)
         np.cumsum(p, axis=1, out=p)
         cdf = np.full_like(bound, np.inf)
         np.divide(p, p[:, -1:], out=cdf[:, :k_atoms])
-        return bound.ravel(), cdf.ravel()
+        return bound, cdf
 
     def _kappa_dense(self, rng, records: np.ndarray) -> np.ndarray:
         """Draw the shape atoms of ``records`` from their full scores, one
@@ -906,7 +1013,7 @@ class SamplerEngine:
             ll -= expo
             if self.literal:
                 ll *= self.tm[r]
-            np.clip(ll, -_SCORE_CLIP, _SCORE_CLIP, out=ll)
+            _clip_scores(ll)
             ll += log_w
             v[c] = _categorical_columns(ll, uniforms[c],
                                         lambda i: f"{self._record_name(r[i])} (shape mixture)")
@@ -928,8 +1035,10 @@ class SamplerEngine:
         # log(kp / kc) per atom, gathered per record
         d_log = np.log(safe) - np.log(self.theta)
         kc, kp = self.theta[self.v], safe[self.v]
-        d_ll = self.tm * (self.delta * (d_log[self.v] + (kp - kc) * self.d_scale)
-                          - (_exp_capped(kp * self.d_scale) - _exp_capped(kc * self.d_scale)))
+        d_ll = (self.delta * (d_log[self.v] + (kp - kc) * self.d_scale)
+                - (_exp_capped(kp * self.d_scale) - _exp_capped(kc * self.d_scale)))
+        if self.literal:
+            d_ll *= self.tm
         # Gamma(a_kappa, b_kappa) base density keeps the conditional proper
         ratio = (np.bincount(self.v, weights=d_ll, minlength=prop.size)
                  + ((h.a_kappa - 1.0) * d_log - h.b_kappa * (prop - self.theta)))

@@ -6,7 +6,6 @@ from __future__ import annotations
 import re
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -54,6 +53,10 @@ def _map(fn, tasks: list, threads: int) -> list:
     """``[fn(t) for t in tasks]``, on a pool of ``threads`` worker processes
     when there is more than one of each; results keep the order of ``tasks``."""
     if threads > 1 and len(tasks) > 1:
+        # imported here: the pool brings in multiprocessing, which a
+        # single-worker command never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, tasks))
     return [fn(t) for t in tasks]

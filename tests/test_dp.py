@@ -32,6 +32,26 @@ class TestStickToWeights:
             assert abs(w.sum() - 1.0) < 1e-12
             assert np.all(w >= 0)
 
+    def test_bitwise_equal_to_append_times_cumprod(self, rng):
+        # the plain-ufunc weights equal the textbook expression bit for bit,
+        # sticks at the clip bounds 1e-12 and 1 - 1e-12 included
+        edges = np.array([1e-12, 1.0 - 1e-12])
+        for _ in range(500):
+            k = int(rng.integers(1, 60))
+            sticks = rng.uniform(0.0, 1.0, k - 1)
+            if k > 1:
+                at_edge = rng.random(k - 1) < 0.3
+                sticks[at_edge] = rng.choice(edges, int(at_edge.sum()))
+            expected = np.append(sticks, 1.0) * np.concatenate(([1.0], np.cumprod(1.0 - sticks)))
+            assert stick_to_weights(sticks, k).tobytes() == expected.tobytes()
+
+    def test_nan_sticks_pass_validation(self):
+        # the range check compares elementwise, and NaN fails no comparison
+        w = stick_to_weights(np.array([np.nan, 0.5]), 3)
+        assert np.isnan(w).all()
+        with pytest.raises(ValueError, match="inside"):
+            stick_to_weights(np.array([np.nan, 1.0]), 3)
+
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="inside"):
             stick_to_weights(np.array([0.0, 0.5]), 3)

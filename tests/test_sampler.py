@@ -355,6 +355,20 @@ class TestKappaBlock:
                                            rtol=1e-9, atol=1e-15)
                 assert cdf[row, k - 1] == 1.0
 
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    def test_one_round_leaves_few_records_at_paper_scale(self, seed, monkeypatch):
+        # the paper's design point after 200 sweeps: the envelope is tight
+        # enough that one proposal per record is accepted for at least 90%
+        dataset, _ = simulate_dataset(600, 20, "piecewise", seed=seed)
+        eng = SamplerEngine(dataset, Hyperparams(), variant="BMZ-DP")
+        rng = np.random.default_rng(seed)
+        eng.init_state(rng)
+        for _ in range(200):
+            eng.sweep(rng)
+        monkeypatch.setattr(sampler, "_KAPPA_ROUNDS", 1)
+        left = eng._kappa_rejection_rounds(rng, np.empty(eng.n, dtype=np.int64))
+        assert left.mean() <= 0.10
+
     # the module's settings, one round, and one bin over the whole range,
     # where the bounds are loose and the acceptance step shapes the draws;
     # max_left caps the share of susceptible records left to the dense draw
@@ -363,16 +377,32 @@ class TestKappaBlock:
     @pytest.mark.parametrize("mode", LIKELIHOOD_MODES)
     def test_rejection_draws_match_exact_softmax(self, mode, rounds, bin_records, max_left,
                                                  monkeypatch):
+        # 400 records per type, at least _KAPPA_SORT_LIMIT: equal-width bins
+        assert 12 * 400 >= sampler._KAPPA_SORT_LIMIT
+        self._check_rejection_draws(mode, rounds, bin_records, max_left, 400, monkeypatch)
+
+    @pytest.mark.parametrize("rounds,bin_records,max_left", [
+        (sampler._KAPPA_ROUNDS, None, 0.01), (1, None, 0.1), (sampler._KAPPA_ROUNDS, 10**9, 0.8)])
+    @pytest.mark.parametrize("mode", LIKELIHOOD_MODES)
+    def test_sorted_bin_draws_match_exact_softmax(self, mode, rounds, bin_records, max_left,
+                                                  monkeypatch):
+        # 200 records per type, fewer than _KAPPA_SORT_LIMIT: sorted bins
+        assert 14 * 200 < sampler._KAPPA_SORT_LIMIT
+        self._check_rejection_draws(mode, rounds, bin_records, max_left, 200, monkeypatch)
+
+    @staticmethod
+    def _check_rejection_draws(mode, rounds, bin_records, max_left, reps, monkeypatch):
         monkeypatch.setattr(sampler, "_KAPPA_ROUNDS", rounds)
         if bin_records is not None:
+            # one bin in either binning
             monkeypatch.setattr(sampler, "_KAPPA_BIN_RECORDS", bin_records)
+            monkeypatch.setattr(sampler, "_KAPPA_SORTED_BINS", 1)
         # record types (offset d = log followup, terminal flag, unsusceptible);
         # from d = 3 on, the largest atom's theta d is past the exp cap
         offsets = (-4.0, -1.0, -0.2, 0.3, 1.2, 3.0)
         types = [(d, delta, 0) for d in offsets for delta in (0, 1)]
         if mode == "literal":
             types += [(0.3, 0, 1), (-1.0, 1, 1)]
-        reps = 400
         records = [make_record(followup=math.exp(d), delta=delta, participant=i)
                    for i, (d, delta, _) in enumerate(t for t in types for _ in range(reps))]
         flags = np.repeat([flag for _, _, flag in types], reps)
