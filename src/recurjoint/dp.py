@@ -27,8 +27,8 @@ def stick_to_weights(raw_sticks: np.ndarray, truncation: int) -> np.ndarray:
     s = np.asarray(raw_sticks, dtype=float)
     if s.size != truncation - 1:
         raise ValueError(f"expected {truncation - 1} stick fractions, got {s.size}")
-    # fmin/fmax skip NaN, as the elementwise comparisons do
-    if s.size and (np.fmin.reduce(s) <= 0.0 or np.fmax.reduce(s) >= 1.0):
+    # minimum/maximum carry a NaN through, and NaN fails both comparisons
+    if s.size and not (np.minimum.reduce(s) > 0.0 and np.maximum.reduce(s) < 1.0):
         raise ValueError("stick fractions must lie strictly inside (0, 1)")
     weights = np.empty(truncation)
     weights[0] = 1.0

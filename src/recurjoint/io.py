@@ -3,12 +3,31 @@ trace files and summary documents.
 
 Decimal values are serialized with 17 significant digits so every format
 round-trips losslessly at full double precision.
+
+The events file is a header row (``cluster_id, participant_id,
+followup_time, event_indicator, event_times``, then ``x_*``, ``z_*`` and
+``u_*`` covariate columns) and one row per record.  Its grammar:
+
+- cells are separated by commas; a cell may be wrapped in double quotes,
+  inside which a doubled quote stands for one, but it may not span lines;
+- lines end in LF, CRLF or CR, and the last one may lack an ending;
+- a number may have whitespace around it and a leading ``+`` or ``-``;
+  the id and indicator cells are integers in the int64 range, the others
+  decimals as Python's ``float`` spells them (``nan`` and ``inf`` parse,
+  and the :class:`Dataset` rules then reject them where they are not
+  allowed), in ASCII digits without digit separators such as ``1_000``;
+- ``event_times`` holds the record's times joined by ``;``, or nothing;
+- a blank line is an error, as is any row with the wrong number of cells.
+
+numpy's C reader parses the rows; a row-by-row loop in Python re-reads the
+file only when the reader rejects it, to name the first bad row and cell.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -31,13 +50,6 @@ __all__ = [
     "read_json",
 ]
 
-_FLOAT_FMT = ".17g"
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), _FLOAT_FMT)
-
-
 # ---------------------------------------------------------------------------
 # Events CSV
 # ---------------------------------------------------------------------------
@@ -58,15 +70,18 @@ def _dataset_header(dataset: Dataset) -> list:
 
 def write_dataset(dataset: Dataset, path) -> None:
     offsets = dataset.event_offsets.tolist()
-    times = [_fmt(t) for t in dataset.event_times.tolist()]
+    # "%.17g" writes the same text as format(v, ".17g"), nan and -0 included
+    times = ["%.17g" % t for t in dataset.event_times.tolist()]
     covariates = np.hstack([dataset.covariates_x, dataset.covariates_z, dataset.covariates_u])
+    line = "%d,%d,%.17g,%d,%s" + ",%.17g" * covariates.shape[1] + "\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_dataset_header(dataset))
-        for i, row in enumerate(covariates.tolist()):
-            writer.writerow([str(dataset.cluster_index[i]), str(dataset.participant_index[i]),
-                             _fmt(dataset.followup_time[i]), str(dataset.event_indicator[i]),
-                             ";".join(times[offsets[i]:offsets[i + 1]])] + [_fmt(v) for v in row])
+        csv.writer(fh, lineterminator="\n").writerow(_dataset_header(dataset))
+        for cluster, participant, followup, event, start, stop, row in zip(
+                dataset.cluster_index.tolist(), dataset.participant_index.tolist(),
+                dataset.followup_time.tolist(), dataset.event_indicator.tolist(),
+                offsets, offsets[1:], covariates.tolist()):
+            fh.write(line % (cluster, participant, followup, event,
+                             ";".join(times[start:stop]), *row))
 
 
 def _int64(text: str) -> int:
@@ -78,63 +93,83 @@ def _int64(text: str) -> int:
     return value
 
 
-def _cell_error(path, line_no: int, header: list, row: list) -> ValueError:
-    """The error for the first cell of ``row`` that does not parse."""
-    for col, cell in enumerate(row):
-        parse, kind = (_int64, "a 64-bit integer") if col in (0, 1, 3) else (float, "a number")
-        for value in (cell.split(";") if cell else []) if col == 4 else [cell]:
-            try:
-                parse(value)
-            except ValueError:
-                return ValueError(f"{path}: row {line_no}, column {col + 1} ({header[col]}): "
-                                  f"not {kind}: {value!r}")
+def _row_error(path, header: list, lines: list) -> ValueError | None:
+    """The error for the first row of ``lines`` that is short, long or holds
+    a cell Python's ``int`` or ``float`` does not parse; None when there is
+    none.  It parses each cell in Python, so it runs only to name an error."""
+    for line_no, row in enumerate(csv.reader(lines), start=2):
+        if len(row) != len(header):
+            return ValueError(f"{path}: row {line_no}: expected {len(header)} columns, "
+                              f"got {len(row)}")
+        for col, cell in enumerate(row):
+            parse, kind = (_int64, "a 64-bit integer") if col in (0, 1, 3) else (float, "a number")
+            for value in (cell.split(";") if cell else []) if col == 4 else [cell]:
+                try:
+                    parse(value)
+                except ValueError:
+                    return ValueError(f"{path}: row {line_no}, column {col + 1} "
+                                      f"({header[col]}): not {kind}: {value!r}")
+    return None
 
 
 def load_dataset(path) -> Dataset:
     """Parse an events file; a cell that does not parse and a record that
     breaks a :class:`Dataset` data rule are both reported by file row and
-    column."""
+    column.
+
+    The grammar is the module docstring's: comma-separated cells, optionally
+    in double quotes, on lines ending in LF, CRLF or CR; numbers in plain
+    ASCII with optional surrounding whitespace and sign; no blank lines and
+    no digit separators.  numpy's C reader parses every row in one call, and
+    the event times in one more; only when it rejects the file does a
+    row-by-row loop re-read it, to name the first bad row and column."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty events file")
-        if header[: len(_FIXED_COLUMNS)] != _FIXED_COLUMNS:
-            raise ValueError(f"{path}: malformed header, expected leading columns "
-                             f"{_FIXED_COLUMNS}")
-        p, q, r = (sum(h.startswith(prefix) for h in header) for prefix in ("x_", "z_", "u_"))
-        expected_cols = len(_FIXED_COLUMNS) + p + q + r
-        if len(header) != expected_cols:
-            raise ValueError(f"{path}: unrecognized columns in header")
+        header = next(csv.reader(fh), None)
+        lines = fh.readlines()
+    if header is None:
+        raise ValueError(f"{path}: empty events file")
+    if header[: len(_FIXED_COLUMNS)] != _FIXED_COLUMNS:
+        raise ValueError(f"{path}: malformed header, expected leading columns "
+                         f"{_FIXED_COLUMNS}")
+    p, q, r = (sum(h.startswith(prefix) for h in header) for prefix in ("x_", "z_", "u_"))
+    if len(header) != len(_FIXED_COLUMNS) + p + q + r:
+        raise ValueError(f"{path}: unrecognized columns in header")
 
-        cluster, participant, followup, event, counts, times, covariates = ([] for _ in range(7))
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != expected_cols:
-                raise ValueError(f"{path}: row {line_no}: expected {expected_cols} columns, "
-                                 f"got {len(row)}")
-            try:
-                cluster.append(_int64(row[0]))
-                participant.append(_int64(row[1]))
-                followup.append(float(row[2]))
-                event.append(_int64(row[3]))
-                row_times = row[4].split(";") if row[4] else []
-                times.extend(map(float, row_times))
-                counts.append(len(row_times))
-                covariates.extend(map(float, row[5:]))
-            except ValueError:
-                raise _cell_error(path, line_no, header, row) from None
+    dtype = np.dtype([("cluster", "i8"), ("participant", "i8"), ("followup", "f8"),
+                      ("event", "i8"), ("times", "O"), ("covariates", "f8", (p + q + r,))])
+    try:
+        with warnings.catch_warnings():
+            # numpy < 2 reads "1.5" in an integer column as 1 with only a
+            # DeprecationWarning, and a body of blank lines as no rows with
+            # a UserWarning: both are errors here
+            warnings.simplefilter("error")
+            rows = (np.loadtxt(lines, dtype, delimiter=",", comments=None, quotechar='"',
+                               ndmin=1) if lines else np.empty(0, dtype))
+            if len(rows) != len(lines):  # the reader skips blank lines
+                raise ValueError(f"{len(rows)} rows in {len(lines)} lines")
+            cells = rows["times"].tolist()
+            joined = ";".join(filter(None, cells))
+            times = (np.loadtxt([joined], delimiter=";", comments=None, ndmin=1) if joined
+                     else np.empty(0))
+    except (ValueError, Warning) as err:
+        error = _row_error(path, header, lines)
+        if error is not None:
+            raise error from None
+        raise ValueError(f"{path}: numpy's reader rejects a cell that Python's int and float "
+                         f"accept, such as one with a digit separator (1_000) or non-ASCII "
+                         f"digits, or a quoted cell that spans lines (numpy.loadtxt, "
+                         f"whose rows count the data lines from 0: {err})") from err
 
-    cluster_ids, cluster_index = np.unique(np.array(cluster, dtype=np.int64), return_inverse=True)
-    covariates = np.array(covariates, dtype=float).reshape(len(followup), p + q + r)
+    counts = [cell.count(";") + 1 if cell else 0 for cell in cells]
+    cluster_ids, cluster_index = np.unique(rows["cluster"], return_inverse=True)
+    covariates = rows["covariates"]
     try:
         return Dataset(
-            cluster_index=cluster_index, participant_index=participant,
-            followup_time=followup, event_indicator=event, event_times=times,
+            cluster_index=cluster_index, participant_index=rows["participant"],
+            followup_time=rows["followup"], event_indicator=rows["event"], event_times=times,
             event_offsets=np.concatenate(([0], np.cumsum(counts, dtype=np.int64))),
-            covariates_x=np.ascontiguousarray(covariates[:, :p]),
-            covariates_z=np.ascontiguousarray(covariates[:, p:p + q]),
-            covariates_u=np.ascontiguousarray(covariates[:, p + q:]),
-            num_clusters=cluster_ids.size)
+            covariates_x=covariates[:, :p], covariates_z=covariates[:, p:p + q],
+            covariates_u=covariates[:, p + q:], num_clusters=cluster_ids.size)
     except RecordError as err:
         col = _FIELD_COLUMN[err.field]
         raise ValueError(f"{path}: row {err.position + 2}, column {col + 1} ({header[col]}): "

@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -15,11 +17,51 @@ from recurjoint.io import (
     write_chain_trace,
     write_dataset,
 )
-from recurjoint.model import BASELINE_VARIANTS, VARIANTS, Hyperparams
+from recurjoint.model import BASELINE_VARIANTS, VARIANTS, Dataset, Hyperparams
 from recurjoint.sampler import ChainTrace, McmcConfig, run_chain
 from recurjoint.simulate import simulate_dataset
 from recurjoint.study import build_summary, fit_manifest, run_replicate_study
 from conftest import make_dataset, make_record
+
+_HEADER = "cluster_id,participant_id,followup_time,event_indicator,event_times"
+_COLUMNS = ("cluster_index", "participant_index", "followup_time", "event_indicator",
+            "event_times", "event_offsets", "covariates_x", "covariates_z", "covariates_u")
+
+
+def _row_loop_load(path):
+    """An events file read one cell at a time through ``csv.reader`` and
+    Python's ``int`` and ``float``: the reference the loader matches bit for
+    bit on well-formed files."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        p, q = (sum(h.startswith(prefix) for h in header) for prefix in ("x_", "z_"))
+        cluster, participant, followup, event, counts, times, covariates = ([] for _ in range(7))
+        for row in reader:
+            cluster.append(int(row[0]))
+            participant.append(int(row[1]))
+            followup.append(float(row[2]))
+            event.append(int(row[3]))
+            row_times = row[4].split(";") if row[4] else []
+            times.extend(map(float, row_times))
+            counts.append(len(row_times))
+            covariates.extend(map(float, row[5:]))
+    cluster_ids, cluster_index = np.unique(np.array(cluster, dtype=np.int64), return_inverse=True)
+    covariates = np.array(covariates, dtype=float).reshape(len(followup), len(header) - 5)
+    return Dataset(
+        cluster_index=cluster_index, participant_index=participant, followup_time=followup,
+        event_indicator=event, event_times=times,
+        event_offsets=np.concatenate(([0], np.cumsum(counts, dtype=np.int64))),
+        covariates_x=covariates[:, :p], covariates_z=covariates[:, p:p + q],
+        covariates_u=covariates[:, p + q:], num_clusters=cluster_ids.size)
+
+
+def assert_loads_like_row_loop(path):
+    loaded, reference = load_dataset(path), _row_loop_load(path)
+    assert loaded.num_clusters == reference.num_clusters
+    for name in _COLUMNS:
+        a, b = getattr(loaded, name), getattr(reference, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
 
 
 class TestEventsFile:
@@ -64,6 +106,45 @@ class TestEventsFile:
         write_dataset(loaded, tmp_path / "back.csv")
         assert load_dataset(tmp_path / "back.csv").event_times.tolist() == [0.5, 1.25]
 
+    def test_matches_row_loop_on_simulated_header_only_and_bare_files(self, tmp_path):
+        path = tmp_path / "e.csv"
+        write_dataset(simulate_dataset(20000, 500, seed=801)[0], path)
+        assert_loads_like_row_loop(path)
+        for text in (_HEADER + "\n", _HEADER + ",x_1,z_1,u_1,u_2", _HEADER + "\n5,0,1.5,1,\n"
+                     "5,1,2,0,0.5;1.25\n7,0,0.75,0,\n"):
+            path.write_text(text)
+            assert_loads_like_row_loop(path)
+        assert len(load_dataset(path)) == 3
+
+    @pytest.mark.parametrize("text", [
+        _HEADER + ',x_1\n"5","0","1.5","1","0.5;1.25","-2"\n"6",0,2,0,"",3\n',
+        _HEADER + "\r\n5,0,1.5,1,0.5\r\n6,0,2,0,\r\n",
+        _HEADER + "\r5,0,1.5,1,0.5\r6,0,2,0,",
+        _HEADER + ",z_1\n 5 , 0 , 1.5 ,\t1 , 0.5 ; 1.0 , 3 \n",
+        _HEADER + ",u_1\n+3,+0,+1.5,+1,+0.5,+2e-3\n",
+        _HEADER + ",x_1\n-9223372036854775808,9223372036854775807,1,0,,-inf\n"
+                  "9223372036854775807,-9223372036854775808,1,0,,nan\n",
+    ], ids=["quoted", "crlf", "cr", "spaces", "plus", "int64 limits"])
+    def test_accepted_spellings_match_row_loop(self, tmp_path, text):
+        path = tmp_path / "e.csv"
+        path.write_text(text, newline="")
+        assert_loads_like_row_loop(path)
+
+    @pytest.mark.parametrize("rows, match", [
+        ("0,9223372036854775808,1.0,0,\n",
+         r"row 2, column 2 \(participant_id\): not a 64-bit integer: '9223372036854775808'"),
+        ("0,0,1.0,0,\n\n0,1,1.0,0,\n", r"row 3: expected 5 columns, got 0"),
+        ("\n", r"row 2: expected 5 columns, got 0"),
+        ("0,0,1.0,0,\n0,1_000,1.0,0,\n", r"e\.csv: numpy's reader rejects a cell"),
+    ], ids=["2^63", "blank line", "blank body", "digit separator"])
+    def test_rejected_spellings_are_named(self, tmp_path, rows, match):
+        path = tmp_path / "e.csv"
+        path.write_text(_HEADER + "\n" + rows)
+        with warnings.catch_warnings(record=True) as caught, pytest.raises(ValueError, match=match):
+            warnings.simplefilter("always")
+            load_dataset(path)
+        assert not caught, [str(w.message) for w in caught]
+
     @pytest.mark.parametrize("rows, match", [
         ("a,0,1.0,0,\n", r"row 2, column 1 \(cluster_id\): not a 64-bit integer: 'a'"),
         ("0,0,1.0,0,\n0,1.5,1.0,0,\n", r"row 3, column 2 \(participant_id\): not a 64-bit"),
@@ -73,6 +154,9 @@ class TestEventsFile:
         ("0,9,1.0,0,0.5\n0,1,1.0,0,0.25;nan\n",
          r"row 3, column 5 \(event_times\): times must be finite"),
         ("0,0,1.0,0,0.5;x\n", r"row 2, column 5 \(event_times\): not a number: 'x'"),
+        pytest.param("".join(f"0,{i},1.0,0,0.5\n" for i in range(4998)) + "0,4998,1.0,0,0.5;x\n",
+                     r"row 5000, column 5 \(event_times\): not a number: 'x'",
+                     id="row 5000 of a large file"),
     ])
     def test_bad_cell_names_row_and_column(self, tmp_path, rows, match):
         path = tmp_path / "e.csv"

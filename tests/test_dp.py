@@ -45,12 +45,10 @@ class TestStickToWeights:
             expected = np.append(sticks, 1.0) * np.concatenate(([1.0], np.cumprod(1.0 - sticks)))
             assert stick_to_weights(sticks, k).tobytes() == expected.tobytes()
 
-    def test_nan_sticks_pass_validation(self):
-        # the range check compares elementwise, and NaN fails no comparison
-        w = stick_to_weights(np.array([np.nan, 0.5]), 3)
-        assert np.isnan(w).all()
-        with pytest.raises(ValueError, match="inside"):
-            stick_to_weights(np.array([np.nan, 1.0]), 3)
+    def test_nan_sticks_rejected(self):
+        for sticks in ([np.nan, 0.5], [0.5, np.nan], [np.nan, 1.0]):
+            with pytest.raises(ValueError, match="inside"):
+                stick_to_weights(np.array(sticks), 3)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="inside"):
