@@ -39,10 +39,10 @@ def _apply_overrides(config: McmcConfig, args) -> McmcConfig:
 
 
 def cmd_simulate(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     dataset, truth = simulate_dataset(args.n, args.j, args.baseline or "piecewise",
                                       seed=args.seed or 0)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     write_dataset(dataset, out / "events.csv")
     write_truth(truth, out / "truth.json")
     print(f"wrote {len(dataset)} records in {dataset.num_clusters} clusters to {out}")

@@ -9,6 +9,13 @@ frailty, a cluster effect from a five-component normal mixture, a shape
 parameter uniform over a four-value set, and a latent unsusceptibility
 indicator from the logistic model.  Censoring flips a fair coin and, when
 censored, truncates the survival time uniformly.
+
+Recurrent events follow a Poisson process with intensity
+``r_i * lambda0(t)`` on the follow-up window ``(0, T_i]``, where ``r_i`` is
+the frailty times the exponentiated recurrent predictor and cluster effect,
+and 0 for an unsusceptible participant.  All records are drawn at once: a
+Poisson(``r_i * Lambda0(T_i)``) count each, then the order statistics of iid
+draws with density ``lambda0 / Lambda0(T_i)`` on ``(0, T_i]``.
 """
 
 from __future__ import annotations
@@ -24,11 +31,12 @@ from .model import (
     Dataset,
     PiecewiseConstantHazard,
     PowerLawHazard,
-    cumulative_baseline_hazard,
+    piecewise_durations,
 )
 
 __all__ = [
     "SimTruth",
+    "check_design",
     "sample_piecewise_nhpp",
     "sample_terminal_times",
     "simulate_dataset",
@@ -88,43 +96,77 @@ class SimTruth:
 # Point-process and survival-time generators
 # ---------------------------------------------------------------------------
 
-def _inverse_cumulative(a: float, baseline: BaselineHazard) -> float:
+def _cumulative(t: np.ndarray, baseline: BaselineHazard) -> np.ndarray:
+    """Cumulative baseline hazard at each of the times ``t``: the array form
+    of :func:`recurjoint.model.cumulative_baseline_hazard`."""
+    if isinstance(baseline, PowerLawHazard):
+        return t ** baseline.shape
+    return piecewise_durations(t, baseline) @ baseline.levels
+
+
+def _inverse_cumulative(a: np.ndarray, baseline: BaselineHazard) -> np.ndarray:
+    """The times at which the cumulative baseline hazard reaches each of
+    ``a``; past the last grid point the last level extends."""
     if isinstance(baseline, PowerLawHazard):
         return a ** (1.0 / baseline.shape)
     grid, levels = baseline.grid, baseline.levels
-    knots = np.cumsum(levels * np.diff(grid))
-    i = int(np.searchsorted(knots, a, side="left"))
-    if i >= knots.size:
-        return float(grid[-1]) + (a - float(knots[-1])) / float(levels[-1])
-    lower = 0.0 if i == 0 else float(knots[i - 1])
-    return float(grid[i]) + (a - lower) / float(levels[i])
+    knots = np.concatenate(([0.0], np.cumsum(levels * np.diff(grid))))
+    i = np.clip(np.searchsorted(knots, a, side="left") - 1, 0, levels.size - 1)
+    return grid[i] + (a - knots[i]) / levels[i]
+
+
+def _sample_events(rates: np.ndarray, baseline: BaselineHazard, horizons: np.ndarray,
+                   rng: np.random.Generator, per_cluster: int = 1) -> tuple:
+    """Event times of independent Poisson processes, one per record, with
+    intensity ``rates[i] * lambda0(t)`` on ``(0, horizons[i]]``.
+
+    Record i's count is Poisson(``rates[i] * Lambda0(horizons[i])``); given
+    the counts, its times are the order statistics of iid draws with density
+    ``lambda0 / Lambda0(horizons[i])``, made by inverting the cumulative
+    baseline at ``U * Lambda0(horizons[i])`` for sorted uniforms U on (0, 1].
+    A time that rounds past the horizon is set to it, and a time equal to
+    the one before it in its record is dropped.  Records are laid out
+    ``per_cluster`` to a cluster, which only names a record in the error for
+    an expected count too large to sample.  Returns ``(times, counts)``, the
+    times record by record, rising within each.
+    """
+    hazard = _cumulative(horizons, baseline)
+    budget = rates * hazard
+    bad = np.flatnonzero(~(budget < 1e7))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"record {i} (participant {i % per_cluster} in cluster "
+                         f"{i // per_cluster}): expected event count {budget[i]:.3g} "
+                         f"is too large to sample")
+    counts = rng.poisson(budget)
+    owner = np.repeat(np.arange(rates.size), counts)
+    u = 1.0 - rng.random(owner.size)
+    # sorted within each record; the exact two-key sort, since a float key
+    # such as owner + u loses the low bits of u at large owner values
+    u = u[np.lexsort((u, owner))]
+    times = np.minimum(_inverse_cumulative(u * hazard[owner], baseline), horizons[owner])
+    keep = np.ones(times.size, dtype=bool)
+    keep[1:] = (times[1:] > times[:-1]) | (owner[1:] != owner[:-1])
+    if not keep.all():
+        times = times[keep]
+        counts = np.bincount(owner[keep], minlength=rates.size)
+    return times, counts
 
 
 def sample_piecewise_nhpp(rate_multiplier: float, baseline: BaselineHazard,
                           horizon: float, rng: np.random.Generator) -> np.ndarray:
-    """Exact inversion sampler for a Poisson process with intensity
-    ``rate_multiplier * lambda0(t)`` on ``(0, horizon]``.
-
-    Unit-rate exponential gaps in transformed time are mapped back through
-    the closed-form inverse of the cumulative baseline, so time-rescaled
-    gaps of the output are exactly Exp(1).
+    """Event times of a Poisson process with intensity
+    ``rate_multiplier * lambda0(t)`` on ``(0, horizon]``: a Poisson count,
+    then the order statistics of iid draws with density
+    ``lambda0 / Lambda0(horizon)``, each by closed-form inversion of the
+    cumulative baseline.  The one-record case of the simulator's sampler.
     """
     if horizon <= 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
     if rate_multiplier <= 0.0:
         return np.empty(0)
-    budget = rate_multiplier * cumulative_baseline_hazard(horizon, baseline)
-    if not budget < 1e7:
-        raise ValueError(f"expected event count {budget:.3g} is too large to sample")
-    times = []
-    total = rng.exponential()
-    while total <= budget:
-        times.append(_inverse_cumulative(total / rate_multiplier, baseline))
-        total += rng.exponential()
-    out = np.minimum(np.asarray(times), horizon)
-    if out.size > 1:
-        out = out[np.concatenate(([True], np.diff(out) > 0))]
-    return out
+    return _sample_events(np.array([float(rate_multiplier)]), baseline,
+                          np.array([float(horizon)]), rng)[0]
 
 
 def sample_terminal_times(location: np.ndarray, kappa: np.ndarray,
@@ -141,6 +183,17 @@ def sample_terminal_times(location: np.ndarray, kappa: np.ndarray,
 # Full study generator
 # ---------------------------------------------------------------------------
 
+def check_design(n: int, j: int) -> None:
+    """Reject a design of ``n`` participants in ``j`` clusters that
+    :func:`simulate_dataset` cannot make, naming ``n`` or ``j``."""
+    if n < 1:
+        raise ValueError(f"n (participants) must be at least 1, got {n}")
+    if j < 1:
+        raise ValueError(f"j (clusters) must be at least 1, got {j}")
+    if n % j:
+        raise ValueError(f"n ({n} participants) must divide evenly into j ({j} clusters)")
+
+
 def simulate_dataset(n: int, j: int, baseline_variant: str = "piecewise",
                      seed: int = 0) -> tuple:
     """Generate one clustered dataset of ``n`` participants in ``j``
@@ -148,11 +201,13 @@ def simulate_dataset(n: int, j: int, baseline_variant: str = "piecewise",
 
     The piecewise generator places the published level values on quintile
     grids of the realized follow-up times; the power-law generator uses
-    shape 1.5.  Unsusceptible participants keep their terminal time but
-    have their recurrent events removed.
+    shape 1.5.  Unsusceptible participants keep their terminal time and get
+    recurrent-event rate 0, so no events.  Each susceptible participant's
+    events are a Poisson(``r_i * Lambda0(T_i)``) count, then the order
+    statistics of iid draws with density ``lambda0 / Lambda0(T_i)`` on the
+    follow-up window ``(0, T_i]``, all participants in one pass.
     """
-    if n % j:
-        raise ValueError(f"participants ({n}) must divide evenly into clusters ({j})")
+    check_design(n, j)
     if baseline_variant not in BASELINE_VARIANTS:
         raise ValueError(f"unknown baseline_variant {baseline_variant!r}")
     rng = np.random.default_rng(seed)
@@ -187,16 +242,12 @@ def simulate_dataset(n: int, j: int, baseline_variant: str = "piecewise",
     else:
         baseline = PowerLawHazard(POWERLAW_SHAPE)
 
-    rate = gamma * np.exp(x @ TRUE_BETA + mu)
-    counts = np.zeros(n, dtype=np.int64)
-    times = [np.empty(0)]
-    for i in np.flatnonzero(unsusceptible == 0):
-        times.append(sample_piecewise_nhpp(float(rate[i]), baseline, float(followup[i]), rng))
-        counts[i] = times[-1].size
+    rate = np.where(unsusceptible == 0, gamma * np.exp(x @ TRUE_BETA + mu), 0.0)
+    event_times, counts = _sample_events(rate, baseline, followup, rng, per_cluster)
 
     dataset = Dataset(cluster_index=cluster_of, participant_index=np.arange(n) % per_cluster,
                       followup_time=followup, event_indicator=observed_event,
-                      event_times=np.concatenate(times),
+                      event_times=event_times,
                       event_offsets=np.concatenate(([0], np.cumsum(counts))),
                       covariates_x=x, covariates_z=z, covariates_u=u_cov, num_clusters=j)
     truth = SimTruth(

@@ -149,6 +149,7 @@ def _resolve_study(study: dict) -> dict:
         "hyper": dict(study.get("hyper", {})),
         "scales": dict(study.get("scales", {})),
     }
+    sim.check_design(resolved["n"], resolved["j"])
     resolved["mcmc"].setdefault("iterations", 10_000)
     resolved["mcmc"].setdefault("burn_in", 5_000)
     return resolved

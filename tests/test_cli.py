@@ -479,6 +479,38 @@ class TestCliCommands:
             assert "in _study_task" in failure["traceback"]
         assert report["variants"]["BMZ"]["failures"] == 1
 
+    @pytest.mark.parametrize("n,j,message", [
+        (40, 0, "j (clusters) must be at least 1, got 0"),
+        (0, 4, "n (participants) must be at least 1, got 0"),
+        (-6, 2, "n (participants) must be at least 1, got -6"),
+        (10, 3, "n (10 participants) must divide evenly into j (3 clusters)"),
+    ])
+    def test_simulate_names_a_bad_size(self, tmp_path, capsys, n, j, message):
+        assert main(["simulate", "--out", str(tmp_path / "sim"), "--n", str(n),
+                     "--j", str(j)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "sim").exists()
+
+    @pytest.mark.parametrize("n,j,message", [
+        (20, 0, "j (clusters) must be at least 1, got 0"),
+        (0, 2, "n (participants) must be at least 1, got 0"),
+        (-6, 2, "n (participants) must be at least 1, got -6"),
+    ])
+    def test_replicate_study_rejects_a_bad_size_before_any_cell(self, tmp_path, capsys,
+                                                                monkeypatch, n, j, message):
+        # the config is refused once, not recorded as a failure per cell
+        import recurjoint.study as study_module
+
+        monkeypatch.setattr(study_module, "_study_task",
+                            lambda task: pytest.fail("a study cell ran"))
+        config = tmp_path / "study.json"
+        config.write_text(json.dumps({"n": n, "j": j, "replicates": 2,
+                                      "variants": ["BMZ-DP", "BMZ"]}))
+        assert main(["replicate-study", "--config", str(config),
+                     "--out", str(tmp_path / "study")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "study").exists()
+
     def test_error_exit_code(self, tmp_path, capsys):
         assert main(["fit", "--data", str(tmp_path / "missing.csv"),
                      "--out", str(tmp_path / "x")]) == 1

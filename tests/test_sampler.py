@@ -209,12 +209,14 @@ class TestMuBlock:
         assert np.mean(first_sticks) == pytest.approx(5 / 6, abs=0.01)
 
     def test_two_cluster_recovery(self, rng):
-        # synthetic two-cluster data generated directly at mu = (+0.4, -0.4)
+        # synthetic two-cluster data generated directly at mu = (+0.4, -0.4);
+        # 240 records per cluster: with 30, a third of the data seeds missed
+        # the tolerance, so the test judged the draw rather than the sampler
         import recurjoint.simulate as sim
 
         true_mu = np.array([0.4, -0.4])
         gen = np.random.default_rng(21)
-        n_per, kappa = 30, 2.2
+        n_per, kappa = 240, 2.2
         base = PiecewiseConstantHazard(np.array([0.0, 2.0]), np.array([2.0]))
         records, gammas = [], []
         for c in range(2):
@@ -286,7 +288,11 @@ class TestKappaBlock:
         assert np.all(eng.v == 0)
 
     def test_recovery_of_discrete_shape_set(self, rng):
-        dataset, truth = simulate_dataset(600, 20, seed=31)
+        # a true shape is recovered when one of the four most occupied atoms
+        # lies within 25% of it in at least half of the snapshots taken over
+        # the second half of the run; one snapshot, or N = 600, judged where
+        # the chain happened to be rather than what it recovers
+        dataset, truth = simulate_dataset(1200, 20, seed=31)
         eng = SamplerEngine(dataset, Hyperparams(), variant="BMZ-DP")
         st = truth_state(dataset, truth)
         eng.load_state(st)
@@ -294,15 +300,18 @@ class TestKappaBlock:
         eng.theta = np.maximum(rng.gamma(1.0, 1.0, eng.level_kappa), 1e-6)
         eng.v = rng.integers(0, eng.level_kappa, eng.n)
         eng.refresh_caches()
+        hits = np.zeros(KAPPA_VALUES.size)
+        snapshots = 0
         for i in range(3000):
             eng.update_kappa_block(rng)
             if (i + 1) % 50 == 0 and i < 1500:
                 eng.adapt_all()
-        counts = np.bincount(eng.v, minlength=eng.level_kappa)
-        top = eng.theta[np.argsort(-counts)[:4]]
-        matched = {float(t) for t in KAPPA_VALUES
-                   for atom in top if abs(atom - t) <= 0.25 * t}
-        assert len(matched) >= 2
+            if (i + 1) % 50 == 0 and i >= 1500:
+                counts = np.bincount(eng.v, minlength=eng.level_kappa)
+                top = eng.theta[np.argsort(-counts)[:4]]
+                hits += np.any(np.abs(top[:, None] - KAPPA_VALUES) <= 0.25 * KAPPA_VALUES, axis=0)
+                snapshots += 1
+        assert np.sum(hits >= snapshots / 2) >= 2
 
     def test_no_deaths_reverts_to_base(self, rng):
         records = tuple(make_record(followup=1e-6, delta=0, participant=i) for i in range(8))

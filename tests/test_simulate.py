@@ -62,6 +62,130 @@ class TestNhppSampler:
             sample_piecewise_nhpp(1e6, PowerLawHazard(3.0), 1e3, rng)
 
 
+PIECEWISE = PiecewiseConstantHazard(np.array([0.0, 0.4, 0.9, 1.3, 1.9, 2.5]),
+                                    np.array([2.0, 2.3, 2.1, 2.4, 1.7]))
+BASELINES = [PIECEWISE, PowerLawHazard(1.5)]
+
+
+class _FixedDraws:
+    """Stands in for a generator: the given Poisson counts and uniforms."""
+
+    def __init__(self, counts, uniforms):
+        self.counts, self.uniforms = np.asarray(counts), np.asarray(uniforms, dtype=float)
+
+    def poisson(self, lam):
+        return self.counts.copy()
+
+    def random(self, size):
+        assert size == self.uniforms.size
+        return self.uniforms.copy()
+
+
+class TestEventSampler:
+    """``simulate._sample_events``: every record's events in one call."""
+
+    @staticmethod
+    def spread_records(rng, n=10_000):
+        # rates over 3 decades, horizons over 3 decades: before, inside and
+        # past the piecewise grid (last knot 2.5)
+        rates = 10.0 ** rng.uniform(-2.0, 1.0, n)
+        horizons = 10.0 ** rng.uniform(-1.3, 1.7, n)
+        return rates, horizons
+
+    @pytest.mark.parametrize("baseline", BASELINES, ids=["piecewise", "powerlaw"])
+    def test_counts_are_poisson(self, baseline, rng):
+        rates, horizons = self.spread_records(rng)
+        times, counts = sim._sample_events(rates, baseline, horizons, rng)
+        assert counts.shape == rates.shape and counts.sum() == times.size
+        mean = rates * np.array([cumulative_baseline_hazard(t, baseline) for t in horizons])
+        # randomized probability integral transform: exactly U(0, 1) for
+        # Poisson(mean) counts, whatever the means
+        pit = stats.poisson.cdf(counts - 1, mean) + rng.random(counts.size) * stats.poisson.pmf(
+            counts, mean)
+        assert stats.kstest(pit, "uniform").pvalue > 1e-3
+        # index of dispersion over the records that expect an event or more
+        big = mean >= 1
+        dispersion = np.sum((counts[big] - mean[big]) ** 2 / mean[big])
+        sd = math.sqrt(2 * big.sum() + np.sum(1 / mean[big]))
+        assert abs(dispersion - big.sum()) < 4 * sd
+        assert abs(counts.sum() - mean.sum()) < 4 * math.sqrt(mean.sum())
+
+    @pytest.mark.parametrize("baseline", BASELINES, ids=["piecewise", "powerlaw"])
+    def test_rescaled_times_are_uniform(self, baseline, rng):
+        # given its count, a record's Lambda0(t) / Lambda0(T) are iid U(0, 1)
+        rates, horizons = self.spread_records(rng)
+        times, counts = sim._sample_events(rates, baseline, horizons, rng)
+        owner = np.repeat(np.arange(rates.size), counts)
+        ratio = sim._cumulative(times, baseline) / sim._cumulative(horizons, baseline)[owner]
+        assert times.size > 50_000
+        assert stats.kstest(ratio, "uniform").pvalue > 1e-3
+
+    @pytest.mark.parametrize("baseline", BASELINES, ids=["piecewise", "powerlaw"])
+    def test_times_rise_within_each_record_and_lie_in_the_window(self, baseline, rng):
+        rates, horizons = self.spread_records(rng, 2000)
+        times, counts = sim._sample_events(rates, baseline, horizons, rng)
+        owner = np.repeat(np.arange(rates.size), counts)
+        same = owner[1:] == owner[:-1]
+        assert np.all(np.diff(times)[same] > 0)
+        assert np.all(times > 0) and np.all(times <= horizons[owner])
+
+    @pytest.mark.parametrize("baseline", BASELINES, ids=["piecewise", "powerlaw"])
+    def test_tie_at_the_horizon_is_removed_with_its_count(self, baseline):
+        # uniforms of 1 put two events of record 0 at its horizon, which the
+        # inversion rounds past, and record 1 draws the same uniform twice;
+        # each keeps one of the tied times
+        candidates = 10.0 ** np.linspace(-2.0, 2.0, 1001)
+        overshoot = sim._inverse_cumulative(sim._cumulative(candidates, baseline), baseline)
+        assert np.any(overshoot > candidates)
+        horizon = candidates[np.argmax(overshoot > candidates)]
+        horizons = np.array([horizon, 3.1, 0.8])
+        draws = _FixedDraws([3, 2, 1], [0.5, 0.0, 0.0, 0.3, 0.3, 0.25])
+        times, counts = sim._sample_events(np.ones(3), baseline, horizons, draws)
+        np.testing.assert_array_equal(counts, [2, 1, 1])
+        assert times.size == 4
+        assert times[0] < times[1] == horizon
+
+    def test_order_within_a_record_is_exact_far_down_the_records(self):
+        # two uniforms 1e-11 apart in the record at index 2**20, where a
+        # float key such as owner + u cannot tell them apart
+        n = 2**20 + 1
+        counts = np.zeros(n, dtype=np.int64)
+        counts[-1] = 2
+        draws = _FixedDraws(counts, [0.3, 0.3 + 1e-11])
+        times, got = sim._sample_events(np.ones(n), PowerLawHazard(1.5), np.ones(n), draws)
+        assert got[-1] == 2 and times[0] < times[1]
+
+    def test_zero_rate_records_get_no_events(self, rng):
+        rates = np.tile([0.0, 50.0], 500)
+        times, counts = sim._sample_events(rates, PIECEWISE, np.full(1000, 3.0), rng)
+        assert np.all(counts[::2] == 0) and np.all(counts[1::2] > 0)
+        assert times.size == counts.sum()
+
+    @pytest.mark.parametrize("baseline", BASELINES, ids=["piecewise", "powerlaw"])
+    def test_array_cumulative_and_inverse_match_the_scalar_form(self, baseline, rng):
+        grid = PIECEWISE.grid
+        t = np.concatenate([grid[1:], 10.0 ** rng.uniform(-4.0, 3.0, 2000),
+                            rng.uniform(0.0, 2.5, 500)])
+        scalar = np.array([cumulative_baseline_hazard(v, baseline) for v in t])
+        np.testing.assert_allclose(sim._cumulative(t, baseline), scalar, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(sim._inverse_cumulative(scalar, baseline), t,
+                                   rtol=1e-12, atol=0)
+
+    def test_budget_guard_names_the_record_before_any_draw(self, rng):
+        before = copy.deepcopy(rng.bit_generator.state)
+        rates = np.array([1.0, 1.0, 1.0, np.nan, 1e9])
+        with pytest.raises(ValueError, match=r"^record 3 \(participant 1 in cluster 1\): "
+                                             r"expected event count nan is too large"):
+            sim._sample_events(rates, PowerLawHazard(1.5), np.full(5, 2.0), rng, per_cluster=2)
+        assert rng.bit_generator.state == before
+
+    def test_simulate_dataset_names_the_record_past_the_budget(self, monkeypatch):
+        monkeypatch.setattr(sim, "POWERLAW_SHAPE", 60.0)
+        with pytest.raises(ValueError, match=r"record \d+ \(participant \d+ in cluster \d+\): "
+                                             r"expected event count .* is too large to sample"):
+            simulate_dataset(600, 20, "powerlaw", seed=4)
+
+
 class TestTerminalGenerator:
     def test_unit_exponential(self, rng):
         draws = sample_terminal_times(np.zeros(1_000_000), np.ones(1_000_000), rng)
