@@ -27,7 +27,6 @@ from .sampler import (
     ProposalScales,
     SamplerEngine,
     adapt_scale,
-    mh_step,
     run_chain,
 )
 from .simulate import SimTruth, sample_piecewise_nhpp, sample_terminal_times, simulate_dataset
@@ -37,8 +36,7 @@ __all__ = [
     "posterior_stick_update", "stick_to_weights", "update_concentration",
     "BaselineHazard", "Dataset", "Hyperparams", "ParamState", "ParticipantRecord",
     "PiecewiseConstantHazard", "PowerLawHazard", "TruncatedDP", "cumulative_baseline_hazard",
-    "ChainTrace", "McmcConfig", "ProposalScales", "SamplerEngine", "adapt_scale", "mh_step",
-    "run_chain",
+    "ChainTrace", "McmcConfig", "ProposalScales", "SamplerEngine", "adapt_scale", "run_chain",
     "SimTruth", "sample_piecewise_nhpp", "sample_terminal_times", "simulate_dataset",
 ]
 

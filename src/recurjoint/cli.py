@@ -50,12 +50,13 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    dataset = load_dataset(args.data)
+    # the config first: a bad key is refused before the data are read
     if args.config:
         config, hyper, scales = load_config(args.config)
     else:
         config, hyper, scales = parse_config({})
     config = _apply_overrides(config, args)
+    dataset = load_dataset(args.data)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

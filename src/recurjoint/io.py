@@ -28,6 +28,7 @@ from __future__ import annotations
 import csv
 import json
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +42,8 @@ __all__ = [
     "load_dataset",
     "write_truth",
     "truth_to_dict",
+    "check_config_keys",
+    "config_objects",
     "parse_config",
     "load_config",
     "config_to_dict",
@@ -222,33 +225,44 @@ def write_truth(truth: SimTruth, path) -> None:
 # Config documents
 # ---------------------------------------------------------------------------
 
+# the keys of a fit config's model and mcmc sections; its hyper and scales
+# sections take the fields of Hyperparams and ProposalScales
+_MODEL_KEYS = ("variant", "baseline_variant", "likelihood_mode", "grid", "fixed_p")
+_MCMC_KEYS = ("iterations", "burn_in", "thin", "chains", "seed", "adapt_window")
+
+
+def check_config_keys(doc: dict, known, where: str) -> None:
+    """Raise ValueError naming the first key of ``doc``, found in ``where``,
+    that is not in ``known``."""
+    for key in doc:
+        if key not in known:
+            raise ValueError(f"unknown key {key!r} in {where}; known keys: "
+                             f"{', '.join(sorted(known))}")
+
+
+def config_objects(hyper: dict, scales: dict, where: str) -> tuple:
+    """Hyperparams and ProposalScales from the hyper and scales sections of
+    the config ``where``, whose keys are checked first."""
+    for doc, cls, section in ((hyper, Hyperparams, "hyper"), (scales, ProposalScales, "scales")):
+        check_config_keys(doc, [f.name for f in fields(cls)], f"{where}'s {section} section")
+    return Hyperparams(**hyper), ProposalScales(**scales)
+
+
 def parse_config(doc: dict) -> tuple:
     """Build (McmcConfig, Hyperparams, ProposalScales) from a config
     document with ``model``, ``hyper``, ``mcmc`` and optional ``scales``
-    sections."""
-    model = dict(doc.get("model", {}))
-    hyper_doc = dict(doc.get("hyper", {}))
-    mcmc = dict(doc.get("mcmc", {}))
-    scales_doc = dict(doc.get("scales", {}))
-
+    sections; what a document leaves out takes the classes' defaults.  An
+    unknown section or key raises ValueError naming it."""
+    check_config_keys(doc, ("model", "hyper", "mcmc", "scales"), "the config")
+    model, hyper, mcmc = (dict(doc.get(name, {})) for name in ("model", "hyper", "mcmc"))
+    check_config_keys(model, _MODEL_KEYS, "the config's model section")
+    check_config_keys(mcmc, _MCMC_KEYS, "the config's mcmc section")
     if "fixed_p" in model:
-        hyper_doc.setdefault("fixed_p", model.pop("fixed_p"))
+        hyper.setdefault("fixed_p", model.pop("fixed_p"))
     grid = model.pop("grid", None)
-    config = McmcConfig(
-        iterations=int(mcmc.get("iterations", 10_000)),
-        burn_in=int(mcmc.get("burn_in", 5_000)),
-        thin=int(mcmc.get("thin", 1)),
-        chains=int(mcmc.get("chains", 1)),
-        seed=int(mcmc.get("seed", 0)),
-        variant=model.get("variant", "BMZ-DP"),
-        baseline_variant=model.get("baseline_variant", "piecewise"),
-        likelihood_mode=model.get("likelihood_mode", "corrected"),
-        adapt_window=int(mcmc.get("adapt_window", 50)),
-        grid=None if grid is None else tuple(float(v) for v in grid),
-    )
-    hyper = Hyperparams(**hyper_doc)
-    scales = ProposalScales(**scales_doc)
-    return config, hyper, scales
+    config = McmcConfig(**{key: int(value) for key, value in mcmc.items()}, **model,
+                        grid=None if grid is None else tuple(float(v) for v in grid))
+    return (config, *config_objects(hyper, dict(doc.get("scales", {})), "the config"))
 
 
 def load_config(path) -> tuple:

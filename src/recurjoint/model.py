@@ -371,22 +371,23 @@ class Hyperparams:
 # Baseline hazard
 # ---------------------------------------------------------------------------
 
-def cumulative_baseline_hazard(t: float, baseline: BaselineHazard) -> float:
-    """Closed-form integral of the baseline hazard over ``(0, t]``.
+def cumulative_baseline_hazard(t, baseline: BaselineHazard):
+    """Closed-form integral of the baseline hazard over ``(0, t]``, at each
+    of the times ``t``: a float for a scalar ``t``, else an array of its shape.
 
     For the piecewise variant, times beyond the last grid point extend the
-    final level.  Monotone nondecreasing in t with value 0 at t = 0.
+    final level.  Monotone nondecreasing in t with value 0 at t = 0; a
+    negative time raises ValueError.
     """
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    times = np.asarray(t, dtype=float)
+    if (times < 0).any():
+        raise ValueError(f"time must be nonnegative, got {times[times < 0].flat[0]}")
     if isinstance(baseline, PowerLawHazard):
-        return float(t) ** baseline.shape
-    grid, levels = baseline.grid, baseline.levels
-    overlap = np.clip(np.minimum(t, grid[1:]) - grid[:-1], 0.0, None)
-    total = float(overlap @ levels)
-    if t > grid[-1]:
-        total += (t - float(grid[-1])) * float(levels[-1])
-    return total
+        total = times ** baseline.shape
+    else:
+        total = (piecewise_durations(times.ravel(), baseline) @ baseline.levels).reshape(
+            times.shape)
+    return float(total) if total.ndim == 0 else total
 
 
 def piecewise_durations(followups: np.ndarray, baseline: PiecewiseConstantHazard) -> np.ndarray:

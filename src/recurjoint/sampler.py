@@ -12,11 +12,13 @@ concentration, atoms); xi1; xi2; zeta; coefficient prior variances.
 
 A single chain is strictly sequential.  Blocks whose coordinates are
 conditionally independent given the rest of the state (frailties, mixture
-atoms, baseline levels) are updated as simultaneous ensembles of
-random-walk Metropolis moves, which leaves the invariant distribution
-unchanged while keeping the per-sweep cost a handful of vectorized passes.
-The scalar-decision blocks (beta, alpha, alpha0, xi1, xi2, zeta) share one
-accept-and-record step, :meth:`SamplerEngine._step`, and every block that
+atoms) are updated as simultaneous ensembles of random-walk Metropolis
+moves, which leaves the invariant distribution unchanged while keeping the
+per-sweep cost a handful of vectorized passes.  The piecewise baseline
+levels are drawn exactly from their Gamma full conditionals.  The
+scalar-decision blocks (beta, alpha, alpha0, xi1, xi2, zeta and the
+power-law shape psi) share one accept-and-record step,
+:meth:`SamplerEngine._step`, and every block that
 moves the terminal offset ``d_scale`` (alpha, alpha0, gamma, xi1, xi2) takes
 its change of terminal log density from one move,
 :meth:`SamplerEngine._terminal_shift`.
@@ -105,7 +107,6 @@ __all__ = [
     "metropolis_decision",
     "McmcConfig",
     "ChainTrace",
-    "mh_step",
     "adapt_scale",
     "run_chain",
     "SamplerEngine",
@@ -191,7 +192,6 @@ class ProposalScales:
     rho_xi1: float = 0.2
     rho_xi2: float = 0.2
     rho_zeta: float = 0.1
-    rho_lambda: float = 0.3
     rho_psi: float = 0.2
 
     def __post_init__(self):
@@ -277,32 +277,6 @@ def metropolis_decision(log_ratio, uniform):
         return (math.log(uniform) if uniform > 0.0 else -math.inf) < log_ratio
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.log(uniform) < log_ratio
-
-
-def mh_step(current, scale: float, target_log_density: Callable, rng: np.random.Generator,
-            positive: bool = False):
-    """One Gaussian random-walk Metropolis step.
-
-    Proposes ``current + scale * N(0, I)`` and accepts with probability
-    ``min(1, exp(target(prop) - target(current)))``.  With ``positive`` any
-    nonpositive proposal is rejected outright, matching the truncated
-    conditionals used for frailties, hazard levels and shape atoms.
-
-    Returns ``(new_value, accepted)``.
-    """
-    if isinstance(current, np.ndarray):
-        proposal = current + scale * rng.standard_normal(current.shape)
-    else:
-        proposal = float(current) + scale * rng.standard_normal()
-    if positive and (np.asarray(proposal) <= 0.0).any():
-        return current, False
-    cur_target = target_log_density(current)
-    if not math.isfinite(cur_target):
-        raise ValueError("target log density is not finite at the current value")
-    log_ratio = target_log_density(proposal) - cur_target
-    if bool(metropolis_decision(log_ratio, rng.random())):
-        return proposal, True
-    return current, False
 
 
 def adapt_scale(rate: float, scale: float, target: float = TARGET_SCALAR) -> float:
@@ -410,14 +384,15 @@ class SamplerEngine:
         self.scales = {
             "beta": sc.rho_beta, "alpha": sc.rho_alpha, "alpha0": sc.rho_alpha0,
             "gamma": sc.rho_gamma, "eta": sc.rho_eta, "theta": sc.rho_theta,
-            "xi1": sc.rho_xi1, "xi2": sc.rho_xi2, "zeta": sc.rho_zeta,
-            "lambda": sc.rho_lambda, "psi": sc.rho_psi,
+            "xi1": sc.rho_xi1, "xi2": sc.rho_xi2, "zeta": sc.rho_zeta, "psi": sc.rho_psi,
         }
         self.targets = {name: TARGET_SCALAR for name in self.scales}
         for name in ("beta", "alpha", "zeta"):
             self.targets[name] = TARGET_VECTOR
-        self._window_accept = {name: [] for name in self.scales}
-        self._accept_totals = {name: [0.0, 0] for name in self.scales}
+        # the baseline levels' exact draw has no scale but records an
+        # acceptance of 1, so a piecewise fit reports a baseline rate
+        self._window_accept = {name: [] for name in (*self.scales, "lambda")}
+        self._accept_totals = {name: [0.0, 0] for name in self._window_accept}
 
     # -- design helpers ------------------------------------------------------
 
@@ -636,11 +611,11 @@ class SamplerEngine:
         return {name: tot[0] / tot[1] for name, tot in self._accept_totals.items() if tot[1]}
 
     def adapt_all(self) -> None:
-        for name, rates in self._window_accept.items():
+        for name, scale in self.scales.items():
+            rates = self._window_accept[name]
             if rates:
-                self.scales[name] = adapt_scale(float(np.mean(rates)), self.scales[name],
-                                                self.targets[name])
-        self._window_accept = {name: [] for name in self.scales}
+                self.scales[name] = adapt_scale(float(np.mean(rates)), scale, self.targets[name])
+        self._window_accept = {name: [] for name in self._window_accept}
 
     # -- regression blocks --------------------------------------------------------------
 
@@ -800,40 +775,40 @@ class SamplerEngine:
             self._update_psi(rng, post)
 
     def _update_levels(self, rng, post=False) -> None:
-        g = self.n_levels
-        prop = self.lam + self.scales["lambda"] * rng.standard_normal(g)
-        u = rng.random(g)
-        valid = prop > 0.0
-        safe = np.where(valid, prop, 1.0)
-        weights = self.su * self.gamma * self.erx
-        exposure = weights @ self.durations
-        # uniform (0, inf) prior on each level: likelihood-only ratio
-        logr = (self.events_per_interval * (np.log(safe) - np.log(self.lam))
-                - (prop - self.lam) * exposure)
-        accept = valid & metropolis_decision(logr, u)
-        if accept.any():
-            self.lam = np.where(accept, prop, self.lam)
-            self._refresh_baseline_caches()
-        self._record_accept("lambda", np.count_nonzero(accept) / g, post)
+        # uniform (0, inf) prior on each level: its full conditional is
+        # Gamma(n_g + 1, E_g), E_g the exposure su * gamma * erx * duration
+        # summed over the records.  Where E_g is not finite and positive the
+        # conditional is improper, and the level keeps its value
+        exposure = (self.su * self.gamma * self.erx) @ self.durations
+        draws = rng.standard_gamma(self.events_per_interval + 1.0)
+        np.divide(draws, exposure, out=self.lam, where=(exposure > 0.0) & (exposure < np.inf))
+        self._refresh_baseline_caches()
+        self._record_accept("lambda", 1.0, post)
 
     def _update_psi(self, rng, post=False) -> None:
+        prop = self.psi + self.scales["psi"] * rng.standard_normal()
+        if prop <= 0.0:
+            # a nonpositive shape is rejected outright, with no uniform drawn
+            self._record_accept("psi", 0.0, post)
+            return
         h = self.hyper
         weights = self.su * self.gamma * self.erx
 
-        def target(psi: float) -> float:
-            if psi <= 0:
-                return -np.inf
-            with np.errstate(over="ignore"):
-                risk = float(weights @ self.followup ** psi)
-            if not np.isfinite(risk):
-                return -np.inf
-            return (self.total_events * math.log(psi) + (psi - 1.0) * self.total_log_ev
-                    - risk + (h.a_psi - 1.0) * math.log(psi) - h.b_psi * psi)
+        def log_target(psi: float, log_psi: float, risk: float) -> float:
+            return (self.total_events * log_psi + (psi - 1.0) * self.total_log_ev
+                    - risk + (h.a_psi - 1.0) * log_psi - h.b_psi * psi)
 
-        self.psi, ok = mh_step(self.psi, self.scales["psi"], target, rng, positive=True)
-        if ok:
-            self._refresh_baseline_caches()
-        self._record_accept("psi", float(ok), post)
+        current = log_target(self.psi, math.log(self.psi), float(weights @ self.lam0_followup))
+        if not math.isfinite(current):
+            raise ValueError(f"the power-law shape's log target is not finite at psi = {self.psi}")
+        with np.errstate(over="ignore"):
+            powered = self.followup ** prop
+        log_prop = math.log(prop)
+        # an overflowing risk makes the ratio -inf or NaN, which rejects
+        logr = log_target(prop, log_prop, float(weights @ powered)) - current
+        if self._step(rng, "psi", logr, post):
+            self.psi, self.lam0_followup = prop, powered
+            self.ev_logsum = self.q_events * log_prop + (prop - 1.0) * self.slog_ev
 
     # -- shape-parameter block ---------------------------------------------------------------
 

@@ -31,7 +31,7 @@ from .model import (
     Dataset,
     PiecewiseConstantHazard,
     PowerLawHazard,
-    piecewise_durations,
+    cumulative_baseline_hazard,
 )
 
 __all__ = [
@@ -96,14 +96,6 @@ class SimTruth:
 # Point-process and survival-time generators
 # ---------------------------------------------------------------------------
 
-def _cumulative(t: np.ndarray, baseline: BaselineHazard) -> np.ndarray:
-    """Cumulative baseline hazard at each of the times ``t``: the array form
-    of :func:`recurjoint.model.cumulative_baseline_hazard`."""
-    if isinstance(baseline, PowerLawHazard):
-        return t ** baseline.shape
-    return piecewise_durations(t, baseline) @ baseline.levels
-
-
 def _inverse_cumulative(a: np.ndarray, baseline: BaselineHazard) -> np.ndarray:
     """The times at which the cumulative baseline hazard reaches each of
     ``a``; past the last grid point the last level extends."""
@@ -130,7 +122,7 @@ def _sample_events(rates: np.ndarray, baseline: BaselineHazard, horizons: np.nda
     an expected count too large to sample.  Returns ``(times, counts)``, the
     times record by record, rising within each.
     """
-    hazard = _cumulative(horizons, baseline)
+    hazard = cumulative_baseline_hazard(horizons, baseline)
     budget = rates * hazard
     bad = np.flatnonzero(~(budget < 1e7))
     if bad.size:

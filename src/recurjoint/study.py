@@ -6,11 +6,13 @@ from __future__ import annotations
 import re
 import time
 import traceback
+from dataclasses import replace
 
 import numpy as np
 
 from . import simulate as sim
 from .diagnostics import cpo_lpml, gelman_rubin_psrf, replicate_aggregate, summarize_columns
+from .io import check_config_keys, config_objects, config_to_dict
 from .model import Dataset, Hyperparams
 from .sampler import McmcConfig, ProposalScales, run_chain
 
@@ -75,8 +77,6 @@ def run_fit(dataset: Dataset, config: McmcConfig, hyper: Hyperparams,
 
 
 def fit_manifest(traces, config: McmcConfig, hyper: Hyperparams) -> dict:
-    from .io import config_to_dict
-
     first = traces[0]
     return {
         "config": config_to_dict(config, hyper),
@@ -137,7 +137,17 @@ def build_summary(traces, manifest: dict) -> dict:
 # Replicate study
 # ---------------------------------------------------------------------------
 
-def _resolve_study(study: dict) -> dict:
+_STUDY_KEYS = ("n", "j", "replicates", "variants", "baseline_variant", "seed", "mcmc", "hyper",
+               "scales")
+_STUDY_MCMC_KEYS = ("iterations", "burn_in", "thin", "chains", "likelihood_mode", "adapt_window")
+
+
+def _resolve_study(study: dict) -> tuple:
+    """The study config with its defaults filled in, as the report records
+    it, and the objects every cell fits with: a McmcConfig per variant (its
+    seed set per cell), the Hyperparams and the ProposalScales.  An unknown
+    key or a bad value raises here, before any cell runs."""
+    check_config_keys(study, _STUDY_KEYS, "the study config")
     resolved = {
         "n": int(study.get("n", 600)),
         "j": int(study.get("j", 20)),
@@ -149,10 +159,18 @@ def _resolve_study(study: dict) -> dict:
         "hyper": dict(study.get("hyper", {})),
         "scales": dict(study.get("scales", {})),
     }
+    mcmc = resolved["mcmc"]
+    check_config_keys(mcmc, _STUDY_MCMC_KEYS, "the study config's mcmc section")
     sim.check_design(resolved["n"], resolved["j"])
-    resolved["mcmc"].setdefault("iterations", 10_000)
-    resolved["mcmc"].setdefault("burn_in", 5_000)
-    return resolved
+    mcmc.setdefault("iterations", 10_000)
+    mcmc.setdefault("burn_in", 5_000)
+    settings = {key: value if key == "likelihood_mode" else int(value)
+                for key, value in mcmc.items()}
+    configs = {variant: McmcConfig(**settings, variant=variant,
+                                   baseline_variant=resolved["baseline_variant"])
+               for variant in resolved["variants"]}
+    hyper, scales = config_objects(resolved["hyper"], resolved["scales"], "the study config")
+    return resolved, configs, hyper, scales
 
 
 def _task_seed(study_seed: int, *key) -> int:
@@ -160,22 +178,14 @@ def _task_seed(study_seed: int, *key) -> int:
 
 
 def _study_task(args) -> dict:
-    study, replicate, variant = args
+    study, replicate, config, hyper, scales = args
+    variant = config.variant
     try:
         data_seed = _task_seed(study["seed"], 1, replicate)
         dataset, truth = sim.simulate_dataset(study["n"], study["j"],
                                               study["baseline_variant"], seed=data_seed)
         variant_index = study["variants"].index(variant)
-        mcmc = study["mcmc"]
-        config = McmcConfig(
-            iterations=int(mcmc["iterations"]), burn_in=int(mcmc["burn_in"]),
-            thin=int(mcmc.get("thin", 1)), chains=int(mcmc.get("chains", 1)),
-            seed=_task_seed(study["seed"], 2, replicate, variant_index),
-            variant=variant, baseline_variant=study["baseline_variant"],
-            likelihood_mode=mcmc.get("likelihood_mode", "corrected"),
-            adapt_window=int(mcmc.get("adapt_window", 50)))
-        hyper = Hyperparams(**study["hyper"])
-        scales = ProposalScales(**study["scales"])
+        config = replace(config, seed=_task_seed(study["seed"], 2, replicate, variant_index))
         traces = run_fit(dataset, config, hyper, scales=scales)
         manifest = fit_manifest(traces, config, hyper)
         summary = build_summary(traces, manifest)
@@ -197,8 +207,9 @@ def run_replicate_study(study: dict, threads: int = 1) -> tuple:
     study config and seed, while wall-clock accounting goes into the
     separate timing document.
     """
-    study = _resolve_study(study)
-    tasks = [(study, r, v) for r in range(study["replicates"]) for v in study["variants"]]
+    study, configs, hyper, scales = _resolve_study(study)
+    tasks = [(study, r, configs[v], hyper, scales) for r in range(study["replicates"])
+             for v in study["variants"]]
     started = time.monotonic()
     results = _map(_study_task, tasks, threads)
     elapsed = time.monotonic() - started

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import re
 import warnings
 
 import numpy as np
@@ -289,6 +290,31 @@ class TestConfigDocuments:
         assert config.variant == "BMZ-DP"
         assert hyper.fixed_p is None
 
+    @pytest.mark.parametrize("doc,message", [
+        ({"mcmc": {"iteration": 100}}, "unknown key 'iteration' in the config's mcmc section"),
+        ({"model": {"varient": "BMZ"}}, "unknown key 'varient' in the config's model section"),
+        ({"hyper": {"a_0": 2.0}}, "unknown key 'a_0' in the config's hyper section"),
+        # the scale of the piecewise levels, which are now drawn exactly
+        ({"scales": {"rho_lambda": 0.3}},
+         "unknown key 'rho_lambda' in the config's scales section; known keys: rho_alpha, "
+         "rho_alpha0, rho_beta, rho_eta, rho_gamma, rho_psi, rho_theta, rho_xi1, rho_xi2, "
+         "rho_zeta"),
+        ({"mcmc": {"iterations": 100}, "mcmcc": {}}, "unknown key 'mcmcc' in the config;"),
+    ])
+    def test_unknown_keys_are_named(self, doc, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_config(doc)
+
+    def test_fit_refuses_an_unknown_key_before_reading_the_data(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"scales": {"rho_lambda": 0.3}}))
+        # the events file does not exist: the config is refused first
+        assert main(["fit", "--data", str(tmp_path / "missing.csv"), "--config", str(config),
+                     "--out", str(tmp_path / "fit")]) == 1
+        err = capsys.readouterr().err
+        assert "rho_lambda" in err and "missing.csv" not in err
+        assert not (tmp_path / "fit").exists()
+
 
 class TestCliCommands:
     def _simulate(self, tmp_path, n=40, j=4, seed=5):
@@ -466,18 +492,52 @@ class TestCliCommands:
         assert (outs[0] / "report.json").read_bytes() == (outs[1] / "report.json").read_bytes()
         assert (outs[0] / "timing.json").exists()
 
-    def test_replicate_study_failure_keeps_traceback(self):
+    def test_replicate_study_failure_keeps_traceback(self, monkeypatch):
+        # a config is checked before any cell runs, so the cells fail in
+        # the fit itself
+        import recurjoint.study as study_module
+
+        def failing_fit(dataset, config, hyper, scales=None):
+            raise ValueError(f"no fit of {config.variant}")
+
+        monkeypatch.setattr(study_module, "run_fit", failing_fit)
         study = {"n": 20, "j": 2, "replicates": 1, "variants": ["BMZ-DP", "BMZ"], "seed": 3,
-                 "hyper": {"a0": -1}, "mcmc": {"iterations": 20, "burn_in": 10}}
+                 "mcmc": {"iterations": 20, "burn_in": 10}}
         report, _ = run_replicate_study(study)
         failures = report["failures"]
         assert [(f["replicate"], f["variant"]) for f in failures] == [(0, "BMZ-DP"), (0, "BMZ")]
         for failure in failures:
-            assert failure["error"] == "ValueError: a0 must be strictly positive"
+            assert failure["error"] == f"ValueError: no fit of {failure['variant']}"
             assert failure["traceback"].startswith("Traceback (most recent call last)")
-            assert "in __post_init__" in failure["traceback"]
+            assert "in failing_fit" in failure["traceback"]
             assert "in _study_task" in failure["traceback"]
         assert report["variants"]["BMZ"]["failures"] == 1
+
+    @pytest.mark.parametrize("fields,message", [
+        ({"replicate": 2}, "unknown key 'replicate' in the study config;"),
+        ({"mcmc": {"iteration": 20}}, "unknown key 'iteration' in the study config's mcmc "
+                                      "section"),
+        ({"hyper": {"a_0": 1.0}}, "unknown key 'a_0' in the study config's hyper section"),
+        ({"scales": {"rho_lambda": 0.3}}, "unknown key 'rho_lambda' in the study config's "
+                                          "scales section"),
+        ({"hyper": {"a0": -1}}, "a0 must be strictly positive"),
+        ({"mcmc": {"iterations": 20, "burn_in": 20}}, "burn_in must satisfy"),
+        ({"variants": ["BMZ", "BOGUS"]}, "unknown variant 'BOGUS'"),
+    ])
+    def test_replicate_study_rejects_a_bad_config_before_any_cell(self, tmp_path, capsys,
+                                                                  monkeypatch, fields, message):
+        import recurjoint.study as study_module
+
+        monkeypatch.setattr(study_module, "_study_task",
+                            lambda task: pytest.fail("a study cell ran"))
+        config = tmp_path / "study.json"
+        config.write_text(json.dumps({"n": 20, "j": 2, "replicates": 1,
+                                      "mcmc": {"iterations": 20, "burn_in": 10}, **fields}))
+        assert main(["replicate-study", "--config", str(config),
+                     "--out", str(tmp_path / "study")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "study").exists()
 
     @pytest.mark.parametrize("n,j,message", [
         (40, 0, "j (clusters) must be at least 1, got 0"),

@@ -165,6 +165,9 @@ class TestCumulativeBaselineHazard:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             cumulative_baseline_hazard(-0.1, PowerLawHazard(1.0))
+        base = PiecewiseConstantHazard(np.array([0.0, 1.0]), np.array([3.0]))
+        with pytest.raises(ValueError, match=r"nonnegative, got -0\.2"):
+            cumulative_baseline_hazard(np.array([0.5, -0.2, -0.3]), base)
 
     def test_extends_last_level(self):
         base = PiecewiseConstantHazard(np.array([0.0, 1.0, 2.0]), np.array([2.0, 2.3]))

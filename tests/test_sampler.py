@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 
@@ -14,6 +15,7 @@ from recurjoint.model import (
     Hyperparams,
     ParamState,
     PiecewiseConstantHazard,
+    PowerLawHazard,
 )
 from recurjoint.sampler import (
     McmcConfig,
@@ -21,7 +23,6 @@ from recurjoint.sampler import (
     SamplerEngine,
     adapt_scale,
     metropolis_decision,
-    mh_step,
     run_chain,
 )
 from recurjoint.simulate import KAPPA_VALUES, simulate_dataset
@@ -55,54 +56,59 @@ class TestMetropolisRule:
         assert metropolis_decision(np.inf, 0.999999)
 
 
-class TestMhStep:
-    def test_equal_target_always_accepts(self, rng):
+def prior_only_engine(sigma2_xi1=1.0):
+    """An engine whose records say nothing about xi1: unit frailties make
+    the terminal shift xi1 * log(gamma) zero, so xi1's full conditional is
+    its N(0, sigma2_xi1) prior."""
+    records = [make_record(participant=i) for i in range(4)]
+    return engine_for(records, make_state(n=4),
+                      hyper=Hyperparams(fixed_p=0.5, sigma2_xi1=sigma2_xi1))
+
+
+class TestScalarStep:
+    """The engine's one scalar Metropolis step, ``_step``, and the scalar
+    random-walk blocks that decide through it."""
+
+    def test_zero_log_ratio_always_accepts(self, rng):
+        eng = prior_only_engine()
         for _ in range(200):
-            _, accepted = mh_step(0.3, 1.0, lambda x: 5.0, rng)
-            assert accepted
+            before = copy.deepcopy(rng.bit_generator.state)
+            assert eng._step(rng, "xi1", 0.0, True)
+            # one uniform per decision
+            assert rng.bit_generator.state != before
+        assert eng.acceptance_rates()["xi1"] == 1.0
 
     def test_flat_target_statistics(self, rng):
-        x = 0.0
-        accepted = 0
-        values = np.empty(100_000)
+        # a prior variance of 1e300 leaves the ratio far above any log(u)
+        eng = prior_only_engine(sigma2_xi1=1e300)
+        values = np.empty(20_000)
         for i in range(values.size):
-            x, ok = mh_step(x, 1.0, lambda v: 0.0, rng)
-            accepted += ok
-            values[i] = x
-        assert accepted == values.size
+            eng.update_xi1(rng, post=True)
+            values[i] = eng.xi1
+        assert eng.acceptance_rates()["xi1"] == 1.0
         increments = np.diff(np.concatenate([[0.0], values]))
-        assert abs(increments.mean()) < 3.0 / math.sqrt(values.size)
+        scale = eng.scales["xi1"]
+        assert abs(increments.mean()) < 4.0 * scale / math.sqrt(values.size)
+        assert increments.std() == pytest.approx(scale, rel=0.03)
 
     def test_standard_normal_stationary(self, rng):
-        target = lambda v: -0.5 * v * v
-        x = 0.0
-        draws = np.empty(1_000_000)
+        eng = prior_only_engine()
+        eng.scales["xi1"] = 2.4
+        draws = np.empty(200_000)
         for i in range(draws.size):
-            x, _ = mh_step(x, 2.4, target, rng)
-            draws[i] = x
-        assert draws.mean() == pytest.approx(0.0, abs=0.01)
-        assert draws.var() == pytest.approx(1.0, abs=0.02)
+            eng.update_xi1(rng)
+            draws[i] = eng.xi1
+        assert draws.mean() == pytest.approx(0.0, abs=0.025)
+        assert draws.var() == pytest.approx(1.0, abs=0.04)
 
-    def test_positivity_rejects_outright(self, rng):
-        calls = []
-
-        def target(v):
-            calls.append(v)
-            return 0.0
-
-        value, accepted = mh_step(1e-9, 10.0, target, rng, positive=True)
-        if not accepted:
-            assert value == 1e-9
-            assert not calls  # the target is never evaluated for invalid moves
-
-    def test_requires_finite_current_target(self, rng):
-        with pytest.raises(ValueError, match="not finite"):
-            mh_step(0.0, 1.0, lambda v: -np.inf, rng)
-
-    def test_vector_proposal(self, rng):
-        cur = np.zeros(3)
-        new, ok = mh_step(cur, 0.5, lambda v: -0.5 * float(v @ v), rng)
-        assert new.shape == (3,)
+    def test_vector_block_keeps_its_shape(self, rng):
+        eng = prior_only_engine()
+        for _ in range(50):
+            eng.update_beta(rng, post=True)
+            assert eng.beta.shape == (3,)
+        # one decision, 0 or 1, per call
+        rate = eng.acceptance_rates()["beta"]
+        assert 0.0 < rate < 1.0 and (rate * 50).is_integer()
 
 
 class TestAdaptScale:
@@ -113,18 +119,18 @@ class TestAdaptScale:
         assert adapt_scale(1.0, 2.0) == pytest.approx(2.0 * math.exp(0.5 * 0.56))
 
     def test_adaptation_tames_pathological_scale(self, rng):
-        scale = 1e3
-        x = 0.0
-        target = lambda v: -0.5 * v * v
+        # the engine's xi1 block on a standard normal conditional, adapted
+        # by adapt_all after every window of 50 updates
+        eng = prior_only_engine()
+        eng.scales["xi1"] = 1e3
         rate = 0.0
         for window in range(40):  # 2000 sweeps of window 50
-            hits = 0
             for _ in range(50):
-                x, ok = mh_step(x, scale, target, rng)
-                hits += ok
-            rate = hits / 50
-            scale = adapt_scale(rate, scale)
+                eng.update_xi1(rng)
+            rate = float(np.mean(eng._window_accept["xi1"]))
+            eng.adapt_all()
         assert 0.2 <= rate <= 0.6
+        assert eng.scales["xi1"] < 10.0
 
 
 def tau2_draws(cluster_log_gammas, a0, b0, clusters, calls, rng):
@@ -446,34 +452,116 @@ class TestKappaBlock:
         assert tested >= 8
 
 
+def gamma_conditional(dataset, state):
+    """Each piecewise level's full conditional Gamma(n_g + 1, E_g) under the
+    flat prior, recomputed record by record from the dataset and the state:
+    n_g counts the events in (grid[g], grid[g + 1]], the last interval
+    extended, and E_g sums su gamma exp(x beta + mu) times the record's time
+    in interval g.  Both likelihood modes weigh the recurrent terms alike.
+    Returns (shapes, rates)."""
+    grid, levels = state.baseline.grid, state.baseline.levels
+    shapes, rates = np.ones(levels.size), np.zeros(levels.size)
+    effects = state.cluster_effects
+    for i, rec in enumerate(dataset.records):
+        for t in rec.recurrent_times:
+            g = next((g for g in range(levels.size) if grid[g] < t <= grid[g + 1]),
+                     levels.size - 1)
+            shapes[g] += 1
+        mu = float(effects.atoms[effects.assignments[rec.cluster_index]])
+        weight = ((1 - int(state.unsusceptible[i])) * float(state.gamma[i])
+                  * math.exp(float(np.dot(rec.covariates_x, state.beta)) + mu))
+        for g in range(levels.size):
+            hi = math.inf if g == levels.size - 1 else grid[g + 1]
+            rates[g] += weight * max(0.0, min(rec.followup_time, hi) - grid[g])
+    return shapes, rates
+
+
 class TestBaselineBlock:
-    def test_no_events_smaller_levels_always_accepted(self, rng):
-        # with zero events the level likelihood is pure survival, monotone
-        # decreasing, so a down-move always passes the Metropolis rule
-        records = tuple(make_record(followup=1.0, participant=i) for i in range(10))
-        state = make_state(n=10, gamma=np.ones(10), kappa_assign=np.zeros(10, dtype=int),
-                           baseline=PiecewiseConstantHazard(np.array([0.0, 1.0]), np.array([2.0])))
+    @pytest.mark.parametrize("case", ["corrected", "literal", "no-events"])
+    def test_level_draws_match_gamma_conditional(self, case, rng):
+        # the exact draw: 20k draws of the levels from one loaded state,
+        # each level's mean and variance against its Gamma(n_g + 1, E_g)
+        mode = "corrected" if case == "no-events" else case
+        if case == "no-events":
+            # pure survival: Gamma(1, E_g), an exponential of rate E_g
+            records = [make_record(followup=f, x=(0.3 * f, -0.2, 0.1), participant=i)
+                       for i, f in enumerate(np.linspace(0.2, 3.0, 12))]
+            dataset = make_dataset(records, 1)
+            state = make_state(n=12, beta=(0.4, 0.3, 0.2), gamma=np.linspace(0.5, 2.0, 12),
+                               unsusceptible=np.arange(12) % 5 == 0,
+                               baseline=PiecewiseConstantHazard(np.array([0.0, 0.5, 1.2, 2.0]),
+                                                                np.array([2.0, 1.0, 3.0])))
+        else:
+            dataset, truth = simulate_dataset(60, 4, seed=8)
+            state = truth_state(dataset, truth)
+            assert state.unsusceptible.any()
+        shapes, rates = gamma_conditional(dataset, state)
+        if case == "no-events":
+            assert np.all(shapes == 1.0)
+        eng = SamplerEngine(dataset, Hyperparams(fixed_p=0.5), variant="BMZ-DP",
+                            likelihood_mode=mode)
+        eng.load_state(state)
+        draws = np.empty((20_000, shapes.size))
+        for s in range(draws.shape[0]):
+            eng.update_baseline_block(rng, post=True)
+            draws[s] = eng.lam
+        mean, var = shapes / rates, shapes / rates ** 2
+        reps = draws.shape[0]
+        # standard errors of the sample mean and variance of a Gamma(a) sample
+        se_mean = np.sqrt(var / reps)
+        se_var = var * np.sqrt((2.0 + 6.0 / shapes) / reps)
+        assert np.all(np.abs(draws.mean(axis=0) - mean) < 5 * se_mean), (draws.mean(axis=0), mean)
+        assert np.all(np.abs(draws.var(axis=0) - var) < 5 * se_var), (draws.var(axis=0), var)
+        # the levels' caches follow each draw
+        np.testing.assert_allclose(eng.lam0_followup, eng.durations @ eng.lam, rtol=1e-14)
+        # the exact draw records an acceptance of 1
+        assert eng.acceptance_rates()["lambda"] == 1.0
 
-        class StingyRng:
-            """Real proposals; uniforms at 1 so only nonnegative ratios pass."""
+    def test_zero_exposure_interval_keeps_its_level(self, rng):
+        # the grid's last interval is reached only by eventless records, all
+        # flagged unsusceptible: E_g = 0, an improper conditional
+        records = [make_record(followup=1.0, times=(0.3, 0.7), participant=0),
+                   make_record(followup=0.8, times=(0.5,), participant=1),
+                   make_record(followup=3.0, participant=2),
+                   make_record(followup=2.5, participant=3)]
+        state = make_state(n=4, unsusceptible=(0, 0, 1, 1),
+                           baseline=PiecewiseConstantHazard(np.array([0.0, 1.0, 2.0]),
+                                                            np.array([1.5, 0.7])))
+        eng = engine_for(records, state)
+        for _ in range(50):
+            eng.update_baseline_block(rng)
+            assert eng.lam[1] == 0.7 and eng.lam[0] != 1.5
+            for name in ("lam", "lam0_followup", "ev_logsum"):
+                assert np.all(np.isfinite(getattr(eng, name))), name
+        np.testing.assert_allclose(eng.lam0_followup, eng.durations @ eng.lam, rtol=1e-14)
 
+    def test_nonpositive_psi_rejected_outright(self):
+        # a proposal at or below 0 records a rejection and draws no uniform
+        dataset, truth = simulate_dataset(20, 2, "powerlaw", seed=4)
+        eng = SamplerEngine(dataset, Hyperparams(), variant="BMZ-DP", baseline_variant="powerlaw")
+        eng.load_state(truth_state(dataset, truth))
+
+        class NegativeRng:
             def standard_normal(self, size=None):
-                return rng.standard_normal(size)
+                return -1e6
 
             def random(self, size=None):
-                return np.full(size, 1.0 - 1e-16) if size is not None else 1.0 - 1e-16
+                raise AssertionError("a uniform was drawn for an invalid move")
 
-        eng = engine_for(records, state)
-        for _ in range(300):
-            eng.load_state(state)
-            eng.update_baseline_block(StingyRng())
-            assert float(eng.lam[0]) <= 2.0
-        drift = []
-        for _ in range(400):
-            eng.load_state(state)
+        caches = eng.lam0_followup.copy(), eng.ev_logsum.copy()
+        eng.update_baseline_block(NegativeRng(), post=True)
+        assert eng.psi == truth.baseline.shape
+        assert eng.acceptance_rates()["psi"] == 0.0
+        np.testing.assert_array_equal(eng.lam0_followup, caches[0])
+        np.testing.assert_array_equal(eng.ev_logsum, caches[1])
+
+    def test_psi_requires_finite_current_target(self, rng):
+        # follow-up 1e10 at psi = 40: the current risk overflows
+        records = [make_record(followup=1e10, participant=i) for i in range(3)]
+        eng = engine_for(records, make_state(n=3, baseline=PowerLawHazard(40.0)))
+        assert np.isinf(eng.lam0_followup).all()
+        with pytest.raises(ValueError, match="log target is not finite at psi = 40.0"):
             eng.update_baseline_block(rng)
-            drift.append(float(eng.lam[0]))
-        assert np.mean(drift) < 2.0
 
     def test_piecewise_recovery(self, rng):
         dataset, truth = simulate_dataset(1200, 40, seed=17)

@@ -10,6 +10,7 @@ from recurjoint.model import (
     PowerLawHazard,
     cumulative_baseline_hazard,
 )
+import oracles
 import recurjoint.simulate as sim
 from conftest import engine_loglik, make_record, make_state
 from recurjoint.simulate import (
@@ -116,7 +117,8 @@ class TestEventSampler:
         rates, horizons = self.spread_records(rng)
         times, counts = sim._sample_events(rates, baseline, horizons, rng)
         owner = np.repeat(np.arange(rates.size), counts)
-        ratio = sim._cumulative(times, baseline) / sim._cumulative(horizons, baseline)[owner]
+        ratio = (cumulative_baseline_hazard(times, baseline)
+                 / cumulative_baseline_hazard(horizons, baseline)[owner])
         assert times.size > 50_000
         assert stats.kstest(ratio, "uniform").pvalue > 1e-3
 
@@ -135,7 +137,8 @@ class TestEventSampler:
         # inversion rounds past, and record 1 draws the same uniform twice;
         # each keeps one of the tied times
         candidates = 10.0 ** np.linspace(-2.0, 2.0, 1001)
-        overshoot = sim._inverse_cumulative(sim._cumulative(candidates, baseline), baseline)
+        overshoot = sim._inverse_cumulative(cumulative_baseline_hazard(candidates, baseline),
+                                             baseline)
         assert np.any(overshoot > candidates)
         horizon = candidates[np.argmax(overshoot > candidates)]
         horizons = np.array([horizon, 3.1, 0.8])
@@ -166,8 +169,21 @@ class TestEventSampler:
         grid = PIECEWISE.grid
         t = np.concatenate([grid[1:], 10.0 ** rng.uniform(-4.0, 3.0, 2000),
                             rng.uniform(0.0, 2.5, 500)])
-        scalar = np.array([cumulative_baseline_hazard(v, baseline) for v in t])
-        np.testing.assert_allclose(sim._cumulative(t, baseline), scalar, rtol=1e-12, atol=0)
+        scalar = [cumulative_baseline_hazard(v, baseline) for v in t]
+        assert all(type(v) is float for v in scalar)
+        scalar = np.array(scalar)
+        # one implementation, so the array form is the scalar form entry by
+        # entry up to the order of a matrix product's sums, and both match
+        # the loop-based oracle
+        np.testing.assert_allclose(cumulative_baseline_hazard(t, baseline), scalar,
+                                   rtol=1e-14, atol=0)
+        np.testing.assert_allclose(cumulative_baseline_hazard(t.reshape(-1, 5), baseline),
+                                   scalar.reshape(-1, 5), rtol=1e-14, atol=0)
+        reference = {"variant": "powerlaw", "shape": baseline.shape} \
+            if isinstance(baseline, PowerLawHazard) else \
+            {"variant": "piecewise", "grid": baseline.grid, "levels": baseline.levels}
+        np.testing.assert_allclose(scalar, [oracles.cumulative_hazard(v, reference) for v in t],
+                                   rtol=1e-12, atol=0)
         np.testing.assert_allclose(sim._inverse_cumulative(scalar, baseline), t,
                                    rtol=1e-12, atol=0)
 
