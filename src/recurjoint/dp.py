@@ -2,7 +2,10 @@
 and the cluster-effect mixture.
 
 All functions are pure given an explicit random generator; callers own the
-sequencing of draws.
+sequencing of draws.  The public functions check their arguments; the
+sampler, whose counts come from a bincount and whose sticks are clipped
+inside (0, 1), calls the unchecked :func:`clip_sticks`, :func:`draw_sticks`
+and :func:`weights_of` that they wrap.
 """
 
 from __future__ import annotations
@@ -30,11 +33,24 @@ def stick_to_weights(raw_sticks: np.ndarray, truncation: int) -> np.ndarray:
     # minimum/maximum carry a NaN through, and NaN fails both comparisons
     if s.size and not (np.minimum.reduce(s) > 0.0 and np.maximum.reduce(s) < 1.0):
         raise ValueError("stick fractions must lie strictly inside (0, 1)")
-    weights = np.empty(truncation)
+    return weights_of(s)
+
+
+def weights_of(sticks: np.ndarray) -> np.ndarray:
+    """:func:`stick_to_weights` of a float array of sticks already known to
+    lie strictly inside (0, 1), unchecked."""
+    weights = np.empty(sticks.size + 1)
     weights[0] = 1.0
-    np.multiply.accumulate(1.0 - s, out=weights[1:])
-    weights[:-1] *= s
+    np.multiply.accumulate(1.0 - sticks, out=weights[1:])
+    weights[:-1] *= sticks
     return weights
+
+
+def clip_sticks(sticks: np.ndarray) -> np.ndarray:
+    """Clip Beta draws, which can round to the closed boundary, in place to
+    [1e-12, 1 - 1e-12], strictly inside (0, 1)."""
+    return np.minimum(np.maximum(sticks, _STICK_FLOOR, out=sticks), 1.0 - _STICK_FLOOR,
+                      out=sticks)
 
 
 def posterior_stick_update(assignment_counts: np.ndarray, concentration: float,
@@ -49,6 +65,13 @@ def posterior_stick_update(assignment_counts: np.ndarray, concentration: float,
         raise ValueError("assignment counts must be nonnegative")
     if not concentration > 0:
         raise ValueError("concentration must be positive")
+    return draw_sticks(counts, concentration, rng)
+
+
+def draw_sticks(counts: np.ndarray, concentration: float,
+                rng: np.random.Generator) -> np.ndarray:
+    """:func:`posterior_stick_update` of nonnegative counts (floats or
+    integers) and a positive concentration, unchecked."""
     if counts.size == 1:
         return np.empty(0)
     above = counts[:0:-1].cumsum()[::-1]  # counts assigned past each stick

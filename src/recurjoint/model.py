@@ -140,9 +140,13 @@ class Dataset:
         def records_of(bad_events):
             return np.bincount(owner[bad_events], minlength=n) > 0
 
-        duplicate = np.ones(n, dtype=bool)
-        duplicate[np.unique(np.column_stack([cluster, participant]), axis=0,
-                            return_index=True)[1]] = False
+        # every occurrence of a (cluster, participant) key after its first:
+        # lexsort is stable, so each run of equal keys keeps record order
+        order = np.lexsort((participant, cluster))
+        by_cluster, by_participant = cluster[order], participant[order]
+        duplicate = np.zeros(n, dtype=bool)
+        duplicate[order[1:]] = ((by_cluster[1:] == by_cluster[:-1])
+                                & (by_participant[1:] == by_participant[:-1]))
         unordered = np.zeros(times.size, dtype=bool)
         unordered[1:] = (owner[1:] == owner[:-1]) & ~(times[1:] > times[:-1])
         rules = (

@@ -24,14 +24,14 @@ its change of terminal log density from one move,
 :meth:`SamplerEngine._terminal_shift`.
 
 The engine holds per-record caches of the state (linear predictors, log
-frailties, shapes, terminal offsets, capped exponentials, baseline
-integrals, susceptibility weights, the logistic predictor and its summed
-softplus).  Only :meth:`SamplerEngine.init_state` and
-:meth:`SamplerEngine.load_state` rebuild them, through
-:meth:`SamplerEngine.refresh_caches`; each block keeps current the caches
-its moves change, so a sweep rebuilds none.  The terminal offset is moved
-by increments, so it carries rounding that grows slowly with the sweeps
-wherever no cluster-effect block rebuilds it.
+frailties, shapes and their products with the terminal flags, terminal
+offsets, capped exponentials, baseline integrals, susceptibility weights,
+the logistic predictor and its summed softplus).  Only
+:meth:`SamplerEngine.init_state` and :meth:`SamplerEngine.load_state`
+rebuild them, through :meth:`SamplerEngine.refresh_caches`; each block
+keeps current the caches its moves change, so a sweep rebuilds none.
+The terminal offset is moved by increments, so it carries rounding that
+grows slowly with the sweeps wherever no cluster-effect block rebuilds it.
 
 Memory stays linear in the number of records N: no array spans clusters
 by records (J x N), and an atoms-by-records (K x N) matrix exists only as a
@@ -45,16 +45,25 @@ assignment steps are blocked-Gibbs categorical draws (Ishwaran & James
   ``eta_k L_c - exp(eta_k) R_c - sum_h T[c, h] exp(-theta_h xi2 eta_k)
   + log w_k``, with L, R the bincounts of the per-record linear and
   recurrent coefficients and T the bincount of the terminal coefficient
-  over (cluster, shape atom): O(N + J K_kappa K_mu) work;
+  over (cluster, shape atom): O(N + J K_kappa K_mu) work.  The atoms'
+  random-walk proposal is drawn before the assignments, and one pass
+  scores every cluster at each current and each proposed atom: the
+  assignment draw reads the current atoms' scores, and an atom's move
+  ratio is the change from the current to the proposed score summed over
+  the clusters it then holds.  With one effect per cluster (BMZ) the move
+  ratio comes from the same per-cluster sums at each cluster's own effect.
+  Neither revisits the records;
 * shapes: record i takes atom k with probability proportional to
   ``exp(s_k(d_i))``, ``s_k(d) = log w_k + delta (log theta_k + theta_k d)
   - exp(theta_k d)`` (exp argument capped; the record's own -delta log t
   cancels), d_i its terminal offset ``d_scale``.  The draw is exact
   rejection from an envelope (Devroye 1986, II.3) at about one score per
   record, not K.  Once per sweep the records' offsets are cut into B
-  bins.  Below ``_KAPPA_SORT_LIMIT`` records a bin is a run of the sorted
-  offsets, and its edges are the least and greatest offset it holds: up
-  to ``_KAPPA_SORTED_BINS`` runs, no more than one per
+  bins (when every record is routed to the rounds, as outside the literal
+  mode it nearly always is, straight from ``d_scale``, with no gather of
+  the routed records).  Below ``_KAPPA_SORT_LIMIT`` records a bin is a run
+  of the sorted offsets, and its edges are the least and greatest offset
+  it holds: up to ``_KAPPA_SORTED_BINS`` runs, no more than one per
   ``_KAPPA_SORTED_BIN_RECORDS`` records, starting at Chebyshev-spaced
   ranks, so that they are shortest, down to single records, in the sparse
   tails of d.  From ``_KAPPA_SORT_LIMIT`` records on the range of d is cut
@@ -89,7 +98,7 @@ from typing import Callable
 import numpy as np
 
 from .diagnostics import cpo_accumulate, log_add_exp
-from .dp import posterior_stick_update, stick_to_weights, update_concentration
+from .dp import clip_sticks, draw_sticks, stick_to_weights, update_concentration, weights_of
 from .model import (
     BASELINE_VARIANTS,
     LIKELIHOOD_MODES,
@@ -152,7 +161,15 @@ _KAPPA_ROUTE_LIMIT = 1e300
 
 
 def _exp_capped(x):
-    return np.exp(np.minimum(x, _EXP_CAP))
+    x = np.minimum(x, _EXP_CAP)
+    return np.exp(x, out=x)
+
+
+def _outer(a, b):
+    """``np.multiply.outer(a, b)`` of two vectors, as a BLAS product with an
+    inner dimension of 1: each entry is one product, so the bits are the
+    same, without the ufunc's per-row overhead."""
+    return np.dot(a[:, None], b[None, :])
 
 
 def _clip_scores(x):
@@ -165,11 +182,12 @@ def _rank_bins(m: int, bins: int) -> tuple:
     """Up to ``bins`` runs of ``m`` ranks that start at the Chebyshev-spaced
     ranks ``m (1 - cos(pi j / bins)) / 2``: short, down to single ranks,
     at both ends and longest in the middle.  Returns (each run's first
-    rank, each run's last rank, each rank's run), read-only."""
+    rank, each run's last rank, each rank's run shifted left by 53 bits),
+    read-only."""
     first = np.unique((0.5 * m * (1.0 - np.cos(np.arange(bins) * (math.pi / bins))))
                       .astype(np.int64))
     ends = np.append(first[1:], m)
-    parts = first, ends - 1, np.arange(first.size).repeat(ends - first)
+    parts = first, ends - 1, np.arange(first.size).repeat(ends - first) << 53
     for part in parts:
         part.flags.writeable = False
     return parts
@@ -304,11 +322,6 @@ def _categorical_columns(scores: np.ndarray, uniforms: np.ndarray,
     return np.add.reduce(cum < uniforms * cum[-1], axis=0)
 
 
-def _clip_sticks(sticks: np.ndarray) -> np.ndarray:
-    # Beta draws can round to the closed boundary; keep them strictly inside
-    return np.minimum(np.maximum(sticks, 1e-12, out=sticks), 1.0 - 1e-12, out=sticks)
-
-
 def _mixture_arrays(dp: TruncatedDP) -> tuple:
     """Writable copies of a mixture state, with its weights: (atoms,
     assignments, sticks, weights, concentration)."""
@@ -363,7 +376,12 @@ class SamplerEngine:
         self.eventless = counts == 0
         self.cluster_of = dataset.cluster_index
         self.cluster_sizes = dataset.cluster_sizes.astype(float)
-        self.tau2_shape = hyper.a0 + 0.5 * self.cluster_sizes
+        shapes = hyper.a0 + 0.5 * self.cluster_sizes
+        # clusters of one size share one shape, which standard_gamma takes
+        # as a scalar: the same variates, without the checks it makes of an
+        # array of shapes on every call
+        self.tau2_shape = (float(shapes[0]) if shapes.size and (shapes == shapes[0]).all()
+                           else shapes)
         self.ev_times = dataset.event_times
         self.ev_record = np.repeat(np.arange(n), counts)
 
@@ -417,7 +435,8 @@ class SamplerEngine:
             else np.empty((0, self.n_levels))
         self.ev_interval = np.clip(np.searchsorted(self.grid, self.ev_times, side="left") - 1,
                                    0, self.n_levels - 1)
-        self.events_per_interval = np.bincount(self.ev_interval, minlength=self.n_levels).astype(float)
+        # the shapes of the levels' Gamma full conditionals, n_g + 1
+        self.level_shapes = np.bincount(self.ev_interval, minlength=self.n_levels) + 1.0
 
     # -- initialization --------------------------------------------------------
 
@@ -485,8 +504,8 @@ class SamplerEngine:
         assignments, sticks, weights, concentration)."""
         h = self.hyper
         phi = max(float(rng.gamma(h.a_phi, 1.0 / h.b_phi)), 1e-8)
-        sticks = _clip_sticks(rng.beta(1.0, phi, size=size - 1))
-        weights = stick_to_weights(sticks, size)
+        sticks = clip_sticks(rng.beta(1.0, phi, size=size - 1))
+        weights = weights_of(sticks)
         atoms = draw_atoms(rng, size)
         assignments = np.searchsorted(np.cumsum(weights), rng.random(units), side="right")
         return atoms, np.minimum(assignments, size - 1).astype(np.int64), sticks, weights, phi
@@ -496,22 +515,26 @@ class SamplerEngine:
         """Conjugate stick fractions given the assignment counts, then the
         concentration's Gibbs draw (kept fixed unless ``update_concentrations``).
         Returns (sticks, weights, concentration)."""
-        sticks = _clip_sticks(posterior_stick_update(np.bincount(assignments, minlength=size),
-                                                     concentration, rng))
+        sticks = clip_sticks(draw_sticks(np.bincount(assignments, minlength=size),
+                                         concentration, rng))
         if self.hyper.update_concentrations:
             concentration = update_concentration(sticks, self.hyper.a_phi, self.hyper.b_phi, rng)
-        return sticks, stick_to_weights(sticks, size), concentration
+        return sticks, weights_of(sticks), concentration
+
+    def _propose_atoms(self, rng, name: str, atoms: np.ndarray) -> np.ndarray:
+        """A random-walk proposal for every atom of a mixture."""
+        return atoms + self.scales[name] * rng.standard_normal(atoms.size)
 
     def _move_atoms(self, rng, name: str, atoms: np.ndarray, assignments: np.ndarray,
-                    draw_atoms: Callable, log_ratio: Callable, post: bool) -> np.ndarray:
-        """One simultaneous random-walk Metropolis move of every occupied atom
-        of a mixture, accepted with the per-atom log ratio ``log_ratio(prop)``;
+                    prop: np.ndarray, log_ratio: np.ndarray, draw_atoms: Callable,
+                    post: bool) -> np.ndarray:
+        """One simultaneous Metropolis move of every occupied atom of a
+        mixture to ``prop``, accepted with the per-atom ``log_ratio``;
         every empty atom is redrawn from its base measure.  Returns the atoms."""
         size = atoms.size
-        prop = atoms + self.scales[name] * rng.standard_normal(size)
         u = rng.random(size)
         fresh = draw_atoms(rng, size)
-        accept = metropolis_decision(log_ratio(prop), u)
+        accept = metropolis_decision(log_ratio, u)
         occupied = np.bincount(assignments, minlength=size) > 0
         n_occupied = np.count_nonzero(occupied)
         if n_occupied:
@@ -530,6 +553,7 @@ class SamplerEngine:
         self.lin_z = self.z @ self.alpha
         self.lgam = np.log(self.gamma)
         self.kap = self.theta[self.v]
+        self.delta_kap = self.delta * self.kap
         self._refresh_mu_caches()
         self._refresh_baseline_caches()
         self.su = 1.0 - self.d_flags.astype(float)
@@ -602,7 +626,7 @@ class SamplerEngine:
         record's change of terminal log density."""
         d2 = self.d_scale - shift
         ekd2 = _exp_capped(self.kap * d2)
-        d_ll = (self.ekd - ekd2) - self.delta * self.kap * shift
+        d_ll = (self.ekd - ekd2) - self.delta_kap * shift
         if self.literal:
             d_ll *= self.tm
         return d2, ekd2, d_ll
@@ -653,7 +677,7 @@ class SamplerEngine:
             return
         ssq = np.bincount(self.cluster_of, weights=self.lgam * self.lgam, minlength=self.j)
         rate = self.hyper.b0 + 0.5 * ssq
-        self.tau2 = rate / np.maximum(rng.standard_gamma(self.tau2_shape), 1e-300)
+        self.tau2 = rate / np.maximum(rng.standard_gamma(self.tau2_shape, size=self.j), 1e-300)
 
     def update_gamma(self, rng, post=False) -> None:
         if self.n == 0:
@@ -682,7 +706,7 @@ class SamplerEngine:
         """Per-record coefficients of the log likelihood as a function of the
         cluster effect: the linear term, the -exp(mu) factor and the
         -exp(-kappa*xi2*mu) factor."""
-        lin_term = self.delta * self.kap * self.xi2
+        lin_term = self.delta_kap * self.xi2
         term_scale = _exp_capped(self.kap * (self.d_scale + self.xi2 * self.mu_rec))
         if self.literal:
             lin_term *= self.tm
@@ -690,59 +714,80 @@ class SamplerEngine:
         rec_scale = self.su * self.gamma * _exp_capped(self.lin_x) * self.lam0_followup
         return self.q_events - lin_term, rec_scale, term_scale
 
-    def _cluster_mu_loglik(self, coefficients, atoms: np.ndarray) -> np.ndarray:
-        """J x K matrix: the log likelihood of cluster c's records with their
-        shared effect set to ``atoms[k]``, up to terms free of it.
-
-        Summed per cluster from :meth:`_mu_coefficients`; the terminal
-        coefficient is summed per (cluster, shape atom), since a record's
-        shape is ``theta[v]``.  The sums and each of the three terms are
-        clipped to +-_SCORE_CLIP.
-        """
+    def _mu_sums(self, coefficients) -> tuple:
+        """The per-cluster sums of :meth:`_mu_coefficients`: the linear term
+        and the -exp(mu) factor over each cluster's records (length J), and
+        the -exp(-kappa*xi2*mu) factor over each cluster's records of each
+        shape atom (J x K_kappa), since a record's shape is ``theta[v]``.
+        None of them reads the cluster effects.  Each is clipped to
+        +-_SCORE_CLIP."""
         lin, rec_scale, term_scale = coefficients
-        k_kappa = self.level_kappa
-        sums = (np.bincount(self.cluster_of, weights=lin, minlength=self.j),
-                np.bincount(self.cluster_of, weights=rec_scale, minlength=self.j),
-                np.bincount(self.cluster_of * k_kappa + self.v, weights=term_scale,
-                            minlength=self.j * k_kappa).reshape(self.j, k_kappa))
-        lin_c, rec_c, term_c = (_clip_scores(x) for x in sums)
-        e_term = _exp_capped(np.multiply.outer(self.theta * -self.xi2, atoms))
+        j, k_kappa = self.j, self.level_kappa
+        # side by side, so that one clip covers the three
+        sums = _clip_scores(np.concatenate((
+            np.bincount(self.cluster_of, weights=lin, minlength=j),
+            np.bincount(self.cluster_of, weights=rec_scale, minlength=j),
+            np.bincount(self.cluster_of * k_kappa + self.v, weights=term_scale,
+                        minlength=j * k_kappa)), dtype=float))
+        return sums[:j], sums[j:2 * j], sums[2 * j:].reshape(j, k_kappa)
+
+    def _cluster_mu_loglik(self, sums, atoms: np.ndarray) -> np.ndarray:
+        """J x K matrix: the log likelihood of cluster c's records with their
+        shared effect set to ``atoms[k]``, up to terms free of it, from the
+        per-cluster sums of :meth:`_mu_sums`.  Each of the three terms and
+        the result are clipped to +-_SCORE_CLIP.
+        """
+        lin_c, rec_c, term_c = sums
+        e_term = _exp_capped(_outer(self.theta * -self.xi2, atoms))
         with np.errstate(over="ignore"):
-            ll = _clip_scores(np.multiply.outer(lin_c, atoms))
-            ll -= np.minimum(np.multiply.outer(rec_c, _exp_capped(atoms)), _SCORE_CLIP)
+            ll = _clip_scores(_outer(lin_c, atoms))
+            ll -= np.minimum(_outer(rec_c, _exp_capped(atoms)), _SCORE_CLIP)
             ll -= np.minimum(term_c @ e_term, _SCORE_CLIP)
         return _clip_scores(ll)
 
     def update_mu_block(self, rng, post=False) -> None:
         """Assignments, sticks, concentration and atom moves for the cluster
         effects (plain per-cluster Metropolis steps in the parametric
-        variant)."""
+        variant).  The atoms' proposal is drawn first: in the mixture, one
+        pass scores every cluster at every current and proposed atom, and
+        the assignment draw and the atom move read the same scores."""
         if self.mu_mode == "none":
             return
-        coefficients = self._mu_coefficients()
+        sums = self._mu_sums(self._mu_coefficients())
+        size = self.eta.size
+        prop = self._propose_atoms(rng, "eta", self.eta)
         if self.mu_mode == "dp":
-            scores = self._cluster_mu_loglik(coefficients, self.eta)
+            ll = self._cluster_mu_loglik(sums, np.concatenate((self.eta, prop)))
             with np.errstate(divide="ignore"):
-                scores += np.log(self.mu_weights)
+                scores = ll[:, :size] + np.log(self.mu_weights)
             self.m = _categorical_columns(scores.T, rng.random(self.j),
                                           "cluster {} (cluster-effect mixture)".format)
             self.mu_sticks, self.mu_weights, self.phi_mu = self._update_sticks(
                 self.m, self.level_mu, self.phi_mu, rng)
-        self.eta = self._move_atoms(rng, "eta", self.eta, self.m, self._draw_mu_atoms,
-                                    lambda prop: self._mu_atom_log_ratio(coefficients, prop), post)
+            # each cluster's change of score at its new atom
+            d_ll = (ll[:, size:] - ll[:, :size])[np.arange(self.j), self.m]
+        else:
+            d_ll = self._mu_own_atom_change(sums, prop)
+        ratio = (np.bincount(self.m, weights=d_ll, minlength=size)
+                 + (self.eta ** 2 - prop ** 2) / (2.0 * self.hyper.sigma2_mu))
+        self.eta = self._move_atoms(rng, "eta", self.eta, self.m, prop, ratio,
+                                    self._draw_mu_atoms, post)
         self._refresh_mu_caches()
 
-    def _mu_atom_log_ratio(self, coefficients, prop: np.ndarray) -> np.ndarray:
-        lin, rec_scale, term_scale = coefficients
-        atom_of_rec = self.m[self.cluster_of]
-        w = self.kap * -self.xi2
-        # terms of one atom are taken per atom and gathered per record
-        d_ll = (lin * (prop - self.eta)[atom_of_rec]
-                - rec_scale * (_exp_capped(prop) - _exp_capped(self.eta))[atom_of_rec]
-                - term_scale * (_exp_capped(w * prop[atom_of_rec])
-                                - _exp_capped(w * self.eta[atom_of_rec])))
-        return (np.bincount(atom_of_rec, weights=d_ll, minlength=prop.size)
-                + (self.eta ** 2 - prop ** 2) / (2.0 * self.hyper.sigma2_mu))
+    def _mu_own_atom_change(self, sums, prop: np.ndarray) -> np.ndarray:
+        """One effect per cluster: each cluster's change of log likelihood
+        when its effect moves from ``eta`` to ``prop``, from the per-cluster
+        sums of :meth:`_mu_sums`.  An overflowing change is inf or NaN, and
+        its move is rejected."""
+        lin_c, rec_c, term_c = sums
+        size = prop.size
+        both = np.concatenate((self.eta, prop))
+        e_mu = _exp_capped(both)
+        # rows: the current effects, then the proposed ones
+        e_term = _exp_capped(_outer(both, self.theta * -self.xi2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (lin_c * (prop - self.eta) - rec_c * (e_mu[size:] - e_mu[:size])
+                    - np.add.reduce(term_c * (e_term[size:] - e_term[:size]), axis=1))
 
     # -- susceptibility block ----------------------------------------------------------
 
@@ -780,7 +825,7 @@ class SamplerEngine:
         # summed over the records.  Where E_g is not finite and positive the
         # conditional is improper, and the level keeps its value
         exposure = (self.su * self.gamma * self.erx) @ self.durations
-        draws = rng.standard_gamma(self.events_per_interval + 1.0)
+        draws = rng.standard_gamma(self.level_shapes)
         np.divide(draws, exposure, out=self.lam, where=(exposure > 0.0) & (exposure < np.inf))
         self._refresh_baseline_caches()
         self._record_accept("lambda", 1.0, post)
@@ -816,30 +861,32 @@ class SamplerEngine:
         """Draw every record's shape atom: rejection rounds from the binned
         envelope, then the dense draw for the records they leave."""
         v = np.empty(self.n, dtype=np.int64)
-        left = np.flatnonzero(self._kappa_rejection_rounds(rng, v))
+        left = self._kappa_rejection_rounds(rng, v).nonzero()[0]
         if left.size:
             v[left] = self._kappa_dense(rng, left)
         return v
 
-    def _kappa_bins(self, span: np.ndarray) -> tuple:
-        """The envelope's bins over the offsets ``span``: (lower edges,
-        upper edges, the bin of each offset of ``span[order]``, ``order``).
+    def _kappa_bins(self, todo: np.ndarray | None, span: np.ndarray) -> tuple:
+        """Cut the offsets ``span`` of the records ``todo`` (None: every
+        record) into the envelope's bins.  Returns (lower edges, upper
+        edges, the records, their offsets, the bin of each shifted left by
+        53 bits, whether the records are in order of offset).
 
         Below ``_KAPPA_SORT_LIMIT`` offsets the bins are the runs of
         :func:`_rank_bins` over the sorted offsets, and their edges are the
         least and greatest offset they hold: the runs are shortest in the
-        sparse tails, where an atom's score changes most across a run.
-        ``order`` sorts the offsets.  From there on the bins have equal
-        widths, which need no sort, and ``order`` is None: the offsets keep
-        their order.
+        sparse tails, where an atom's score changes most across a run.  The
+        records come back in order of offset.  From there on the bins have
+        equal widths, which need no sort, and the records keep their order.
         """
         m = span.size
         if m < _KAPPA_SORT_LIMIT:
-            first, last, run = _rank_bins(
+            first, last, run_key = _rank_bins(
                 m, max(1, min(_KAPPA_SORTED_BINS, m // _KAPPA_SORTED_BIN_RECORDS)))
-            order = np.argsort(span)
-            ranked = span[order]
-            return ranked[first], ranked[last], run, order
+            order = span.argsort()
+            span = span[order]
+            todo = order if todo is None else todo[order]
+            return span[first], span[last], todo, span, run_key, True
         lo, hi = float(span.min()), float(span.max())
         bins = min(_KAPPA_MAX_BINS, max(1, m // _KAPPA_BIN_RECORDS))
         width = (hi - lo) / bins
@@ -851,7 +898,9 @@ class SamplerEngine:
         # `slack` of its bin, so the bin's bound covers the offset
         slack = 2.0 ** -48 * (abs(lo) + abs(hi))
         which = np.minimum(((span - lo) / width).astype(np.int64), bins - 1)
-        return edges[:-1] - slack, edges[1:] + slack, which, None
+        which <<= 53
+        return (edges[:-1] - slack, edges[1:] + slack, np.arange(m) if todo is None else todo,
+                span, which, False)
 
     def _kappa_rejection_rounds(self, rng, v: np.ndarray) -> np.ndarray:
         """Up to ``_KAPPA_ROUNDS`` rounds of envelope rejection for each
@@ -862,108 +911,125 @@ class SamplerEngine:
         record, at least one, and takes each record's first accepted one; it
         works in blocks of ``_KAPPA_BLOCK`` records.  Returns the mask of
         the records left to the dense draw."""
-        d = self.d_scale
-        # false for a non-finite offset, so the dense draw raises on NaN
-        routed = np.abs(d) <= _KAPPA_ROUTE_LIMIT / max(float(self.theta.max()), 1.0)
-        if self.literal:
-            routed &= self.tm != 0.0
-        todo = np.flatnonzero(routed)
-        if not todo.size:
-            return ~routed
-        span = d[todo]
-        lo, hi, which, order = self._kappa_bins(span)
-        if order is not None:
-            todo, span = todo[order], span[order]
+        d, theta = self.d_scale, self.theta
+        limit = _KAPPA_ROUTE_LIMIT / max(float(theta.max()), 1.0)
+        magnitude = np.abs(d)
+        # NaN fails the comparison, so a non-finite offset is not routed and
+        # the dense draw raises on it; without records there is none to route
+        if self.literal or not (d.size and magnitude.max() <= limit):
+            routed = magnitude <= limit
+            if self.literal:
+                routed &= self.tm != 0.0
+            todo = routed.nonzero()[0]
+            if not todo.size:
+                return ~routed
+            span = d[todo]
+        else:
+            routed, todo, span = None, None, d
+        lo, hi, todo, span, row_key, ordered = self._kappa_bins(todo, span)
         flag = self.delta[todo]
         bound, cdf = self._kappa_envelope(lo, hi)
-        rows, stride = cdf.shape
-        # row r's cumulative probabilities in units of 2^-53, its padding at
-        # 1, offset by r * 2^53: sorted across rows.  A record's 53-bit
-        # uniform in those units, offset by its row, is at or above exactly
-        # the entries of its row that its draw passes
-        keys = np.ceil(np.minimum(cdf, 1.0) * _TWO_53).astype(np.int64)
-        keys += np.arange(rows, dtype=np.int64)[:, None] << 53
+        rows, k_atoms = cdf.shape
+        # row r's cumulative probabilities in units of 2^-53, offset by
+        # r * 2^53: sorted across rows, and row r ends at (r + 1) * 2^53.  A
+        # record's 53-bit uniform in those units, offset by its row, is at
+        # or above exactly the entries of its row that its draw passes
+        cdf *= _TWO_53
+        keys = np.ceil(cdf, out=cdf).astype(np.int64)
+        keys += np.arange(0, rows << 53, 1 << 53, dtype=np.int64)[:, None]
         keys, bound = keys.ravel(), bound.ravel()
-        if order is None:
+        if not ordered:
             # (step, view) pairs of a branchless binary search within a row:
-            # view[pos] is keys[pos + step - 1]
-            probes = [(1 << s, keys[(1 << s) - 1:])
-                      for s in reversed(range(stride.bit_length() - 1))]
-        row_key = (which + lo.size * flag.astype(np.int64)) << 53
+            # view[pos] is keys[pos + step - 1].  The steps reach the row's
+            # last entry; a probe past it reads a greater key of the next
+            # row, or one of the padding keys after the last row
+            top = (k_atoms - 1).bit_length()
+            keys = np.concatenate((keys, np.full(1 << top, np.iinfo(np.int64).max)))
+            probes = [(1 << s, keys[(1 << s) - 1:]) for s in reversed(range(top))]
+        # a flagged record's row is its bin's row plus the number of bins
+        flag_key = (flag * float(lo.size << 53)).astype(np.int64)
+        flag_key += row_key
         # (records, offsets, flags, row keys) of the records left, aligned
-        left = todo, span, flag, row_key
-        for r in range(_KAPPA_ROUNDS):
-            tries = max(1, min(_KAPPA_TRY_GROWTH ** r, _KAPPA_BLOCK // left[0].size))
-            parts = []
-            for start in range(0, left[0].size, _KAPPA_BLOCK):
-                idx, di, fi, ri = (a[start:start + _KAPPA_BLOCK] for a in left)
-                u = rng.random((2, tries, idx.size))
-                query = ri + (u[0] * _TWO_53).astype(np.int64)
-                if order is not None:
-                    # records in order of d: their queries rise with their
-                    # bins, so one search of the whole table branches
-                    # predictably; on unordered queries it mispredicts
-                    # enough to cost several times the branchless search
-                    pos = keys.searchsorted(query, side="right")
-                else:
-                    pos = (query >> 53) * stride
-                    for step, probe in probes:
-                        pos += step * (probe[pos] <= query)
-                k = pos & (stride - 1)
-                x = self.theta[k] * di
-                log_ratio = fi * x - _exp_capped(x) - bound[pos]
-                with np.errstate(divide="ignore"):
-                    ok = np.log(u[1]) < log_ratio
-                if tries > 1:
-                    # each record's first accepted proposal
-                    first = ok.argmax(axis=0), np.arange(idx.size)
-                    ok, k = ok[first], k[first]
-                else:
-                    ok, k = ok[0], k[0]
-                # a rejected record's atom is overwritten by a later round
-                # or the dense draw
-                v[idx] = k
-                rest = np.flatnonzero(~ok)
-                parts.append(tuple(a[rest] for a in (idx, di, fi, ri)))
-            left = parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
-            if not left[0].size:
-                break
-        dense = ~routed
+        left = todo, span, flag, flag_key
+        dense = np.zeros(self.n, dtype=bool) if routed is None else ~routed
+        # the acceptance test takes the log of a uniform, which may be 0
+        with np.errstate(divide="ignore"):
+            for r in range(_KAPPA_ROUNDS):
+                size = left[0].size
+                tries = max(1, min(_KAPPA_TRY_GROWTH ** r, _KAPPA_BLOCK // size))
+                parts = []
+                for start in range(0, size, _KAPPA_BLOCK):
+                    idx, di, fi, ri = (left if size <= _KAPPA_BLOCK else
+                                       (a[start:start + _KAPPA_BLOCK] for a in left))
+                    u = rng.random((2, tries, idx.size))
+                    query = (u[0] * _TWO_53).astype(np.int64)
+                    query += ri
+                    if ordered:
+                        # records in order of d: their queries rise with their
+                        # bins, so one search of the whole table branches
+                        # predictably; on unordered queries it mispredicts
+                        # enough to cost several times the branchless search
+                        pos = keys.searchsorted(query, side="right")
+                    else:
+                        pos = (query >> 53) * k_atoms
+                        for step, probe in probes:
+                            pos += step * (probe[pos] <= query)
+                    # the atom: the position past its row's start (a remainder
+                    # by k_atoms costs several times as much)
+                    k = pos - (query >> 53) * k_atoms
+                    x = theta[k]
+                    x *= di
+                    log_ratio = fi * x
+                    log_ratio -= _exp_capped(x)
+                    log_ratio -= bound[pos]
+                    ok = np.log(u[1], out=u[1]) < log_ratio
+                    if tries > 1:
+                        # each record's first accepted proposal
+                        first = ok.argmax(axis=0), np.arange(idx.size)
+                        ok, k = ok[first], k[first]
+                    else:
+                        ok, k = ok[0], k[0]
+                    # a rejected record's atom is overwritten by a later round
+                    # or the dense draw
+                    v[idx] = k
+                    rest = (~ok).nonzero()[0]
+                    if rest.size:
+                        parts.append(tuple(a[rest] for a in (idx, di, fi, ri)))
+                if not parts:
+                    return dense
+                left = parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
         dense[left[0]] = True
         return dense
 
     def _kappa_envelope(self, lo: np.ndarray, hi: np.ndarray) -> tuple:
         """The shape step's rejection envelope over the bins [lo, hi]: two
-        tables of rows (terminal flag, bin) by atoms, each row padded to a
-        power-of-two stride.
+        tables of rows (terminal flag, bin) by atoms.
 
         ``bound`` holds each atom's upper bound, over the bin, of the term
         ``flag x - exp(x)``, ``x = theta d`` with the exp argument capped,
         which with ``log w + flag log theta`` makes the atom's score.
         ``cdf`` holds the cumulative proposal probabilities, proportional
-        to ``w theta^flag exp(bound)``, padded with +inf.  Without the flag
+        to ``w theta^flag exp(bound)``; each row ends at 1.  Without the flag
         the term falls in d, so its bound is at the bin's lower edge; with
         it, ``x - exp(x)`` is concave up to the cap with its peak at x = 0
         and rises past the cap, so its bound is the larger of its values at
         the point of the bin nearest 0 and at the upper edge.
         """
-        theta, bins, k_atoms = self.theta, lo.size, self.theta.size
-        bound = np.zeros((2 * bins, 1 << (k_atoms - 1).bit_length()))
-        body = bound[:, :k_atoms]
-        x = np.multiply.outer(np.concatenate((lo, np.minimum(np.maximum(lo, 0.0), hi))), theta)
-        np.negative(_exp_capped(x), out=body)
-        body[bins:] += x[bins:]
+        theta, bins = self.theta, lo.size
+        x = _outer(np.concatenate((lo, np.minimum(np.maximum(lo, 0.0), hi))), theta)
+        bound = _exp_capped(x)
+        np.negative(bound[:bins], out=bound[:bins])
+        np.subtract(x[bins:], bound[bins:], out=bound[bins:])
         if float(hi.max()) * float(theta.max()) > _EXP_CAP:
-            x = np.multiply.outer(hi, theta)
-            np.maximum(body[bins:], x - _exp_capped(x), out=body[bins:])
+            x = _outer(hi, theta)
+            np.maximum(bound[bins:], x - _exp_capped(x), out=bound[bins:])
         with np.errstate(divide="ignore"):
-            p = body + np.log(self.kappa_weights)
-        p[bins:] += np.log(theta)
-        p -= p.max(axis=1, keepdims=True)
-        np.exp(p, out=p)
-        np.cumsum(p, axis=1, out=p)
-        cdf = np.full_like(bound, np.inf)
-        np.divide(p, p[:, -1:], out=cdf[:, :k_atoms])
+            cdf = bound + np.log(self.kappa_weights)
+        cdf[bins:] += np.log(theta)
+        cdf -= np.maximum.reduce(cdf, axis=1, keepdims=True)
+        np.exp(cdf, out=cdf)
+        np.add.accumulate(cdf, axis=1, out=cdf)
+        cdf /= cdf[:, -1:].copy()
         return bound, cdf
 
     def _kappa_dense(self, rng, records: np.ndarray) -> np.ndarray:
@@ -998,9 +1064,12 @@ class SamplerEngine:
         self.v = self._kappa_assignments(rng)
         self.kappa_sticks, self.kappa_weights, self.phi_kappa = self._update_sticks(
             self.v, self.level_kappa, self.phi_kappa, rng)
-        self.theta = self._move_atoms(rng, "theta", self.theta, self.v, self._draw_kappa_atoms,
-                                      self._theta_atom_log_ratio, post)
+        prop = self._propose_atoms(rng, "theta", self.theta)
+        self.theta = self._move_atoms(rng, "theta", self.theta, self.v, prop,
+                                      self._theta_atom_log_ratio(prop), self._draw_kappa_atoms,
+                                      post)
         self.kap = self.theta[self.v]
+        self.delta_kap = self.delta * self.kap
         self.ekd = _exp_capped(self.kap * self.d_scale)
 
     def _theta_atom_log_ratio(self, prop: np.ndarray) -> np.ndarray:
@@ -1009,9 +1078,12 @@ class SamplerEngine:
         safe = np.where(valid, prop, 1.0)
         # log(kp / kc) per atom, gathered per record
         d_log = np.log(safe) - np.log(self.theta)
-        kc, kp = self.theta[self.v], safe[self.v]
-        d_ll = (self.delta * (d_log[self.v] + (kp - kc) * self.d_scale)
-                - (_exp_capped(kp * self.d_scale) - _exp_capped(kc * self.d_scale)))
+        # each record's proposed and current shape, kp and kc, stacked so
+        # that one pass takes both capped exp(shape * d)
+        shapes = np.concatenate((safe, self.theta)).reshape(2, -1).take(self.v, axis=1)
+        e = _exp_capped(shapes * self.d_scale)
+        d_ll = (self.delta * (d_log[self.v] + (shapes[0] - shapes[1]) * self.d_scale)
+                - (e[0] - e[1]))
         if self.literal:
             d_ll *= self.tm
         # Gamma(a_kappa, b_kappa) base density keeps the conditional proper
@@ -1203,7 +1275,8 @@ class SamplerEngine:
                 for name, value in self._trace_parts() for i in range(np.size(value))]
 
     def trace_row(self) -> np.ndarray:
-        return np.concatenate([np.asarray(value, dtype=float).ravel()
+        # every array part is a float vector; a scalar part fills one column
+        return np.concatenate([value if isinstance(value, np.ndarray) else (value,)
                                for _, value in self._trace_parts()])
 
 

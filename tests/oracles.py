@@ -8,7 +8,8 @@ dual-implementation check.
 The dense references at the end keep the sampler's former numpy scoring of
 the two mixture assignment steps: a full records-by-atoms matrix, summed
 over each cluster's records by a clusters-by-records one-hot for the
-cluster effects.  They read only the engine's state and caches, and so
+cluster effects.  The cluster-effect atom move keeps its former
+per-record log ratio.  They read only the engine's state and caches, and so
 does the exact shape-atom softmax of one record.  The dense CPO/LPML
 keeps the former computation from a whole draws-by-participants matrix
 of log likelihoods.
@@ -116,14 +117,22 @@ def _dense_exp_capped(x):
     return np.exp(np.minimum(x, _EXP_CAP))
 
 
-def dense_mu_cluster_loglik(eng, atoms):
-    """J x K cluster-effect log likelihoods: per-record N x K values, each
-    clipped to +-1e306, summed per cluster by a J x N one-hot product."""
-    atoms = np.asarray(atoms, dtype=float)
+def _mu_record_coefficients(eng):
+    """Per-record coefficients of the log likelihood in the cluster effect:
+    the linear term, the -exp(mu) factor and the -exp(-kappa*xi2*mu)
+    factor, with each record's shape ``kappa``."""
     kap = eng.theta[eng.v]
     lin = eng.su * eng.q_events - eng.tm * eng.delta * kap * eng.xi2
     rec_scale = eng.su * eng.gamma * _dense_exp_capped(eng.lin_x) * eng.lam0_followup
     term_scale = eng.tm * _dense_exp_capped(kap * (eng.d_scale + eng.xi2 * eng.mu_rec))
+    return kap, lin, rec_scale, term_scale
+
+
+def dense_mu_cluster_loglik(eng, atoms):
+    """J x K cluster-effect log likelihoods: per-record N x K values, each
+    clipped to +-1e306, summed per cluster by a J x N one-hot product."""
+    atoms = np.asarray(atoms, dtype=float)
+    kap, lin, rec_scale, term_scale = _mu_record_coefficients(eng)
     e_term = _dense_exp_capped(np.outer(-kap * eng.xi2, atoms))
     ll = (lin[:, None] * atoms[None, :] - rec_scale[:, None] * _dense_exp_capped(atoms)[None, :]
           - term_scale[:, None] * e_term)
@@ -131,6 +140,23 @@ def dense_mu_cluster_loglik(eng, atoms):
     onehot = np.zeros((eng.j, eng.n))
     onehot[eng.cluster_of, np.arange(eng.n)] = 1.0
     return onehot @ ll
+
+
+def mu_atom_log_ratio(eng, prop, assignments):
+    """Each cluster-effect atom's change of log target when it moves from
+    ``eng.eta`` to ``prop``, the clusters assigned by ``assignments``: the
+    sampler's former per-record formula, each record's term taken at its
+    cluster's atom and summed per atom, plus the N(0, sigma2_mu) prior."""
+    prop = np.asarray(prop, dtype=float)
+    kap, lin, rec_scale, term_scale = _mu_record_coefficients(eng)
+    atom = np.asarray(assignments)[eng.cluster_of]
+    w = -kap * eng.xi2
+    d_ll = (lin * (prop - eng.eta)[atom]
+            - rec_scale * (_dense_exp_capped(prop) - _dense_exp_capped(eng.eta))[atom]
+            - term_scale * (_dense_exp_capped(w * prop[atom])
+                            - _dense_exp_capped(w * eng.eta[atom])))
+    return (np.bincount(atom, weights=d_ll, minlength=prop.size)
+            + (eng.eta ** 2 - prop ** 2) / (2.0 * eng.hyper.sigma2_mu))
 
 
 def dense_kappa_assignments(eng, rng):

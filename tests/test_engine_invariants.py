@@ -40,7 +40,7 @@ MU_SCORE_REL_TOL = 1e-12
 # rounds once, and the errors add up
 DRIFT_REL_TOL = 1e-9
 
-CACHES = ("lin_x", "lin_z", "mu_rec", "lgam", "kap", "d_scale", "ekd", "erx",
+CACHES = ("lin_x", "lin_z", "mu_rec", "lgam", "kap", "delta_kap", "d_scale", "ekd", "erx",
           "lam0_followup", "ev_logsum", "su", "tm", "logit_p", "softplus_sum")
 BLOCKS = ("update_beta", "update_alpha", "update_alpha0", "update_tau2", "update_gamma",
           "update_mu_block", "update_susceptibility", "update_baseline_block",
@@ -264,10 +264,41 @@ def test_factored_mu_scores_match_dense_reference(variant, baseline, mode):
     for _ in range(5):
         eng.sweep(rng)
     atoms = np.concatenate([eng.eta, np.linspace(-2.0, 2.0, 9)])
-    factored = eng._cluster_mu_loglik(eng._mu_coefficients(), atoms)
+    factored = eng._cluster_mu_loglik(eng._mu_sums(eng._mu_coefficients()), atoms)
     dense = oracles.dense_mu_cluster_loglik(eng, atoms)
     assert factored.shape == (eng.j, atoms.size)
     np.testing.assert_allclose(factored, dense, rtol=MU_SCORE_REL_TOL, atol=0)
+
+
+@pytest.mark.parametrize("mode", LIKELIHOOD_MODES)
+@pytest.mark.parametrize("variant", ["BMZ-DP", "BM-DP", "BMZ"])
+def test_mu_atom_move_ratio_matches_per_record_reference(variant, mode, monkeypatch):
+    """The cluster-effect atom move's log ratio, built from per-cluster
+    sums, equals the former per-record formula: in the mixtures, whose
+    clusters span several shape atoms, and with BMZ's one effect per
+    cluster."""
+    eng = _engine(variant, "piecewise", mode, seed=707)
+    rng = np.random.default_rng(31)
+    for _ in range(5):
+        eng.sweep(rng)
+    # every cluster's records on three shape atoms
+    eng.v = np.arange(eng.n) % 3
+    eng.refresh_caches()
+    assert all(np.unique(eng.v[eng.cluster_of == c]).size >= 2 for c in range(eng.j))
+    pairs = []
+    move_atoms = eng._move_atoms
+
+    def recorded_move(rng, name, atoms, assignments, prop, log_ratio, *rest):
+        pairs.append((log_ratio, oracles.mu_atom_log_ratio(eng, prop, assignments)))
+        return move_atoms(rng, name, atoms, assignments, prop, log_ratio, *rest)
+
+    monkeypatch.setattr(eng, "_move_atoms", recorded_move)
+    for _ in range(3):
+        eng.update_mu_block(rng)
+    assert len(pairs) == 3
+    for got, want in pairs:
+        np.testing.assert_allclose(got, want, rtol=MU_SCORE_REL_TOL,
+                                   atol=MU_SCORE_REL_TOL * (1.0 + np.abs(want).max()))
 
 
 # rows per shape-score chunk at the 50 shape atoms used below
@@ -326,6 +357,19 @@ def test_overflow_guards_keep_both_mixture_blocks_finite(mode):
             assert np.all((eng.m >= 0) & (eng.m < eng.level_mu))
             assert np.all((eng.v >= 0) & (eng.v < eng.level_kappa))
             _assert_caches_fresh(eng, present, block)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_engine_without_records_sweeps(variant):
+    # every block, the two mixtures included, has nothing to do and must
+    # not fail on its empty arrays
+    eng = SamplerEngine(make_dataset([], 0), Hyperparams(), variant=variant,
+                        baseline_variant="powerlaw")
+    rng = np.random.default_rng(37)
+    eng.init_state(rng)
+    for _ in range(3):
+        eng.sweep(rng)
+    assert eng.v.size == 0 and eng.participant_loglik().size == 0
 
 
 def test_engine_reads_dataset_columns_in_place():

@@ -102,6 +102,15 @@ class TestRecordValidation:
         with pytest.raises(ValueError, match=match):
             Dataset(**columns(2, **overrides))
 
+    def test_duplicate_named_at_its_second_occurrence(self):
+        # key (0, 7) first occurs in record 0, before (0, 3) in the file but
+        # after it in key order; records 2 and 3 repeat both keys, and the
+        # error names record 2, the first repeat in the file
+        with pytest.raises(RecordError, match="duplicate") as err:
+            Dataset(**columns(4, participant_index=[7, 3, 7, 3]))
+        assert (err.value.position, err.value.field) == (2, "participant_index")
+        assert "participant 7 in cluster 0" in str(err.value)
+
     def test_first_failing_record_named(self):
         # record 1 breaks two rules and record 2 one: the error names
         # record 1 and the first of its rules
