@@ -22,8 +22,52 @@ __all__ = [
 ]
 
 
+def sorted_unique(values) -> np.ndarray:
+    """The distinct entries of ``values``, flattened and ascending: a sort
+    and one comparison of neighbours, equal to ``np.unique`` on input
+    without NaN.  A plain ``np.unique`` would import ``numpy.ma``, which
+    nothing here uses."""
+    x = np.sort(values, axis=None)
+    keep = np.empty(x.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
+    return x[keep]
+
+
+def type7_quantiles(values, probs) -> np.ndarray:
+    """Type-7 quantiles (Hyndman & Fan 1996) of ``values`` along its last
+    axis at each of ``probs`` (in [0, 1]), shaped ``(len(probs),) +
+    values.shape[:-1]``: numpy's default ``linear`` method written out, equal
+    bit for bit to ``np.quantile(values, probs, axis=-1)``, which would
+    import ``numpy.ma``.
+
+    As numpy does, it partitions a copy at the order statistics it needs,
+    takes the virtual index ``(n - 1) p``, sets both neighbours of an index
+    at or past ``n - 1`` to the last (so its weight is ``(n - 1) p + 1``),
+    interpolates ``a + (b - a) t``, or ``b - (b - a)(1 - t)`` where
+    ``t >= 0.5``, and gives a series holding NaN the NaN that sorts last.
+    """
+    arr = np.array(values, dtype=float)
+    n = arr.shape[-1]
+    virtual = (n - 1) * np.asarray(probs, dtype=float)
+    lo = np.floor(virtual)
+    hi = lo + 1
+    top = virtual >= n - 1
+    lo[top] = hi[top] = -1
+    lo, hi = lo.astype(np.intp), hi.astype(np.intp)
+    arr.partition(sorted_unique(np.concatenate(([0, -1], lo, hi))), axis=-1)
+    a, b, t = arr[..., lo], arr[..., hi], virtual - lo
+    diff = b - a
+    out = np.add(a, diff * t)
+    np.subtract(b, diff * (1 - t), out=out, where=t >= 0.5)
+    last = arr[..., -1:]
+    np.copyto(out, last, where=np.isnan(last))
+    return np.moveaxis(out, -1, 0)
+
+
 def summarize_columns(draws: np.ndarray) -> list:
-    """Mean, sd and type-7 empirical 2.5/50/97.5% quantiles of every column
+    """Mean, sd and type-7 empirical 2.5/50/97.5% quantiles (numpy's
+    default ``linear`` method, by :func:`type7_quantiles`) of every column
     of a draws-by-parameters matrix, one dict per column.
 
     The columns are reduced in one pass over the C-contiguous transpose, so
@@ -35,7 +79,7 @@ def summarize_columns(draws: np.ndarray) -> list:
         raise ValueError("cannot summarize an empty trace")
     mean = x.mean(axis=1)
     sd = x.std(axis=1, ddof=1) if x.shape[1] > 1 else np.zeros(x.shape[0])
-    q = np.quantile(x, [0.025, 0.5, 0.975], axis=1)
+    q = type7_quantiles(x, [0.025, 0.5, 0.975])
     return [{"mean": float(mean[k]), "sd": float(sd[k]), "q2.5": float(q[0, k]),
              "q50": float(q[1, k]), "q97.5": float(q[2, k])} for k in range(x.shape[0])]
 

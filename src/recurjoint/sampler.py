@@ -97,7 +97,7 @@ from typing import Callable
 
 import numpy as np
 
-from .diagnostics import cpo_accumulate, log_add_exp
+from .diagnostics import cpo_accumulate, log_add_exp, sorted_unique, type7_quantiles
 from .dp import clip_sticks, draw_sticks, stick_to_weights, update_concentration, weights_of
 from .model import (
     BASELINE_VARIANTS,
@@ -184,8 +184,8 @@ def _rank_bins(m: int, bins: int) -> tuple:
     at both ends and longest in the middle.  Returns (each run's first
     rank, each run's last rank, each rank's run shifted left by 53 bits),
     read-only."""
-    first = np.unique((0.5 * m * (1.0 - np.cos(np.arange(bins) * (math.pi / bins))))
-                      .astype(np.int64))
+    first = sorted_unique((0.5 * m * (1.0 - np.cos(np.arange(bins) * (math.pi / bins))))
+                          .astype(np.int64))
     ends = np.append(first[1:], m)
     parts = first, ends - 1, np.arange(first.size).repeat(ends - first) << 53
     for part in parts:
@@ -418,9 +418,9 @@ class SamplerEngine:
         g = self.hyper.grid_count
         if explicit is not None:
             grid = np.asarray(explicit, dtype=float)
-        elif self.ev_times.size >= 2 and np.unique(self.ev_times).size >= 2:
-            cuts = np.quantile(self.ev_times, np.arange(1, g) / g)
-            grid = np.unique(np.concatenate(([0.0], cuts, [self.ev_times.max()])))
+        elif self.ev_times.size >= 2 and self.ev_times.min() < self.ev_times.max():
+            cuts = type7_quantiles(self.ev_times, np.arange(1, g) / g)
+            grid = sorted_unique(np.concatenate(([0.0], cuts, [self.ev_times.max()])))
         else:
             horizon = float(self.followup.max()) if self.n else 1.0
             grid = np.linspace(0.0, horizon, g + 1)

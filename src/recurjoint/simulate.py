@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .diagnostics import type7_quantiles
 from .model import (
     BASELINE_VARIANTS,
     BaselineHazard,
@@ -132,10 +133,20 @@ def _sample_events(rates: np.ndarray, baseline: BaselineHazard, horizons: np.nda
                          f"is too large to sample")
     counts = rng.poisson(budget)
     owner = np.repeat(np.arange(rates.size), counts)
-    u = 1.0 - rng.random(owner.size)
-    # sorted within each record; the exact two-key sort, since a float key
-    # such as owner + u loses the low bits of u at large owner values
-    u = u[np.lexsort((u, owner))]
+    total = owner.size
+    if rates.size * total >= 2 ** 63:
+        raise ValueError(f"{rates.size} records and {total} events overflow the int64 "
+                         f"sort key record * events + rank")
+    u = 1.0 - rng.random(total)
+    # sorted within each record by one exact integer key, record * total +
+    # the rank of u among all draws (a float key such as owner + u loses the
+    # low bits of u at large owner values); owner already rises, so the
+    # sorted keys' records line up with it and their remainders are ranks
+    by_value = np.argsort(u)
+    rank = np.empty(total, dtype=np.int64)
+    rank[by_value] = np.arange(total)
+    base = owner * total
+    u = u[by_value[np.sort(base + rank) - base]]
     times = np.minimum(_inverse_cumulative(u * hazard[owner], baseline), horizons[owner])
     keep = np.ones(times.size, dtype=bool)
     keep[1:] = (times[1:] > times[:-1]) | (owner[1:] != owner[:-1])
@@ -228,7 +239,7 @@ def simulate_dataset(n: int, j: int, baseline_variant: str = "piecewise",
 
     if baseline_variant == "piecewise":
         g = PIECEWISE_LEVELS.size
-        cuts = np.quantile(followup, np.arange(1, g) / g)
+        cuts = type7_quantiles(followup, np.arange(1, g) / g)
         grid = np.concatenate(([0.0], cuts, [followup.max()]))
         baseline = PiecewiseConstantHazard(grid, PIECEWISE_LEVELS)
     else:

@@ -492,6 +492,36 @@ class TestCliCommands:
         assert (outs[0] / "report.json").read_bytes() == (outs[1] / "report.json").read_bytes()
         assert (outs[0] / "timing.json").exists()
 
+    def test_replicate_study_report_is_independent_of_threads(self, tmp_path):
+        # the report is fixed by the study config and seed, whether the
+        # cells run in this process or on a pool of two workers
+        config = tmp_path / "study.json"
+        config.write_text(json.dumps({
+            "n": 20, "j": 2, "replicates": 2, "variants": ["BMZ-DP", "BMZ"], "seed": 4,
+            "mcmc": {"iterations": 20, "burn_in": 10, "adapt_window": 5}}))
+        reports = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            assert main(["replicate-study", "--config", str(config), "--out", str(out),
+                         "--threads", threads]) == 0
+            reports.append((out / "report.json").read_bytes())
+        assert not json.loads(reports[0])["failures"]
+        assert reports[0] == reports[1]
+
+    def test_fit_outputs_are_independent_of_threads(self, tmp_path):
+        out = self._simulate(tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"mcmc": {"iterations": 20, "burn_in": 10, "seed": 6,
+                                               "chains": 2, "adapt_window": 5}}))
+        files = []
+        for threads in ("1", "2"):
+            fit_dir = tmp_path / f"threads{threads}"
+            assert main(["fit", "--data", str(out / "events.csv"), "--config", str(config),
+                         "--out", str(fit_dir), "--threads", threads]) == 0
+            files.append({p.name: p.read_bytes() for p in sorted(fit_dir.iterdir())})
+        assert {"chain00.csv", "chain01.csv", "summary.json"} <= set(files[0])
+        assert files[0] == files[1]
+
     def test_replicate_study_failure_keeps_traceback(self, monkeypatch):
         # a config is checked before any cell runs, so the cells fail in
         # the fit itself

@@ -5,14 +5,20 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import make_dataset, make_record
 from recurjoint.diagnostics import (
     cpo_accumulate,
     cpo_lpml,
     gelman_rubin_psrf,
     posterior_summary,
     replicate_aggregate,
+    sorted_unique,
     summarize_draws,
+    type7_quantiles,
 )
+from recurjoint.model import Hyperparams
+from recurjoint.sampler import _KAPPA_SORTED_BINS, SamplerEngine, _rank_bins
+from recurjoint.simulate import simulate_dataset
 
 
 class TestPosteriorSummary:
@@ -47,6 +53,98 @@ class TestPosteriorSummary:
                 return np.array([1.0, 2.0, 3.0])
 
         assert posterior_summary(Fake(), "beta_1")["mean"] == 2.0
+
+
+def assert_same_bits(ours, reference):
+    ours, reference = np.asarray(ours), np.asarray(reference)
+    assert (ours.dtype, ours.shape) == (reference.dtype, reference.shape)
+    assert ours.tobytes() == reference.tobytes(), (ours, reference)
+
+
+def random_matrix(rng, kind, columns, draws):
+    """A columns x draws matrix of one of the shapes of input the
+    quantile helper must reproduce numpy on."""
+    x = rng.normal(size=(columns, draws)) * 10.0 ** rng.integers(-3, 4)
+    if kind == "ties":
+        x = np.round(x, 1)
+    elif kind == "signed zeros":
+        x = rng.choice([-0.0, 0.0, -1.0, 1.0], size=(columns, draws))
+    elif kind == "infinities":
+        x[rng.random(x.shape) < 0.2] = np.inf
+        x[rng.random(x.shape) < 0.2] = -np.inf
+    elif kind == "nan column":
+        x[rng.integers(columns), rng.integers(draws)] = np.nan
+    elif kind == "special values":
+        x = rng.choice([np.inf, -np.inf, np.nan, 0.0, 2.0], size=(columns, draws))
+    return x
+
+
+class TestExactHelpers:
+    """The written-out quantile and unique equal numpy's bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["normal", "ties", "signed zeros", "infinities",
+                                      "nan column", "special values"])
+    @pytest.mark.parametrize("draws", [1, 2, 3, 40, 5000])
+    def test_quantiles_match_numpy_along_axis_1(self, kind, draws):
+        rng = np.random.default_rng(draws)
+        probs = [0.025, 0.5, 0.975]
+        for _ in range(20 if draws < 5000 else 2):
+            x = random_matrix(rng, kind, int(rng.integers(1, 8)), draws)
+            with np.errstate(invalid="ignore"):  # inf - inf, in numpy's lerp as in ours
+                assert_same_bits(type7_quantiles(x, probs), np.quantile(x, probs, axis=1))
+
+    def test_quantiles_match_numpy_at_grid_probabilities(self, rng):
+        for n in (1, 2, 3, 7, 100, 1001):
+            for g in (2, 3, 7, 20):
+                x = np.round(rng.exponential(size=n), int(rng.integers(1, 4)))
+                probs = np.arange(1, g) / g
+                assert_same_bits(type7_quantiles(x, probs), np.quantile(x, probs))
+
+    def test_quantiles_leave_input_alone(self, rng):
+        x = rng.normal(size=(3, 50))
+        before = x.copy()
+        type7_quantiles(x, [0.5])
+        assert_same_bits(x, before)
+
+    def test_unique_matches_numpy_on_grid_inputs(self):
+        for seed, decimals in ((1, None), (2, 1), (3, 0)):
+            times = simulate_dataset(120, 6, seed=seed)[0].event_times
+            if decimals is not None:  # tied times give tied cuts
+                times = np.round(times, decimals)
+            for g in (2, 5, 20, 60):
+                cuts = np.quantile(times, np.arange(1, g) / g)
+                candidate = np.concatenate(([0.0], cuts, [times.max()]))
+                assert_same_bits(sorted_unique(candidate), np.unique(candidate))
+
+    def test_unique_matches_numpy_on_rank_inputs(self):
+        for m in (*range(1, 200), 1000, 4095):
+            for bins in {1, 2, 3, min(_KAPPA_SORTED_BINS, max(1, m // 8)), _KAPPA_SORTED_BINS}:
+                first = (0.5 * m * (1.0 - np.cos(np.arange(bins) * (np.pi / bins)))
+                         ).astype(np.int64)
+                assert_same_bits(sorted_unique(first), np.unique(first))
+                assert_same_bits(_rank_bins(m, bins)[0], np.unique(first))
+
+    def test_unique_of_unsorted_ties(self, rng):
+        x = rng.integers(0, 20, size=300).astype(float)
+        assert_same_bits(sorted_unique(x), np.unique(x))
+        assert_same_bits(sorted_unique(x[:0]), np.unique(x[:0]))
+
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_engine_grid_is_numpys(self, rng, tied):
+        if tied:  # times from a few values, so many cuts coincide
+            records = [make_record(followup=2.0, participant=i,
+                                   times=np.sort(rng.choice([0.25, 0.5, 1.0, 1.5], size=k,
+                                                            replace=False)))
+                       for i, k in enumerate(rng.integers(0, 4, size=60))]
+            dataset = make_dataset(records, 1)
+        else:
+            dataset = simulate_dataset(90, 3, seed=4)[0]
+        times = dataset.event_times
+        for g in (3, 20):
+            eng = SamplerEngine(dataset, Hyperparams(grid_count=g), variant="BMZ-DP",
+                                baseline_variant="piecewise")
+            cuts = np.quantile(times, np.arange(1, g) / g)
+            assert_same_bits(eng.grid, np.unique(np.concatenate(([0.0], cuts, [times.max()]))))
 
 
 class TestGelmanRubin:
