@@ -19,8 +19,11 @@ followup_time, event_indicator, event_times``, then ``x_*``, ``z_*`` and
 - ``event_times`` holds the record's times joined by ``;``, or nothing;
 - a blank line is an error, as is any row with the wrong number of cells.
 
-numpy's C reader parses the rows; a row-by-row loop in Python re-reads the
-file only when the reader rejects it, to name the first bad row and cell.
+A chain trace is a header row and one row of decimals per kept draw, under
+the same rules.  Both readers hand numpy's C reader the file one line at a
+time, holding neither its text nor a Python object per cell; a row-by-row
+loop in Python re-reads the file only when the reader rejects it, to name
+the first bad row and cell.
 """
 
 from __future__ import annotations
@@ -96,23 +99,67 @@ def _int64(text: str) -> int:
     return value
 
 
-def _row_error(path, header: list, lines: list) -> ValueError | None:
-    """The error for the first row of ``lines`` that is short, long or holds
-    a cell Python's ``int`` or ``float`` does not parse; None when there is
-    none.  It parses each cell in Python, so it runs only to name an error."""
-    for line_no, row in enumerate(csv.reader(lines), start=2):
-        if len(row) != len(header):
-            return ValueError(f"{path}: row {line_no}: expected {len(header)} columns, "
-                              f"got {len(row)}")
-        for col, cell in enumerate(row):
-            parse, kind = (_int64, "a 64-bit integer") if col in (0, 1, 3) else (float, "a number")
-            for value in (cell.split(";") if cell else []) if col == 4 else [cell]:
-                try:
-                    parse(value)
-                except ValueError:
-                    return ValueError(f"{path}: row {line_no}, column {col + 1} "
-                                      f"({header[col]}): not {kind}: {value!r}")
+def _record_error(path, header: list, line_no: int, row: list) -> ValueError | None:
+    """The error for an events row that is short, long or holds a cell
+    Python's ``int`` or ``float`` does not parse; None when it has none."""
+    if len(row) != len(header):
+        return ValueError(f"{path}: row {line_no}: expected {len(header)} columns, got {len(row)}")
+    for col, cell in enumerate(row):
+        parse, kind = (_int64, "a 64-bit integer") if col in (0, 1, 3) else (float, "a number")
+        for value in (cell.split(";") if cell else []) if col == 4 else [cell]:
+            try:
+                parse(value)
+            except ValueError:
+                return ValueError(f"{path}: row {line_no}, column {col + 1} "
+                                  f"({header[col]}): not {kind}: {value!r}")
     return None
+
+
+def _numpy_rows(fh, empty: np.ndarray) -> np.ndarray:
+    """The rows of the lines left in the open CSV file ``fh``, parsed by
+    numpy's C reader one line at a time into an array like ``empty``, which
+    is returned when no line is left.  numpy skips a blank line and joins a
+    quoted cell that spans lines, so the lines are counted, and fewer rows
+    than lines raise ValueError.  A warning is raised too: numpy < 2 reads
+    "1.5" in an integer column as 1 with only a DeprecationWarning."""
+    count = 0
+
+    def lines():
+        nonlocal count
+        for count, line in enumerate(fh, start=1):
+            yield line
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            rows = np.loadtxt(lines(), empty.dtype, delimiter=",", comments=None,
+                              quotechar='"', ndmin=empty.ndim)
+        except UserWarning:  # numpy warns that an input without lines has no data
+            if count:
+                raise
+    if not count:
+        return empty
+    if len(rows) != count:
+        raise ValueError(f"{len(rows)} rows in {count} lines")
+    return rows
+
+
+def _raise_row_error(fh, path, err: Exception, row_error) -> None:
+    """Raise the error ``row_error(path, header, line_no, row)`` gives for
+    the first bad row of the open CSV file ``fh``, which numpy's reader
+    rejected with ``err``.  It re-reads the file from the top, parsing each
+    cell in Python, so it runs only to name an error."""
+    fh.seek(0)
+    reader = csv.reader(fh)
+    header = next(reader)
+    for line_no, row in enumerate(reader, start=2):
+        error = row_error(path, header, line_no, row)
+        if error is not None:
+            raise error from None
+    raise ValueError(f"{path}: numpy's reader rejects a cell that Python's int and float accept, "
+                     f"such as one with a digit separator (1_000) or non-ASCII digits, or a "
+                     f"quoted cell that spans lines (numpy.loadtxt, whose rows count the data "
+                     f"lines from 0: {err})") from err
 
 
 def load_dataset(path) -> Dataset:
@@ -123,45 +170,30 @@ def load_dataset(path) -> Dataset:
     The grammar is the module docstring's: comma-separated cells, optionally
     in double quotes, on lines ending in LF, CRLF or CR; numbers in plain
     ASCII with optional surrounding whitespace and sign; no blank lines and
-    no digit separators.  numpy's C reader parses every row in one call, and
-    the event times in one more; only when it rejects the file does a
-    row-by-row loop re-read it, to name the first bad row and column."""
+    no digit separators.  numpy's C reader parses the rows a line at a time,
+    and the event times in one more call; only when it rejects the file does
+    a row-by-row loop re-read it, to name the first bad row and column."""
     with open(path, newline="") as fh:
         header = next(csv.reader(fh), None)
-        lines = fh.readlines()
-    if header is None:
-        raise ValueError(f"{path}: empty events file")
-    if header[: len(_FIXED_COLUMNS)] != _FIXED_COLUMNS:
-        raise ValueError(f"{path}: malformed header, expected leading columns "
-                         f"{_FIXED_COLUMNS}")
-    p, q, r = (sum(h.startswith(prefix) for h in header) for prefix in ("x_", "z_", "u_"))
-    if len(header) != len(_FIXED_COLUMNS) + p + q + r:
-        raise ValueError(f"{path}: unrecognized columns in header")
+        if header is None:
+            raise ValueError(f"{path}: empty events file")
+        if header[: len(_FIXED_COLUMNS)] != _FIXED_COLUMNS:
+            raise ValueError(f"{path}: malformed header, expected leading columns "
+                             f"{_FIXED_COLUMNS}")
+        p, q, r = (sum(h.startswith(prefix) for h in header) for prefix in ("x_", "z_", "u_"))
+        if len(header) != len(_FIXED_COLUMNS) + p + q + r:
+            raise ValueError(f"{path}: unrecognized columns in header")
 
-    dtype = np.dtype([("cluster", "i8"), ("participant", "i8"), ("followup", "f8"),
-                      ("event", "i8"), ("times", "O"), ("covariates", "f8", (p + q + r,))])
-    try:
-        with warnings.catch_warnings():
-            # numpy < 2 reads "1.5" in an integer column as 1 with only a
-            # DeprecationWarning, and a body of blank lines as no rows with
-            # a UserWarning: both are errors here
-            warnings.simplefilter("error")
-            rows = (np.loadtxt(lines, dtype, delimiter=",", comments=None, quotechar='"',
-                               ndmin=1) if lines else np.empty(0, dtype))
-            if len(rows) != len(lines):  # the reader skips blank lines
-                raise ValueError(f"{len(rows)} rows in {len(lines)} lines")
+        dtype = np.dtype([("cluster", "i8"), ("participant", "i8"), ("followup", "f8"),
+                          ("event", "i8"), ("times", "O"), ("covariates", "f8", (p + q + r,))])
+        try:
+            rows = _numpy_rows(fh, np.empty(0, dtype))
             cells = rows["times"].tolist()
             joined = ";".join(filter(None, cells))
             times = (np.loadtxt([joined], delimiter=";", comments=None, ndmin=1) if joined
                      else np.empty(0))
-    except (ValueError, Warning) as err:
-        error = _row_error(path, header, lines)
-        if error is not None:
-            raise error from None
-        raise ValueError(f"{path}: numpy's reader rejects a cell that Python's int and float "
-                         f"accept, such as one with a digit separator (1_000) or non-ASCII "
-                         f"digits, or a quoted cell that spans lines (numpy.loadtxt, "
-                         f"whose rows count the data lines from 0: {err})") from err
+        except (ValueError, Warning) as err:
+            _raise_row_error(fh, path, err, _record_error)
 
     counts = [cell.count(";") + 1 if cell else 0 for cell in cells]
     cluster_ids, cluster_index = np.unique(rows["cluster"], return_inverse=True)
@@ -309,46 +341,43 @@ def write_chain_trace(trace: ChainTrace, prefix) -> None:
     np.save(str(prefix) + "_loglik.npy", trace.neg_loglik_lse)
 
 
-def _is_number(text: str) -> bool:
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return True
-
-
-def _trace_width_error(path, line_no: int, header: list, row: list) -> ValueError:
+def _trace_row_error(path, header: list, line_no: int, row: list) -> ValueError | None:
     """The error for a trace row with more or fewer cells than its header,
     naming the first column missing from it or the first one past the
-    header."""
-    col = min(len(row), len(header))
-    name = f" ({header[col]}): missing" if col < len(header) else ": not in the header"
-    return ValueError(f"{path}: row {line_no}, column {col + 1}{name}; the row has "
-                      f"{len(row)} cells, the header {len(header)} columns")
+    header, or for a cell Python's ``float`` does not parse; None when the
+    row has neither."""
+    if len(row) != len(header):
+        col = min(len(row), len(header))
+        name = f" ({header[col]}): missing" if col < len(header) else ": not in the header"
+        return ValueError(f"{path}: row {line_no}, column {col + 1}{name}; the row has "
+                          f"{len(row)} cells, the header {len(header)} columns")
+    for col, cell in enumerate(row):
+        try:
+            float(cell)
+        except ValueError:
+            return ValueError(f"{path}: row {line_no}, column {col + 1} ({header[col]}): "
+                              f"not a number: {cell!r}")
+    return None
 
 
 def read_chain_trace(prefix, manifest: dict, chain_index: int) -> ChainTrace:
     """Re-read chain ``chain_index`` of a fit written by
     :func:`write_chain_trace`; the acceptance rates, final proposal scales
-    and piecewise grid come from the fit's manifest."""
+    and piecewise grid come from the fit's manifest.  numpy's C reader
+    parses the draws a line at a time; only when it rejects them does a
+    row-by-row loop re-read the file, to name the first bad row and column."""
     prefix = Path(prefix)
     path = prefix.with_suffix(".csv")
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header is None:
             raise ValueError(f"{path}: empty trace file, expected a header row")
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise _trace_width_error(path, line_no, header, row)
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError:
-                col = next(c for c, v in enumerate(row) if not _is_number(v))
-                raise ValueError(f"{path}: row {line_no}, column {col + 1} ({header[col]}): "
-                                 f"not a number: {row[col]!r}") from None
-    data = np.asarray(rows, dtype=float) if rows else np.empty((0, len(header)))
+        try:
+            data = _numpy_rows(fh, np.empty((0, len(header))))
+            if data.shape[1] != len(header):
+                raise ValueError(f"{data.shape[1]} columns under a header of {len(header)}")
+        except (ValueError, Warning) as err:
+            _raise_row_error(fh, path, err, _trace_row_error)
     loglik_path = str(prefix) + "_loglik.npy"
     neg_loglik_lse = np.load(loglik_path)
     if neg_loglik_lse.ndim != 1:

@@ -557,7 +557,6 @@ class SamplerEngine:
         self._refresh_mu_caches()
         self._refresh_baseline_caches()
         self.su = 1.0 - self.d_flags.astype(float)
-        self.tm = self.su if self.literal else np.ones(self.n)
         if self.logistic:
             self.logit_p = self.u @ self.zeta
             self.softplus_sum = float(log_add_exp(0.0, self.logit_p).sum())
@@ -583,7 +582,8 @@ class SamplerEngine:
             self.ev_logsum = self.q_events * math.log(self.psi) + (self.psi - 1.0) * self.slog_ev
 
     def _terminal_loglik(self) -> np.ndarray:
-        """Per-record terminal log density, before the ``tm`` weight."""
+        """Per-record terminal log density, before the literal mode weights it
+        by ``su``."""
         return (self.delta * (np.log(self.kap) - self.log_followup + self.kap * self.d_scale)
                 - self.ekd)
 
@@ -596,7 +596,7 @@ class SamplerEngine:
         with np.errstate(invalid="ignore"):
             terminal = self._terminal_loglik()
             if self.literal:
-                terminal *= self.tm
+                terminal *= self.su
             recurrent = self.su * (self.q_events * (self.lgam + self.lin_x + self.mu_rec)
                                    + self.ev_logsum - self.gamma * self.erx * self.lam0_followup)
         return terminal + recurrent
@@ -628,7 +628,7 @@ class SamplerEngine:
         ekd2 = _exp_capped(self.kap * d2)
         d_ll = (self.ekd - ekd2) - self.delta_kap * shift
         if self.literal:
-            d_ll *= self.tm
+            d_ll *= self.su
         return d2, ekd2, d_ll
 
     def acceptance_rates(self) -> dict:
@@ -709,8 +709,8 @@ class SamplerEngine:
         lin_term = self.delta_kap * self.xi2
         term_scale = _exp_capped(self.kap * (self.d_scale + self.xi2 * self.mu_rec))
         if self.literal:
-            lin_term *= self.tm
-            term_scale *= self.tm
+            lin_term *= self.su
+            term_scale *= self.su
         rec_scale = self.su * self.gamma * _exp_capped(self.lin_x) * self.lam0_followup
         return self.q_events - lin_term, rec_scale, term_scale
 
@@ -808,8 +808,6 @@ class SamplerEngine:
         draws = rng.random(self.n)
         self.d_flags = ((draws < prob_one) & self.eventless).astype(np.int8)
         self.su = 1.0 - self.d_flags
-        if self.literal:
-            self.tm = self.su
 
     # -- baseline block -------------------------------------------------------------------
 
@@ -919,7 +917,7 @@ class SamplerEngine:
         if self.literal or not (d.size and magnitude.max() <= limit):
             routed = magnitude <= limit
             if self.literal:
-                routed &= self.tm != 0.0
+                routed &= self.su != 0.0
             todo = routed.nonzero()[0]
             if not todo.size:
                 return ~routed
@@ -1053,7 +1051,7 @@ class SamplerEngine:
             ll *= self.delta[r]
             ll -= expo
             if self.literal:
-                ll *= self.tm[r]
+                ll *= self.su[r]
             _clip_scores(ll)
             ll += log_w
             v[c] = _categorical_columns(ll, uniforms[c],
@@ -1085,7 +1083,7 @@ class SamplerEngine:
         d_ll = (self.delta * (d_log[self.v] + (shapes[0] - shapes[1]) * self.d_scale)
                 - (e[0] - e[1]))
         if self.literal:
-            d_ll *= self.tm
+            d_ll *= self.su
         # Gamma(a_kappa, b_kappa) base density keeps the conditional proper
         ratio = (np.bincount(self.v, weights=d_ll, minlength=prop.size)
                  + ((h.a_kappa - 1.0) * d_log - h.b_kappa * (prop - self.theta)))

@@ -117,14 +117,21 @@ def _dense_exp_capped(x):
     return np.exp(np.minimum(x, _EXP_CAP))
 
 
+def _terminal_weight(eng):
+    """Each record's weight on its terminal log density: its
+    susceptibility flag ``su`` in the literal mode, 1 in the corrected one."""
+    return eng.su if eng.literal else np.ones(eng.n)
+
+
 def _mu_record_coefficients(eng):
     """Per-record coefficients of the log likelihood in the cluster effect:
     the linear term, the -exp(mu) factor and the -exp(-kappa*xi2*mu)
     factor, with each record's shape ``kappa``."""
     kap = eng.theta[eng.v]
-    lin = eng.su * eng.q_events - eng.tm * eng.delta * kap * eng.xi2
+    tm = _terminal_weight(eng)
+    lin = eng.su * eng.q_events - tm * eng.delta * kap * eng.xi2
     rec_scale = eng.su * eng.gamma * _dense_exp_capped(eng.lin_x) * eng.lam0_followup
-    term_scale = eng.tm * _dense_exp_capped(kap * (eng.d_scale + eng.xi2 * eng.mu_rec))
+    term_scale = tm * _dense_exp_capped(kap * (eng.d_scale + eng.xi2 * eng.mu_rec))
     return kap, lin, rec_scale, term_scale
 
 
@@ -166,8 +173,7 @@ def dense_kappa_assignments(eng, rng):
     expo = np.exp(np.minimum(powers, _EXP_CAP))
     ll = eng.delta[:, None] * (np.log(eng.theta)[None, :] - eng.log_followup[:, None] + powers)
     ll -= expo
-    if eng.literal:
-        ll *= eng.tm[:, None]
+    ll *= _terminal_weight(eng)[:, None]
     np.clip(ll, -1e306, 1e306, out=ll)
     with np.errstate(divide="ignore"):
         ll += np.log(eng.kappa_weights)[None, :]
@@ -183,7 +189,7 @@ def kappa_probabilities(eng, i):
     state, from its offset ``d_scale``: the softmax of the clipped, capped
     terminal scores plus the log mixture weights, in plain floats."""
     d, delta = float(eng.d_scale[i]), float(eng.delta[i])
-    tm, log_t = float(eng.tm[i]), math.log(float(eng.followup[i]))
+    tm, log_t = float(_terminal_weight(eng)[i]), math.log(float(eng.followup[i]))
     scores = []
     for theta, w in zip(eng.theta.tolist(), eng.kappa_weights.tolist()):
         if w == 0.0:

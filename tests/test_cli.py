@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -137,7 +138,14 @@ class TestEventsFile:
         ("0,0,1.0,0,\n\n0,1,1.0,0,\n", r"row 3: expected 5 columns, got 0"),
         ("\n", r"row 2: expected 5 columns, got 0"),
         ("0,0,1.0,0,\n0,1_000,1.0,0,\n", r"e\.csv: numpy's reader rejects a cell"),
-    ], ids=["2^63", "blank line", "blank body", "digit separator"])
+        # numpy's reader joins the lines of a quoted cell, and the loop
+        # that names errors parses the joined cell
+        ('0,0,1.0,0,"0.5\n;0.75"\n0,1,1.0,0,\n',
+         r"e\.csv: numpy's reader rejects a cell .* or a quoted cell that spans lines "
+         r"\(.*: 2 rows in 3 lines\)"),
+        ('0,0,"1.\n5",0,\n', r"row 2, column 3 \(followup_time\): not a number: '1\.\\n5'"),
+    ], ids=["2^63", "blank line", "blank body", "digit separator", "quoted cell spans lines",
+            "quoted number spans lines"])
     def test_rejected_spellings_are_named(self, tmp_path, rows, match):
         path = tmp_path / "e.csv"
         path.write_text(_HEADER + "\n" + rows)
@@ -145,6 +153,21 @@ class TestEventsFile:
             warnings.simplefilter("always")
             load_dataset(path)
         assert not caught, [str(w.message) for w in caught]
+
+    def test_load_peak_memory_is_a_small_multiple_of_the_columns(self, tmp_path):
+        # the file is handed to numpy a line at a time, with no list of its
+        # lines (holding every line peaked at 5.7 times the columns, a line
+        # at a time at 3.1)
+        path = tmp_path / "e.csv"
+        write_dataset(simulate_dataset(5000, 125, seed=803)[0], path)
+        tracemalloc.start()
+        try:
+            loaded = load_dataset(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        columns = sum(getattr(loaded, name).nbytes for name in _COLUMNS)
+        assert peak < 4 * columns, (peak, columns)
 
     @pytest.mark.parametrize("rows, match", [
         ("a,0,1.0,0,\n", r"row 2, column 1 \(cluster_id\): not a 64-bit integer: 'a'"),
@@ -242,6 +265,65 @@ class TestTraceFiles:
         back = read_chain_trace(tmp_path / "chain00", manifest, 0)
         assert back.draws.view(np.int64).tolist() == draws.view(np.int64).tolist()
         assert back.total_loglik.view(np.int64).tolist() == total.view(np.int64).tolist()
+
+    @staticmethod
+    def _read_trace_text(tmp_path, text):
+        (tmp_path / "chain00.csv").write_text(text, newline="")
+        np.save(tmp_path / "chain00_loglik.npy", np.zeros(3))
+        manifest = {"grid": None, "acceptance": [{}], "final_scales": [{}]}
+        return read_chain_trace(tmp_path / "chain00", manifest, 0)
+
+    @pytest.mark.parametrize("text", [
+        'c0,c1,total_loglik\n"1.5"," -2 ",3\n',
+        "c0,c1,total_loglik\r\n1,2,3\r\n4,5,6\r\n",
+        "c0,c1,total_loglik\r1,2,3\r4,5,6",
+        "c0,c1,total_loglik\n +1e-3 ,\t-0,NaN\n-Infinity,inf,+.5\n",
+    ], ids=["quoted", "crlf", "cr", "spaces, signs and non-finite"])
+    def test_accepted_trace_spellings_match_float(self, tmp_path, text):
+        back = self._read_trace_text(tmp_path, text)
+        expected = np.array([[float(v) for v in row] for row in csv.reader(text.splitlines()[1:])])
+        assert back.draws.tobytes() == expected[:, :-1].tobytes()
+        assert back.total_loglik.tobytes() == expected[:, -1].tobytes()
+
+    def test_header_only_trace_reads_as_zero_draws(self, tmp_path):
+        back = self._read_trace_text(tmp_path, "c0,c1,total_loglik\n")
+        assert back.columns == ["c0", "c1"]
+        assert back.draws.shape == (0, 2) and back.total_loglik.shape == (0,)
+
+    @pytest.mark.parametrize("text, match", [
+        ("c0,c1,total_loglik\n1,2,3\n\n4,5,6\n",
+         r"chain00\.csv: row 3, column 1 \(c0\): missing; the row has 0 cells, the header 3"),
+        ("c0,c1,total_loglik\n1,2,3\n4,5,6\n\n",
+         r"chain00\.csv: row 4, column 1 \(c0\): missing; the row has 0 cells"),
+        ("c0,c1,total_loglik\n1,2,3\n4,5,6,7\n",
+         r"chain00\.csv: row 3, column 4: not in the header; the row has 4 cells, the header 3"),
+        ("c0,c1,total_loglik\n1,2,3,4\n5,6,7,8\n",
+         r"chain00\.csv: row 2, column 4: not in the header; the row has 4 cells"),
+        ("c0,c1,total_loglik\n1,2\n3,4\n",
+         r"chain00\.csv: row 2, column 3 \(total_loglik\): missing; the row has 2 cells"),
+    ], ids=["blank line", "blank last line", "long row", "every row long", "every row short"])
+    def test_bad_trace_rows_are_named(self, tmp_path, text, match):
+        with pytest.raises(ValueError, match=match):
+            self._read_trace_text(tmp_path, text)
+
+    def test_read_peak_memory_is_a_small_multiple_of_the_draws(self, tmp_path):
+        # no Python float per cell (those peaked at 5.2 times the draws
+        # array, numpy's reader at 1.1)
+        rng = np.random.default_rng(9)
+        draws = rng.standard_normal((2000, 133))
+        trace = ChainTrace(columns=[f"c{k}" for k in range(133)], draws=draws,
+                           neg_loglik_lse=np.zeros(3), total_loglik=rng.standard_normal(2000),
+                           acceptance={}, final_scales={}, chain_index=0, grid=None)
+        write_chain_trace(trace, tmp_path / "chain00")
+        manifest = {"grid": None, "acceptance": [{}], "final_scales": [{}]}
+        tracemalloc.start()
+        try:
+            back = read_chain_trace(tmp_path / "chain00", manifest, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.draws.tobytes() == draws.tobytes()
+        assert peak < 2 * (draws.nbytes + trace.total_loglik.nbytes), (peak, draws.nbytes)
 
     def test_empty_trace_file_is_named(self, tmp_path):
         (tmp_path / "chain00.csv").write_text("")

@@ -41,7 +41,7 @@ MU_SCORE_REL_TOL = 1e-12
 DRIFT_REL_TOL = 1e-9
 
 CACHES = ("lin_x", "lin_z", "mu_rec", "lgam", "kap", "delta_kap", "d_scale", "ekd", "erx",
-          "lam0_followup", "ev_logsum", "su", "tm", "logit_p", "softplus_sum")
+          "lam0_followup", "ev_logsum", "su", "logit_p", "softplus_sum")
 BLOCKS = ("update_beta", "update_alpha", "update_alpha0", "update_tau2", "update_gamma",
           "update_mu_block", "update_susceptibility", "update_baseline_block",
           "update_kappa_block", "update_xi1", "update_xi2", "update_zeta",
