@@ -13,7 +13,6 @@ import numpy as np
 
 __all__ = [
     "summarize_columns",
-    "summarize_draws",
     "posterior_summary",
     "gelman_rubin_psrf",
     "cpo_accumulate",
@@ -84,15 +83,10 @@ def summarize_columns(draws: np.ndarray) -> list:
              "q50": float(q[1, k]), "q97.5": float(q[2, k])} for k in range(x.shape[0])]
 
 
-def summarize_draws(draws: np.ndarray) -> dict:
-    """Mean, sd and type-7 empirical 2.5/50/97.5% quantiles of one series."""
-    return summarize_columns(np.reshape(np.asarray(draws, dtype=float), (-1, 1)))[0]
-
-
 def posterior_summary(trace, parameter: str) -> dict:
-    """Summary of one named parameter from a chain trace (or any object with
-    a ``column`` accessor)."""
-    return summarize_draws(trace.column(parameter))
+    """:func:`summarize_columns` of one named parameter from a chain trace
+    (or any object with a ``column`` accessor)."""
+    return summarize_columns(np.reshape(trace.column(parameter), (-1, 1)))[0]
 
 
 def gelman_rubin_psrf(chains) -> float:

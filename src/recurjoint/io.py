@@ -147,19 +147,27 @@ def _numpy_rows(fh, empty: np.ndarray) -> np.ndarray:
 def _raise_row_error(fh, path, err: Exception, row_error) -> None:
     """Raise the error ``row_error(path, header, line_no, row)`` gives for
     the first bad row of the open CSV file ``fh``, which numpy's reader
-    rejected with ``err``.  It re-reads the file from the top, parsing each
-    cell in Python, so it runs only to name an error."""
+    rejected with ``err``, numbered by the file line it starts on; with
+    none, name the first record whose quoted cell spans lines.  It re-reads
+    the file from the top, parsing each cell in Python, so it runs only to
+    name an error."""
     fh.seek(0)
     reader = csv.reader(fh)
     header = next(reader)
-    for line_no, row in enumerate(reader, start=2):
-        error = row_error(path, header, line_no, row)
+    start, spanning = reader.line_num + 1, None
+    for row in reader:
+        error = row_error(path, header, start, row)
         if error is not None:
             raise error from None
-    raise ValueError(f"{path}: numpy's reader rejects a cell that Python's int and float accept, "
-                     f"such as one with a digit separator (1_000) or non-ASCII digits, or a "
-                     f"quoted cell that spans lines (numpy.loadtxt, whose rows count the data "
-                     f"lines from 0: {err})") from err
+        if spanning is None and reader.line_num > start:
+            col = next(k for k, cell in enumerate(row) if "\n" in cell or "\r" in cell)
+            spanning = ValueError(f"{path}: row {start}, column {col + 1} ({header[col]}): "
+                                  f"a quoted cell spans lines {start} to {reader.line_num}")
+        start = reader.line_num + 1
+    raise spanning or ValueError(
+        f"{path}: numpy's reader rejects a cell that Python's int and float accept, such as one "
+        f"with a digit separator (1_000) or non-ASCII digits (numpy.loadtxt, whose rows count "
+        f"the data lines from 0: {err})") from err
 
 
 def load_dataset(path) -> Dataset:

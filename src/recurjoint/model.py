@@ -44,7 +44,7 @@ LIKELIHOOD_MODES = ("corrected", "literal")
 
 
 def _readonly(a, dtype=float) -> np.ndarray:
-    out = np.asarray(a, dtype=dtype).copy()
+    out = np.array(a, dtype=dtype)
     out.flags.writeable = False
     return out
 

@@ -26,10 +26,11 @@ its change of terminal log density from one move,
 The engine holds per-record caches of the state (linear predictors, log
 frailties, shapes and their products with the terminal flags, terminal
 offsets, capped exponentials, baseline integrals, susceptibility weights,
-the logistic predictor and its summed softplus).  Only
-:meth:`SamplerEngine.init_state` and :meth:`SamplerEngine.load_state`
-rebuild them, through :meth:`SamplerEngine.refresh_caches`; each block
-keeps current the caches its moves change, so a sweep rebuilds none.
+the logistic predictor and its summed softplus).  Only the one state
+writer, behind :meth:`SamplerEngine.load_state` and
+:meth:`SamplerEngine.init_state`, rebuilds them, through
+:meth:`SamplerEngine.refresh_caches`; each block keeps current the caches
+its moves change, so a sweep rebuilds none.
 The terminal offset is moved by increments, so it carries rounding that
 grows slowly with the sweeps wherever no cluster-effect block rebuilds it.
 
@@ -98,7 +99,7 @@ from typing import Callable
 import numpy as np
 
 from .diagnostics import cpo_accumulate, log_add_exp, sorted_unique, type7_quantiles
-from .dp import clip_sticks, draw_sticks, stick_to_weights, update_concentration, weights_of
+from .dp import posterior_stick_update, stick_to_weights, update_concentration
 from .model import (
     BASELINE_VARIANTS,
     LIKELIHOOD_MODES,
@@ -107,6 +108,7 @@ from .model import (
     Hyperparams,
     ParamState,
     PiecewiseConstantHazard,
+    PowerLawHazard,
     TruncatedDP,
     piecewise_durations,
 )
@@ -323,11 +325,11 @@ def _categorical_columns(scores: np.ndarray, uniforms: np.ndarray,
 
 
 def _mixture_arrays(dp: TruncatedDP) -> tuple:
-    """Writable copies of a mixture state, with its weights: (atoms,
+    """The arrays of a mixture state, with its weights: (atoms,
     assignments, sticks, weights, concentration)."""
-    sticks = np.array(dp.raw_sticks, dtype=float)
-    return (np.array(dp.atoms, dtype=float), np.array(dp.assignments, dtype=np.int64), sticks,
-            stick_to_weights(sticks, dp.atoms.size), float(dp.concentration))
+    sticks = np.asarray(dp.raw_sticks, dtype=float)
+    return (np.asarray(dp.atoms, dtype=float), np.asarray(dp.assignments, dtype=np.int64),
+            sticks, stick_to_weights(sticks), float(dp.concentration))
 
 
 # ---------------------------------------------------------------------------
@@ -387,16 +389,12 @@ class SamplerEngine:
 
         if baseline_variant == "piecewise":
             self.grid = self._build_grid(grid)
-            self._set_piecewise_design()
         else:
             self.grid = None
             self.slog_ev = np.bincount(self.ev_record, weights=np.log(self.ev_times), minlength=n) \
                 if self.ev_times.size else np.zeros(n)
             self.total_events = float(self.q_events.sum())
             self.total_log_ev = float(np.log(self.ev_times).sum()) if self.ev_times.size else 0.0
-
-        self.level_kappa = hyper.kappa_truncation(n)
-        self.level_mu = hyper.mu_truncation(self.j)
 
         sc = scales or ProposalScales()
         self.scales = {
@@ -428,62 +426,45 @@ class SamplerEngine:
             raise ValueError("piecewise grid must contain at least one interval")
         return grid
 
-    def _set_piecewise_design(self) -> None:
-        self.n_levels = self.grid.size - 1
-        ref = PiecewiseConstantHazard(self.grid, np.ones(self.n_levels))
-        self.durations = piecewise_durations(self.followup, ref) if self.n \
-            else np.empty((0, self.n_levels))
-        self.ev_interval = np.clip(np.searchsorted(self.grid, self.ev_times, side="left") - 1,
-                                   0, self.n_levels - 1)
-        # the shapes of the levels' Gamma full conditionals, n_g + 1
-        self.level_shapes = np.bincount(self.ev_interval, minlength=self.n_levels) + 1.0
-
     # -- initialization --------------------------------------------------------
 
     def init_state(self, rng: np.random.Generator) -> None:
-        """Draw the starting point: coefficients as small normal jitter,
+        """Draw a starting point and write it as a state, as
+        :meth:`load_state` does: coefficients as small normal jitter,
         mixture atoms from their base measures, indicators from the prior."""
         h = self.hyper
         n, j = self.n, self.j
-        self.beta = 0.1 * rng.standard_normal(self.x.shape[1])
-        self.alpha = 0.1 * rng.standard_normal(self.z.shape[1])
-        self.alpha0 = 0.1 * rng.standard_normal()
-        self.xi1 = 0.1 * rng.standard_normal()
-        self.xi2 = 0.1 * rng.standard_normal()
-        self.zeta = 0.1 * rng.standard_normal(self.u.shape[1]) if self.logistic else None
-        self.tau2 = np.full(j, h.b0 / (h.a0 + 1.0))
-        self.gamma = np.exp(0.1 * rng.standard_normal(n))
-        self.s2b = h.sigma2_beta
-        self.s2a = h.sigma2_alpha
-
+        beta = 0.1 * rng.standard_normal(self.x.shape[1])
+        alpha = 0.1 * rng.standard_normal(self.z.shape[1])
+        alpha0, xi1, xi2 = 0.1 * rng.standard_normal(3)
+        zeta = 0.1 * rng.standard_normal(self.u.shape[1]) if self.logistic else None
+        gamma = np.exp(0.1 * rng.standard_normal(n))
         if self.mu_mode == "dp":
-            self.eta, self.m, self.mu_sticks, self.mu_weights, self.phi_mu = \
-                self._prior_mixture(rng, self.level_mu, j, self._draw_mu_atoms)
+            effects = self._prior_mixture(rng, h.mu_truncation(j), j, self._draw_mu_atoms)
         else:
             # BMZ: one effect per cluster; BZ-DP: none
-            self.eta = self._draw_mu_atoms(rng, j) if self.mu_mode == "param" else np.empty(0)
-            self.m = np.arange(self.eta.size, dtype=np.int64)
-        self.theta, self.v, self.kappa_sticks, self.kappa_weights, self.phi_kappa = \
-            self._prior_mixture(rng, self.level_kappa, n, self._draw_kappa_atoms)
+            effects = self._draw_mu_atoms(rng, j) if self.mu_mode == "param" else None
+        kappa = self._prior_mixture(rng, h.kappa_truncation(n), n, self._draw_kappa_atoms)
 
         if self.baseline_variant == "piecewise":
             exposure = float(self.followup.sum())
             base = max(float(self.q_events.sum()) / exposure, 0.1) if exposure > 0 else 1.0
-            self.lam = np.full(self.n_levels, base)
-            self.psi = None
+            baseline = PiecewiseConstantHazard(self.grid, np.full(self.grid.size - 1, base))
         else:
-            self.lam = None
-            self.psi = 1.0
+            baseline = PowerLawHazard(1.0)
 
         if self.has_d:
             with np.errstate(over="ignore"):
-                p = (1.0 / (1.0 + np.exp(-(self.u @ self.zeta))) if self.logistic
-                     else self.hyper.fixed_p)
-            self.d_flags = ((rng.random(n) < p) & (self.q_events == 0)).astype(np.int8)
+                p = 1.0 / (1.0 + np.exp(-(self.u @ zeta))) if self.logistic else h.fixed_p
+            flags = ((rng.random(n) < p) & self.eventless).astype(np.int8)
         else:
-            self.d_flags = np.zeros(n, dtype=np.int8)
+            flags = np.zeros(n, dtype=np.int8)
 
-        self.refresh_caches()
+        self._set_state(ParamState(
+            beta=beta, alpha=alpha, alpha0=alpha0, xi1=xi1, xi2=xi2, zeta=zeta, gamma=gamma,
+            tau2=np.full(j, h.b0 / (h.a0 + 1.0)), unsusceptible=flags, cluster_effects=effects,
+            kappa_dp=kappa, baseline=baseline, sigma2_beta=h.sigma2_beta,
+            sigma2_alpha=h.sigma2_alpha))
         ll = self.participant_loglik()
         if n and not np.all(np.isfinite(ll)):
             pos = int(np.flatnonzero(~np.isfinite(ll))[0])
@@ -497,29 +478,28 @@ class SamplerEngine:
         return np.maximum(rng.gamma(self.hyper.a_kappa, 1.0 / self.hyper.b_kappa, size=size),
                           1e-12)
 
-    def _prior_mixture(self, rng, size: int, units: int, draw_atoms: Callable) -> tuple:
+    def _prior_mixture(self, rng, size: int, units: int, draw_atoms: Callable) -> TruncatedDP:
         """A prior draw of a truncated stick-breaking mixture of ``size``
         atoms over ``units`` units, in this order: concentration, sticks,
-        atoms (``draw_atoms(rng, size)``), assignments.  Returns (atoms,
-        assignments, sticks, weights, concentration)."""
+        atoms (``draw_atoms(rng, size)``), assignments."""
         h = self.hyper
         phi = max(float(rng.gamma(h.a_phi, 1.0 / h.b_phi)), 1e-8)
-        sticks = clip_sticks(rng.beta(1.0, phi, size=size - 1))
-        weights = weights_of(sticks)
+        sticks = posterior_stick_update(np.zeros(size), phi, rng)
         atoms = draw_atoms(rng, size)
-        assignments = np.searchsorted(np.cumsum(weights), rng.random(units), side="right")
-        return atoms, np.minimum(assignments, size - 1).astype(np.int64), sticks, weights, phi
+        assignments = stick_to_weights(sticks).cumsum().searchsorted(rng.random(units),
+                                                                     side="right")
+        return TruncatedDP(atoms, sticks, np.minimum(assignments, size - 1), phi)
 
     def _update_sticks(self, assignments: np.ndarray, size: int, concentration: float,
                        rng) -> tuple:
         """Conjugate stick fractions given the assignment counts, then the
         concentration's Gibbs draw (kept fixed unless ``update_concentrations``).
         Returns (sticks, weights, concentration)."""
-        sticks = clip_sticks(draw_sticks(np.bincount(assignments, minlength=size),
-                                         concentration, rng))
+        sticks = posterior_stick_update(np.bincount(assignments, minlength=size), concentration,
+                                        rng)
         if self.hyper.update_concentrations:
             concentration = update_concentration(sticks, self.hyper.a_phi, self.hyper.b_phi, rng)
-        return sticks, weights_of(sticks), concentration
+        return sticks, stick_to_weights(sticks), concentration
 
     def _propose_atoms(self, rng, name: str, atoms: np.ndarray) -> np.ndarray:
         """A random-walk proposal for every atom of a mixture."""
@@ -546,9 +526,9 @@ class SamplerEngine:
     def refresh_caches(self) -> None:
         """Rebuild every per-record cache from the primary state.
 
-        Only :meth:`init_state` and :meth:`load_state` call it; between
-        them, each block keeps current the caches its moves change.  Code
-        that writes a primary field directly calls it afterwards."""
+        Only the state writer calls it; after that, each block keeps
+        current the caches its moves change.  Code that writes a primary
+        field directly calls it afterwards."""
         self.lin_x = self.x @ self.beta
         self.lin_z = self.z @ self.alpha
         self.lgam = np.log(self.gamma)
@@ -1146,38 +1126,49 @@ class SamplerEngine:
     # -- state loading --------------------------------------------------------------------------
 
     def load_state(self, state: ParamState) -> None:
-        """Replace the chain state by ``state`` and rebuild every cache.
-
-        This is the one place a state is checked: every rule of
-        :meth:`_check_state` is checked before any field is written, so a
-        rejected state leaves the engine as it was."""
+        """Replace the chain state by ``state``, checked first against every
+        rule of :meth:`_check_state`, so a rejected state leaves the engine
+        as it was: the one place a state is checked."""
         self._check_state(state)
-        self.beta = np.array(state.beta, dtype=float)
-        self.alpha = np.array(state.alpha, dtype=float)
+        self._set_state(state)
+
+    def _set_state(self, state: ParamState) -> None:
+        """Write ``state``, build the piecewise design from its baseline and
+        rebuild every cache: the one state writer, behind :meth:`load_state`
+        and :meth:`init_state` (whose prior draw is valid by construction)."""
+        # a state's arrays are read-only and no block writes into one, so the
+        # engine shares them; only the piecewise levels, drawn in place, are copied
+        self.beta = np.asarray(state.beta, dtype=float)
+        self.alpha = np.asarray(state.alpha, dtype=float)
         self.alpha0 = float(state.alpha0)
         self.xi1 = float(state.xi1)
         self.xi2 = float(state.xi2)
-        self.zeta = None if state.zeta is None else np.array(state.zeta, dtype=float)
-        self.gamma = np.array(state.gamma, dtype=float)
-        self.tau2 = np.array(state.tau2, dtype=float)
-        self.d_flags = np.array(state.unsusceptible, dtype=np.int8)
+        self.zeta = None if state.zeta is None else np.asarray(state.zeta, dtype=float)
+        self.gamma = np.asarray(state.gamma, dtype=float)
+        self.tau2 = np.asarray(state.tau2, dtype=float)
+        self.d_flags = np.asarray(state.unsusceptible, dtype=np.int8)
         if self.mu_mode == "dp":
             self.eta, self.m, self.mu_sticks, self.mu_weights, self.phi_mu = \
                 _mixture_arrays(state.cluster_effects)
-            self.level_mu = self.eta.size
         else:
-            self.eta = np.array(state.cluster_effects if self.mu_mode == "param" else (),
-                                dtype=float)
+            self.eta = np.asarray(state.cluster_effects if self.mu_mode == "param" else (),
+                                  dtype=float)
             self.m = np.arange(self.eta.size, dtype=np.int64)
+        self.level_mu = self.eta.size
         self.theta, self.v, self.kappa_sticks, self.kappa_weights, self.phi_kappa = \
             _mixture_arrays(state.kappa_dp)
         self.level_kappa = self.theta.size
         if self.baseline_variant == "piecewise":
-            self.grid = np.array(state.baseline.grid, dtype=float)
-            self.lam = np.array(state.baseline.levels, dtype=float)
-            self._set_piecewise_design()
+            self.grid = np.asarray(state.baseline.grid, dtype=float)
+            self.lam, self.psi = np.array(state.baseline.levels, dtype=float), None
+            self.n_levels = self.lam.size
+            self.durations = piecewise_durations(self.followup, state.baseline)
+            self.ev_interval = np.clip(np.searchsorted(self.grid, self.ev_times, side="left") - 1,
+                                       0, self.n_levels - 1)
+            # the shapes of the levels' Gamma full conditionals, n_g + 1
+            self.level_shapes = np.bincount(self.ev_interval, minlength=self.n_levels) + 1.0
         else:
-            self.psi = float(state.baseline.shape)
+            self.lam, self.psi = None, float(state.baseline.shape)
         self.s2b = float(state.sigma2_beta)
         self.s2a = float(state.sigma2_alpha)
         self.refresh_caches()
@@ -1220,34 +1211,34 @@ class SamplerEngine:
                                  f"one fewer than its {dp.atoms.size} atoms")
 
         flags, kappa = state.unsusceptible, state.kappa_dp
-        # (field, rule, values, mask of the entries that break it); values
+        # (field, rule, values, mask of the entries that keep it); values
         # None names the participant instead of the value
-        rules = [("gamma", "must be positive", state.gamma, ~(state.gamma > 0)),
-                 ("tau2", "must be positive", state.tau2, ~(state.tau2 > 0)),
-                 ("unsusceptible", "must be 0 or 1", flags, ~np.isin(flags, (0, 1))),
+        rules = [("gamma", "must be positive", state.gamma, state.gamma > 0),
+                 ("tau2", "must be positive", state.tau2, state.tau2 > 0),
+                 ("unsusceptible", "must be 0 or 1", flags, (flags == 0) | (flags == 1)),
                  ("unsusceptible", f"must be 0 in the {self.variant} variant, which has no "
-                  "zero-inflation", flags, (flags != 0) & (not self.has_d)),
+                  "zero-inflation", flags, (flags == 0) | self.has_d),
                  ("unsusceptible", "participants with recurrent events cannot be unsusceptible",
-                  None, (flags == 1) & (self.q_events > 0)),
-                 ("shape-mixture atoms", "must be positive", kappa.atoms, ~(kappa.atoms > 0))]
+                  None, (flags != 1) | self.eventless),
+                 ("shape-mixture atoms", "must be positive", kappa.atoms, kappa.atoms > 0)]
         for name, dp, _ in mixtures:
             sticks, assignments, k = dp.raw_sticks, dp.assignments, dp.atoms.size
             concentration = np.asarray(dp.concentration, dtype=float)
-            rules += [(f"{name} sticks", "must lie in (0, 1)", sticks,
-                       ~((sticks > 0) & (sticks < 1))),
+            rules += [(f"{name} sticks", "must lie in (0, 1)", sticks, (sticks > 0) & (sticks < 1)),
                       (f"{name} assignments", "must be integers", assignments,
-                       assignments != np.round(assignments)),
+                       assignments == np.round(assignments)),
                       (f"{name} assignments", f"must lie in [0, {k})", assignments,
-                       (assignments < 0) | (assignments >= k)),
+                       (assignments >= 0) & (assignments < k)),
                       (f"{name} concentration", "must be positive", concentration,
-                       ~(concentration > 0))]
-        for name, rule, values, bad in rules:
-            if np.any(bad):
-                pos = int(np.argmax(bad))
-                field = f"{name}[{pos}]" if np.ndim(bad) else name
-                detail = (f", got {values.flat[pos]}" if values is not None else
-                          f": {self._record_name(pos)}")
-                raise ValueError(f"{field}: {rule}{detail}")
+                       concentration > 0)]
+        # one test of every entry; only a state that fails it is searched
+        if not np.concatenate([ok for *_, ok in rules], axis=None).all():
+            name, rule, values, ok = next(entry for entry in rules if not entry[3].all())
+            pos = int(ok.argmin())
+            field = f"{name}[{pos}]" if ok.ndim else name
+            detail = (f", got {values.flat[pos]}" if values is not None else
+                      f": {self._record_name(pos)}")
+            raise ValueError(f"{field}: {rule}{detail}")
 
     # -- trace assembly ----------------------------------------------------------------------------
 

@@ -138,14 +138,16 @@ class TestEventsFile:
         ("0,0,1.0,0,\n\n0,1,1.0,0,\n", r"row 3: expected 5 columns, got 0"),
         ("\n", r"row 2: expected 5 columns, got 0"),
         ("0,0,1.0,0,\n0,1_000,1.0,0,\n", r"e\.csv: numpy's reader rejects a cell"),
-        # numpy's reader joins the lines of a quoted cell, and the loop
-        # that names errors parses the joined cell
-        ('0,0,1.0,0,"0.5\n;0.75"\n0,1,1.0,0,\n',
-         r"e\.csv: numpy's reader rejects a cell .* or a quoted cell that spans lines "
-         r"\(.*: 2 rows in 3 lines\)"),
+        # numpy's reader joins the lines of a quoted cell; the joined cell
+        # parses, so the record itself is named
+        ('0,0,1.0,0,\n0,1,1.0,0,"0.5\n;0.75"\n0,2,1.0,0,\n',
+         r"e\.csv: row 3, column 5 \(event_times\): a quoted cell spans lines 3 to 4$"),
         ('0,0,"1.\n5",0,\n', r"row 2, column 3 \(followup_time\): not a number: '1\.\\n5'"),
+        # a bad cell is named before a spanning record, by its own file line
+        ('0,0,1.0,0,"0.5\n"\n0,x,1.0,0,\n',
+         r"row 4, column 2 \(participant_id\): not a 64-bit integer: 'x'"),
     ], ids=["2^63", "blank line", "blank body", "digit separator", "quoted cell spans lines",
-            "quoted number spans lines"])
+            "quoted number spans lines", "bad cell after a spanning record"])
     def test_rejected_spellings_are_named(self, tmp_path, rows, match):
         path = tmp_path / "e.csv"
         path.write_text(_HEADER + "\n" + rows)
@@ -301,7 +303,12 @@ class TestTraceFiles:
          r"chain00\.csv: row 2, column 4: not in the header; the row has 4 cells"),
         ("c0,c1,total_loglik\n1,2\n3,4\n",
          r"chain00\.csv: row 2, column 3 \(total_loglik\): missing; the row has 2 cells"),
-    ], ids=["blank line", "blank last line", "long row", "every row long", "every row short"])
+        ('c0,c1,total_loglik\n1,2,3\n4,"5\r\n",6\n',
+         r"chain00\.csv: row 3, column 2 \(c1\): a quoted cell spans lines 3 to 4$"),
+        ('c0,c1,total_loglik\n"1\n",2,3\n4,x,6\n',
+         r"chain00\.csv: row 4, column 2 \(c1\): not a number: 'x'"),
+    ], ids=["blank line", "blank last line", "long row", "every row long", "every row short",
+            "quoted cell spans lines", "bad cell after a spanning record"])
     def test_bad_trace_rows_are_named(self, tmp_path, text, match):
         with pytest.raises(ValueError, match=match):
             self._read_trace_text(tmp_path, text)
@@ -603,6 +610,37 @@ class TestCliCommands:
             files.append({p.name: p.read_bytes() for p in sorted(fit_dir.iterdir())})
         assert {"chain00.csv", "chain01.csv", "summary.json"} <= set(files[0])
         assert files[0] == files[1]
+
+    @pytest.mark.parametrize("baseline", BASELINE_VARIANTS)
+    def test_replicate_study_truth_is_every_cells_simulated_truth(self, monkeypatch, baseline):
+        # the report scores against generator_truth, a second truth table
+        # beside the SimTruth each cell simulates from; they must agree
+        import recurjoint.study as study_module
+
+        truths = []
+        simulate = study_module.sim.simulate_dataset
+
+        def recording_simulate(*args, **kwargs):
+            dataset, truth = simulate(*args, **kwargs)
+            truths.append(truth)
+            return dataset, truth
+
+        monkeypatch.setattr(study_module.sim, "simulate_dataset", recording_simulate)
+        study = {"n": 20, "j": 2, "replicates": 2, "variants": ["BZ-DP", "BMZ"], "seed": 8,
+                 "baseline_variant": baseline,
+                 "mcmc": {"iterations": 12, "burn_in": 6, "adapt_window": 3}}
+        report, _ = run_replicate_study(study)
+        assert not report["failures"] and len(truths) == 4
+        for truth in truths:
+            scored = {f"{name}_{i + 1}": float(v) for name in ("beta", "alpha", "zeta")
+                      for i, v in enumerate(getattr(truth, name))}
+            scored.update(alpha0=truth.alpha0, xi1=truth.xi1, xi2=truth.xi2)
+            if baseline == "powerlaw":
+                scored["psi"] = truth.baseline.shape
+            assert report["truth"] == scored
+        # every parameter the cells score has a truth to be scored against
+        for variant in study["variants"]:
+            assert report["variants"][variant]["replicate_means"].keys() <= scored.keys()
 
     def test_replicate_study_failure_keeps_traceback(self, monkeypatch):
         # a config is checked before any cell runs, so the cells fail in

@@ -13,7 +13,6 @@ from recurjoint.diagnostics import (
     posterior_summary,
     replicate_aggregate,
     sorted_unique,
-    summarize_draws,
     type7_quantiles,
 )
 from recurjoint.model import Hyperparams
@@ -21,29 +20,43 @@ from recurjoint.sampler import _KAPPA_SORTED_BINS, SamplerEngine, _rank_bins
 from recurjoint.simulate import simulate_dataset
 
 
+class _Series:
+    """A trace holding one series, under every name."""
+
+    def __init__(self, draws):
+        self.draws = draws
+
+    def column(self, name):
+        return self.draws
+
+
+def summarize(draws) -> dict:
+    return posterior_summary(_Series(draws), "x")
+
+
 class TestPosteriorSummary:
     def test_constant_trace(self):
-        s = summarize_draws(np.full(50, 3.25))
+        s = summarize(np.full(50, 3.25))
         assert s["mean"] == 3.25
         assert s["q2.5"] == s["q97.5"] == 3.25
 
     def test_type7_quantiles(self):
-        s = summarize_draws(np.arange(1, 101, dtype=float))
+        s = summarize(np.arange(1, 101, dtype=float))
         assert s["q50"] == pytest.approx(50.5)
         assert s["q2.5"] == pytest.approx(3.475)
 
     def test_normal_draws(self, rng):
-        s = summarize_draws(rng.standard_normal(100_000))
+        s = summarize(rng.standard_normal(100_000))
         assert s["mean"] == pytest.approx(0.0, abs=0.01)
         assert s["q97.5"] == pytest.approx(1.96, abs=0.03)
 
     def test_empty_trace_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            summarize_draws(np.empty(0))
+            summarize(np.empty(0))
 
     def test_interval_contains_median(self, rng):
         for _ in range(50):
-            s = summarize_draws(rng.normal(rng.normal(), 1 + rng.random(), size=200))
+            s = summarize(rng.normal(rng.normal(), 1 + rng.random(), size=200))
             assert s["q2.5"] <= s["q50"] <= s["q97.5"]
 
     def test_named_selector(self):

@@ -125,6 +125,9 @@ RULES = [
     ("kappa-sticks-range", "BMZ-DP",
      lambda st, ds: _with_mixture(st, "kappa_dp", raw_sticks=[0.5, 1.0]),
      r"shape-mixture sticks\[1\]: must lie in \(0, 1\)"),
+    ("kappa-sticks-nan", "BMZ-DP",
+     lambda st, ds: _with_mixture(st, "kappa_dp", raw_sticks=[np.nan, 0.5]),
+     r"shape-mixture sticks\[0\]: must lie in \(0, 1\), got nan"),
     ("mu-sticks-range", "BM-DP",
      lambda st, ds: _with_mixture(st, "cluster_effects", raw_sticks=[0.0]),
      r"cluster-effect sticks\[0\]: must lie in \(0, 1\)"),
@@ -224,3 +227,32 @@ def test_trace_row_reports_loaded_state(variant, baseline):
 
     assert dict(zip(eng.trace_columns(), eng.trace_row())) == expected
     assert len(eng.trace_columns()) == len(expected)
+
+
+@pytest.mark.parametrize("hyper", [Hyperparams(),
+                                   Hyperparams(a_phi=0.05, b_phi=50.0, fixed_p=0.5,
+                                               truncation_kappa=1)],
+                         ids=["default", "tiny concentrations, fixed p, one shape atom"])
+@pytest.mark.parametrize("baseline", BASELINE_VARIANTS)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_init_state_writes_one_state_that_load_state_accepts(monkeypatch, variant, baseline,
+                                                             hyper):
+    # the prior draw is written as one state through the writer load_state
+    # uses, unchecked since it is valid by construction: every rule of the
+    # check holds for it, and loading it into a fresh engine gives the same
+    # engine, array for array
+    dataset = _dataset(baseline)
+    written = []
+    write = SamplerEngine._set_state
+    monkeypatch.setattr(SamplerEngine, "_set_state",
+                        lambda self, state: write(self, written.append(state) or state))
+    eng = SamplerEngine(dataset, hyper, variant=variant, baseline_variant=baseline)
+    eng.init_state(np.random.default_rng(7))
+    assert len(written) == 1
+    fresh = SamplerEngine(dataset, hyper, variant=variant, baseline_variant=baseline)
+    fresh.load_state(written[0])
+    assert vars(eng).keys() == vars(fresh).keys()
+    for name, value in vars(eng).items():
+        if isinstance(value, np.ndarray):
+            assert value.tobytes() == vars(fresh)[name].tobytes(), name
+    assert eng.trace_row().tobytes() == fresh.trace_row().tobytes()
