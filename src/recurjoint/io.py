@@ -9,7 +9,8 @@ followup_time, event_indicator, event_times``, then ``x_*``, ``z_*`` and
 ``u_*`` covariate columns) and one row per record.  Its grammar:
 
 - cells are separated by commas; a cell may be wrapped in double quotes,
-  inside which a doubled quote stands for one, but it may not span lines;
+  inside which a doubled quote stands for one, but it may not span lines
+  and must be closed, also at the end of the file;
 - lines end in LF, CRLF or CR, and the last one may lack an ending;
 - a number may have whitespace around it and a leading ``+`` or ``-``;
   the id and indicator cells are integers in the int64 range, the others
@@ -115,19 +116,29 @@ def _record_error(path, header: list, line_no: int, row: list) -> ValueError | N
     return None
 
 
+def _ends_in_quote(line: str) -> bool:
+    """Whether ``line``, a whole row of a CSV file, ends inside a quoted
+    cell.  Quotes come in pairs in a row of closed cells (the opening and
+    closing ones, and each doubled one); a quote inside an unquoted cell
+    leaves the cell no number, which the readers name."""
+    return line.count('"') % 2 == 1
+
+
 def _numpy_rows(fh, empty: np.ndarray) -> np.ndarray:
     """The rows of the lines left in the open CSV file ``fh``, parsed by
     numpy's C reader one line at a time into an array like ``empty``, which
     is returned when no line is left.  numpy skips a blank line and joins a
     quoted cell that spans lines, so the lines are counted, and fewer rows
-    than lines raise ValueError.  A warning is raised too: numpy < 2 reads
-    "1.5" in an integer column as 1 with only a DeprecationWarning."""
-    count = 0
+    than lines raise ValueError.  It ends a quoted cell left open at the end
+    of the file there, so a last line that ends inside one raises ValueError
+    too.  A warning is raised as well: numpy < 2 reads "1.5" in an integer
+    column as 1 with only a DeprecationWarning."""
+    count, last = 0, ""
 
     def lines():
-        nonlocal count
-        for count, line in enumerate(fh, start=1):
-            yield line
+        nonlocal count, last
+        for count, last in enumerate(fh, start=1):
+            yield last
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -141,6 +152,8 @@ def _numpy_rows(fh, empty: np.ndarray) -> np.ndarray:
         return empty
     if len(rows) != count:
         raise ValueError(f"{len(rows)} rows in {count} lines")
+    if _ends_in_quote(last):
+        raise ValueError("the last line ends inside a quoted cell")
     return rows
 
 
@@ -150,11 +163,19 @@ def _raise_row_error(fh, path, err: Exception, row_error) -> None:
     rejected with ``err``, numbered by the file line it starts on; with
     none, name the first record whose quoted cell spans lines.  It re-reads
     the file from the top, parsing each cell in Python, so it runs only to
-    name an error."""
+    name an error.  Past the last row, it names a quoted cell left open at
+    the end of the file, which Python's reader also ends there."""
     fh.seek(0)
-    reader = csv.reader(fh)
+    last = ""
+
+    def lines():
+        nonlocal last
+        for last in fh:
+            yield last
+
+    reader = csv.reader(lines())
     header = next(reader)
-    start, spanning = reader.line_num + 1, None
+    start, spanning, row = reader.line_num + 1, None, None
     for row in reader:
         error = row_error(path, header, start, row)
         if error is not None:
@@ -163,7 +184,11 @@ def _raise_row_error(fh, path, err: Exception, row_error) -> None:
             col = next(k for k, cell in enumerate(row) if "\n" in cell or "\r" in cell)
             spanning = ValueError(f"{path}: row {start}, column {col + 1} ({header[col]}): "
                                   f"a quoted cell spans lines {start} to {reader.line_num}")
-        start = reader.line_num + 1
+        first, start = start, reader.line_num + 1
+    if spanning is None and row is not None and _ends_in_quote(last):
+        # the row has a cell per column, so the open one is the last column
+        spanning = ValueError(f"{path}: row {first}, column {len(row)} ({header[-1]}): "
+                              f"a quoted cell is not closed before the end of the file")
     raise spanning or ValueError(
         f"{path}: numpy's reader rejects a cell that Python's int and float accept, such as one "
         f"with a digit separator (1_000) or non-ASCII digits (numpy.loadtxt, whose rows count "

@@ -8,13 +8,19 @@ when it is built.  :attr:`Dataset.records` is a derived per-participant
 view, kept for the benchmark's likelihood oracle check and the tests.
 
 The observed-data likelihood is evaluated in one place only, the
-vectorized :class:`recurjoint.sampler.SamplerEngine`.  The closed-form
-baseline-hazard integrals here are shared by the engine and the simulator.
+vectorized :class:`recurjoint.sampler.SamplerEngine`.  A piecewise
+baseline has one representation, shared by the engine, the simulator and
+:func:`cumulative_baseline_hazard`: the knots ``H[g]``, the cumulative
+hazard at each interval's start (:func:`piecewise_knots`), and each time's
+interval with its offset from that interval's start
+(:func:`piecewise_intervals`), so that ``Lambda0(t) = H[g] + lambda_g o``
+costs O(1) per time and no array spans records by levels.
 Every type is an immutable value object, safe to share across workers.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -215,24 +221,27 @@ class _Records(Sequence):
 
 @dataclass(frozen=True)
 class PiecewiseConstantHazard:
-    """Piecewise-constant baseline hazard on a grid ``0 = s_0 < ... < s_G``.
+    """Piecewise-constant baseline hazard on a grid ``0 = s_0 < ... < s_G``:
+    level g holds on ``(s_g, s_{g+1}]``.
 
     Beyond ``s_G`` the last level is extended, since the grid is built from
-    observed recurrent times while follow-up times can exceed it.
+    observed recurrent times while follow-up times can exceed it.  Grid
+    points and levels must be finite; a rule broken is named with its field
+    and first bad index.
     """
 
     grid: np.ndarray      # length G+1, grid[0] == 0
     levels: np.ndarray    # length G, all > 0
 
     def __post_init__(self):
-        object.__setattr__(self, "grid", _readonly(self.grid))
+        object.__setattr__(self, "grid", check_grid(self.grid))
         object.__setattr__(self, "levels", _readonly(self.levels))
         if self.grid.size != self.levels.size + 1:
             raise ValueError("grid must have one more point than levels")
-        if self.grid[0] != 0.0 or np.any(np.diff(self.grid) <= 0):
-            raise ValueError("grid must be strictly increasing and start at 0")
-        if np.any(self.levels <= 0):
-            raise ValueError("all hazard levels must be strictly positive")
+        bad = np.flatnonzero(~(np.isfinite(self.levels) & (self.levels > 0)))
+        if bad.size:
+            raise ValueError(f"levels[{bad[0]}] must be finite and strictly positive, "
+                             f"got {self.levels[bad[0]]}")
 
 
 @dataclass(frozen=True)
@@ -242,8 +251,8 @@ class PowerLawHazard:
     shape: float
 
     def __post_init__(self):
-        if not self.shape > 0:
-            raise ValueError(f"shape must be positive, got {self.shape}")
+        if not (self.shape > 0 and math.isfinite(self.shape)):
+            raise ValueError(f"shape must be finite and positive, got {self.shape}")
 
 
 BaselineHazard = Union[PiecewiseConstantHazard, PowerLawHazard]
@@ -375,6 +384,50 @@ class Hyperparams:
 # Baseline hazard
 # ---------------------------------------------------------------------------
 
+def check_grid(grid) -> np.ndarray:
+    """``grid`` as a read-only float array, once it is checked to be a
+    piecewise grid: at least two finite points, the first 0, strictly
+    increasing.  The first point that breaks a rule is named by its index."""
+    grid = _readonly(grid)
+    if grid.ndim != 1 or grid.size < 2:
+        raise ValueError(f"grid must be a list of at least two points, got shape {grid.shape}")
+    bad = np.flatnonzero(~np.isfinite(grid))
+    if bad.size:
+        raise ValueError(f"grid[{bad[0]}] must be finite, got {grid[bad[0]]}")
+    if grid[0] != 0.0:
+        raise ValueError(f"grid[0] must be 0, got {grid[0]}")
+    bad = np.flatnonzero(np.diff(grid) <= 0)
+    if bad.size:
+        raise ValueError(f"grid must be strictly increasing: grid[{bad[0] + 1}] = "
+                         f"{grid[bad[0] + 1]} does not exceed grid[{bad[0]}] = {grid[bad[0]]}")
+    return grid
+
+
+def piecewise_knots(widths: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """The cumulative hazard at the start of each of the G intervals,
+    ``H[g] = sum_{h<g} levels[h] * widths[h]``, from the interval widths
+    ``np.diff(grid)``.  With :func:`piecewise_intervals` it is the one
+    representation of a piecewise baseline that the engine,
+    :func:`cumulative_baseline_hazard` and the simulator's inverse share:
+    ``Lambda0(t) = H[g] + levels[g] * o`` for a time t in interval g at
+    offset o."""
+    knots = np.zeros(levels.size)
+    np.add.accumulate(levels[:-1] * widths[:-1], out=knots[1:])
+    return knots
+
+
+def piecewise_intervals(starts: np.ndarray, values) -> tuple:
+    """The interval holding each of ``values`` among the intervals that
+    begin at the rising ``starts`` (``starts[0] = 0``), as int32, and each
+    value's offset from its interval's start.  Interval g is
+    ``(starts[g], starts[g + 1]]``; the first also holds what lies at or
+    below its start and the last extends without end.  The starts are a
+    grid's points but its last (a follow-up or an event time to place) or
+    :func:`piecewise_knots` (a cumulative hazard to invert)."""
+    interval = np.searchsorted(starts[1:], values, side="left").astype(np.int32)
+    return interval, values - starts[interval]
+
+
 def cumulative_baseline_hazard(t, baseline: BaselineHazard):
     """Closed-form integral of the baseline hazard over ``(0, t]``, at each
     of the times ``t``: a float for a scalar ``t``, else an array of its shape.
@@ -389,18 +442,7 @@ def cumulative_baseline_hazard(t, baseline: BaselineHazard):
     if isinstance(baseline, PowerLawHazard):
         total = times ** baseline.shape
     else:
-        total = (piecewise_durations(times.ravel(), baseline) @ baseline.levels).reshape(
-            times.shape)
+        grid, levels = baseline.grid, baseline.levels
+        interval, offset = piecewise_intervals(grid[:-1], times)
+        total = piecewise_knots(np.diff(grid), levels)[interval] + levels[interval] * offset
     return float(total) if total.ndim == 0 else total
-
-
-def piecewise_durations(followups: np.ndarray, baseline: PiecewiseConstantHazard) -> np.ndarray:
-    """Per-record time spent in each grid interval, extension folded into the
-    last column.  Shape (N, G); ``durations @ levels`` gives the cumulative
-    hazard at each follow-up time.
-    """
-    r = np.asarray(followups, dtype=float)[:, None]
-    grid = baseline.grid
-    dur = np.clip(np.minimum(r, grid[None, 1:]) - grid[None, :-1], 0.0, None)
-    dur[:, -1] += np.clip(r[:, 0] - grid[-1], 0.0, None)
-    return dur

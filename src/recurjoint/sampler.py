@@ -15,7 +15,12 @@ conditionally independent given the rest of the state (frailties, mixture
 atoms) are updated as simultaneous ensembles of random-walk Metropolis
 moves, which leaves the invariant distribution unchanged while keeping the
 per-sweep cost a handful of vectorized passes.  The piecewise baseline
-levels are drawn exactly from their Gamma full conditionals.  The
+levels are drawn exactly from their Gamma full conditionals.  The engine
+keeps each follow-up's grid interval (int32) and its offset into it, and
+shares the knots H of :func:`recurjoint.model.piecewise_knots` with the
+simulator: ``Lambda0(T_i) = H[g_i] + lambda_{g_i} o_i``, and two bincounts
+over the records give every level's exposure, so the baseline block costs
+O(N + G).  The
 scalar-decision blocks (beta, alpha, alpha0, xi1, xi2, zeta and the
 power-law shape psi) share one accept-and-record step,
 :meth:`SamplerEngine._step`, and every block that
@@ -35,8 +40,9 @@ The terminal offset is moved by increments, so it carries rounding that
 grows slowly with the sweeps wherever no cluster-effect block rebuilds it.
 
 Memory stays linear in the number of records N: no array spans clusters
-by records (J x N), and an atoms-by-records (K x N) matrix exists only as a
-chunk of at most ``_CHUNK_ELEMENTS`` entries.  The two mixture
+by records (J x N) or records by piecewise levels (N x G), and an
+atoms-by-records (K x N) matrix exists only as a chunk of at most
+``_CHUNK_ELEMENTS`` entries.  The two mixture
 assignment steps are blocked-Gibbs categorical draws (Ishwaran & James
 2001) made without either:
 
@@ -110,7 +116,9 @@ from .model import (
     PiecewiseConstantHazard,
     PowerLawHazard,
     TruncatedDP,
-    piecewise_durations,
+    check_grid,
+    piecewise_intervals,
+    piecewise_knots,
 )
 
 __all__ = [
@@ -250,6 +258,8 @@ class McmcConfig:
             raise ValueError(f"unknown likelihood_mode {self.likelihood_mode!r}")
         if self.adapt_window < 1:
             raise ValueError("adapt_window must be at least 1")
+        if self.grid is not None:
+            check_grid(self.grid)
 
     @property
     def kept_draws(self) -> int:
@@ -385,7 +395,7 @@ class SamplerEngine:
         self.tau2_shape = (float(shapes[0]) if shapes.size and (shapes == shapes[0]).all()
                            else shapes)
         self.ev_times = dataset.event_times
-        self.ev_record = np.repeat(np.arange(n), counts)
+        self.ev_record = np.repeat(np.arange(n, dtype=np.int32), counts)
 
         if baseline_variant == "piecewise":
             self.grid = self._build_grid(grid)
@@ -415,16 +425,12 @@ class SamplerEngine:
     def _build_grid(self, explicit) -> np.ndarray:
         g = self.hyper.grid_count
         if explicit is not None:
-            grid = np.asarray(explicit, dtype=float)
-        elif self.ev_times.size >= 2 and self.ev_times.min() < self.ev_times.max():
+            return check_grid(explicit)
+        if self.ev_times.size >= 2 and self.ev_times.min() < self.ev_times.max():
             cuts = type7_quantiles(self.ev_times, np.arange(1, g) / g)
-            grid = sorted_unique(np.concatenate(([0.0], cuts, [self.ev_times.max()])))
-        else:
-            horizon = float(self.followup.max()) if self.n else 1.0
-            grid = np.linspace(0.0, horizon, g + 1)
-        if grid.size < 2:
-            raise ValueError("piecewise grid must contain at least one interval")
-        return grid
+            return sorted_unique(np.concatenate(([0.0], cuts, [self.ev_times.max()])))
+        horizon = float(self.followup.max()) if self.n else 1.0
+        return np.linspace(0.0, horizon, g + 1)
 
     # -- initialization --------------------------------------------------------
 
@@ -552,9 +558,12 @@ class SamplerEngine:
 
     def _refresh_baseline_caches(self) -> None:
         if self.baseline_variant == "piecewise":
-            self.lam0_followup = self.durations @ self.lam
-            log_levels = np.log(self.lam)
-            self.ev_logsum = np.bincount(self.ev_record, weights=log_levels[self.ev_interval],
+            # take() gathers by an int32 index without first casting it
+            g = self.followup_interval
+            self.lam0_followup = (piecewise_knots(self.level_widths, self.lam).take(g)
+                                  + self.lam.take(g) * self.followup_offset)
+            ev_log_levels = np.log(self.lam).take(self.ev_interval)
+            self.ev_logsum = np.bincount(self.ev_record, weights=ev_log_levels,
                                          minlength=self.n) if self.ev_times.size else np.zeros(self.n)
         else:
             with np.errstate(over="ignore"):
@@ -799,14 +808,26 @@ class SamplerEngine:
 
     def _update_levels(self, rng, post=False) -> None:
         # uniform (0, inf) prior on each level: its full conditional is
-        # Gamma(n_g + 1, E_g), E_g the exposure su * gamma * erx * duration
-        # summed over the records.  Where E_g is not finite and positive the
+        # Gamma(n_g + 1, E_g).  Where E_g is not finite and positive the
         # conditional is improper, and the level keeps its value
-        exposure = (self.su * self.gamma * self.erx) @ self.durations
+        exposure = self._level_exposures()
         draws = rng.standard_gamma(self.level_shapes)
         np.divide(draws, exposure, out=self.lam, where=(exposure > 0.0) & (exposure < np.inf))
         self._refresh_baseline_caches()
         self._record_accept("lambda", 1.0, post)
+
+    def _level_exposures(self) -> np.ndarray:
+        """Each level's exposure E_g: the records' weights r = su gamma erx
+        times their time in interval g, which is its width w_g for a record
+        followed past it and the offset o_i for one whose follow-up ends in
+        it, E_g = w_g sum_{g_i > g} r_i + sum_{g_i = g} r_i o_i."""
+        weights = self.su * self.gamma * self.erx
+        g, size = self.followup_interval, self.n_levels
+        ending = np.bincount(g, weights=weights, minlength=size)
+        exposure = np.bincount(g, weights=weights * self.followup_offset, minlength=size)
+        # sum_{g_i > g} r_i for every interval but the last, which extends
+        exposure[:-1] += self.level_widths[:-1] * np.add.accumulate(ending[:0:-1])[::-1]
+        return exposure
 
     def _update_psi(self, rng, post=False) -> None:
         prop = self.psi + self.scales["psi"] * rng.standard_normal()
@@ -1162,9 +1183,10 @@ class SamplerEngine:
             self.grid = np.asarray(state.baseline.grid, dtype=float)
             self.lam, self.psi = np.array(state.baseline.levels, dtype=float), None
             self.n_levels = self.lam.size
-            self.durations = piecewise_durations(self.followup, state.baseline)
-            self.ev_interval = np.clip(np.searchsorted(self.grid, self.ev_times, side="left") - 1,
-                                       0, self.n_levels - 1)
+            self.level_widths = np.diff(self.grid)
+            self.followup_interval, self.followup_offset = piecewise_intervals(
+                self.grid[:-1], self.followup)
+            self.ev_interval = piecewise_intervals(self.grid[:-1], self.ev_times)[0]
             # the shapes of the levels' Gamma full conditionals, n_g + 1
             self.level_shapes = np.bincount(self.ev_interval, minlength=self.n_levels) + 1.0
         else:

@@ -33,6 +33,8 @@ from .model import (
     PiecewiseConstantHazard,
     PowerLawHazard,
     cumulative_baseline_hazard,
+    piecewise_intervals,
+    piecewise_knots,
 )
 
 __all__ = [
@@ -103,9 +105,8 @@ def _inverse_cumulative(a: np.ndarray, baseline: BaselineHazard) -> np.ndarray:
     if isinstance(baseline, PowerLawHazard):
         return a ** (1.0 / baseline.shape)
     grid, levels = baseline.grid, baseline.levels
-    knots = np.concatenate(([0.0], np.cumsum(levels * np.diff(grid))))
-    i = np.clip(np.searchsorted(knots, a, side="left") - 1, 0, levels.size - 1)
-    return grid[i] + (a - knots[i]) / levels[i]
+    interval, excess = piecewise_intervals(piecewise_knots(np.diff(grid), levels), a)
+    return grid[interval] + excess / levels[interval]
 
 
 def _sample_events(rates: np.ndarray, baseline: BaselineHazard, horizons: np.ndarray,

@@ -183,6 +183,13 @@ class TestEventsFile:
         pytest.param("".join(f"0,{i},1.0,0,0.5\n" for i in range(4998)) + "0,4998,1.0,0,0.5;x\n",
                      r"row 5000, column 5 \(event_times\): not a number: 'x'",
                      id="row 5000 of a large file"),
+        # both readers end a quoted cell left open at the end of the file there
+        pytest.param('0,0,1.0,0,\n0,1,1.0,0,"0.5',
+                     r"row 3, column 5 \(event_times\): a quoted cell is not closed before the "
+                     r"end of the file$", id="unterminated quote at the end"),
+        pytest.param('0,0,1.0,0,"0.5\n',
+                     r"row 2, column 5 \(event_times\): a quoted cell is not closed before the "
+                     r"end of the file$", id="unterminated quote before the last line end"),
     ])
     def test_bad_cell_names_row_and_column(self, tmp_path, rows, match):
         path = tmp_path / "e.csv"
@@ -307,8 +314,12 @@ class TestTraceFiles:
          r"chain00\.csv: row 3, column 2 \(c1\): a quoted cell spans lines 3 to 4$"),
         ('c0,c1,total_loglik\n"1\n",2,3\n4,x,6\n',
          r"chain00\.csv: row 4, column 2 \(c1\): not a number: 'x'"),
+        ('c0,c1,total_loglik\n1,2,3\n5,6,"4',
+         r"chain00\.csv: row 3, column 3 \(total_loglik\): a quoted cell is not closed before "
+         r"the end of the file$"),
     ], ids=["blank line", "blank last line", "long row", "every row long", "every row short",
-            "quoted cell spans lines", "bad cell after a spanning record"])
+            "quoted cell spans lines", "bad cell after a spanning record",
+            "unterminated quote at the end"])
     def test_bad_trace_rows_are_named(self, tmp_path, text, match):
         with pytest.raises(ValueError, match=match):
             self._read_trace_text(tmp_path, text)
@@ -402,6 +413,15 @@ class TestConfigDocuments:
                      "--out", str(tmp_path / "fit")]) == 1
         err = capsys.readouterr().err
         assert "rho_lambda" in err and "missing.csv" not in err
+        assert not (tmp_path / "fit").exists()
+
+    def test_fit_refuses_a_non_finite_grid_before_reading_the_data(self, tmp_path, capsys):
+        # JSON's NaN, which Python's reader takes, in the explicit grid
+        config = tmp_path / "config.json"
+        config.write_text('{"model": {"grid": [0, NaN, 2]}}')
+        assert main(["fit", "--data", str(tmp_path / "missing.csv"), "--config", str(config),
+                     "--out", str(tmp_path / "fit")]) == 1
+        assert capsys.readouterr().err == "error: grid[1] must be finite, got nan\n"
         assert not (tmp_path / "fit").exists()
 
 

@@ -16,7 +16,7 @@ from recurjoint.model import (
     RecordError,
     cumulative_baseline_hazard,
 )
-from recurjoint.sampler import SamplerEngine
+from recurjoint.sampler import McmcConfig, SamplerEngine
 from recurjoint.simulate import simulate_dataset
 
 
@@ -202,6 +202,35 @@ class TestCumulativeBaselineHazard:
         ts = np.sort(rng.uniform(0, 5, size=200))
         values = [cumulative_baseline_hazard(t, base) for t in ts]
         assert np.all(np.diff(values) >= 0)
+
+
+class TestBaselineRules:
+    @pytest.mark.parametrize("grid, levels, match", [
+        ([0.0, np.nan, 2.0], [1.0, 1.0], r"grid\[1\] must be finite, got nan"),
+        # the last level already extends past the last point
+        ([0.0, 1.0, np.inf], [1.0, 1.0], r"grid\[2\] must be finite, got inf"),
+        ([0.5, 1.0], [1.0], r"grid\[0\] must be 0, got 0.5"),
+        ([0.0, 1.0, 1.0], [1.0, 1.0], r"grid\[2\] = 1.0 does not exceed grid\[1\] = 1.0"),
+        ([0.0], [], r"grid must be a list of at least two points"),
+        ([0.0, 1.0], [1.0, 1.0], "one more point than levels"),
+        ([0.0, 1.0, 2.0], [1.0, np.nan], r"levels\[1\] must be finite and strictly positive, "
+                                         r"got nan"),
+        ([0.0, 1.0, 2.0], [np.inf, 1.0], r"levels\[0\] must be finite and strictly positive"),
+        ([0.0, 1.0, 2.0], [1.0, 0.0], r"levels\[1\] must be finite and strictly positive"),
+    ])
+    def test_piecewise_refuses_a_bad_grid_or_level_by_index(self, grid, levels, match):
+        with pytest.raises(ValueError, match=match):
+            PiecewiseConstantHazard(np.array(grid), np.array(levels))
+
+    @pytest.mark.parametrize("shape", [0.0, -1.0, np.nan, np.inf])
+    def test_power_law_refuses_a_shape_not_finite_and_positive(self, shape):
+        with pytest.raises(ValueError, match=f"shape must be finite and positive, got {shape}"):
+            PowerLawHazard(shape)
+
+    def test_config_refuses_a_bad_grid_before_any_engine(self):
+        with pytest.raises(ValueError, match=r"grid\[1\] must be finite, got nan"):
+            McmcConfig(grid=(0.0, np.nan, 2.0))
+        assert McmcConfig(grid=(0.0, 0.5, 2.0)).grid == (0.0, 0.5, 2.0)
 
 
 class TestRecurrentProcess:

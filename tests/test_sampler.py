@@ -476,7 +476,65 @@ def gamma_conditional(dataset, state):
     return shapes, rates
 
 
+def piecewise_reference(eng):
+    """The engine's Lambda0(T_i), each level's exposure E_g and each
+    record's summed log hazard at its events, recomputed record by record
+    from its grid, levels and weights r = su gamma erx: E_g sums r_i times
+    the record's time in (grid[g], grid[g + 1]], the last interval extended.
+    Returns (hazards, exposures, event log sums)."""
+    grid, levels = eng.grid.tolist(), eng.lam.tolist()
+    weights = eng.su * eng.gamma * eng.erx
+    times, offsets = eng.dataset.event_times.tolist(), eng.dataset.event_offsets.tolist()
+    hazards, log_sums = np.empty(eng.n), np.zeros(eng.n)
+    exposures = np.zeros(len(levels))
+    for i, t in enumerate(eng.dataset.followup_time.tolist()):
+        hazards[i] = oracles.cumulative_hazard_piecewise(t, grid, levels)
+        for g in range(len(levels)):
+            hi = math.inf if g == len(levels) - 1 else grid[g + 1]
+            exposures[g] += weights[i] * max(0.0, min(t, hi) - grid[g])
+        log_sums[i] = sum(math.log(oracles.baseline_level(s, grid, levels))
+                          for s in times[offsets[i]:offsets[i + 1]])
+    return hazards, exposures, log_sums
+
+
 class TestBaselineBlock:
+    @pytest.mark.parametrize("levels", [1, 5, 40])
+    def test_hazards_and_exposures_match_record_by_record_reference(self, levels, rng):
+        # follow-ups in the first interval, on every knot and past the last
+        # one; the caches follow each exact draw of the levels
+        grid = np.cumsum(np.concatenate(([0.0], rng.uniform(0.05, 0.3, levels))))
+        followups = np.concatenate((0.5 * grid[1:2], grid[1:], [1.5 * grid[-1]],
+                                    rng.uniform(0.0, 1.2 * grid[-1], 20)))
+        records = []
+        for i, f in enumerate(followups.tolist()):
+            times = np.sort(rng.uniform(0.0, f, i % 4)) if i % 3 else ()
+            records.append(make_record(followup=f, times=times, x=rng.normal(0, 0.5, 3),
+                                       participant=i))
+        dataset = make_dataset(records, 1)
+        eng = SamplerEngine(dataset, Hyperparams(fixed_p=0.5), variant="BMZ-DP", grid=grid)
+        eng.init_state(rng)
+        assert eng.n_levels == levels
+        for _ in range(3):
+            hazards, exposures, log_sums = piecewise_reference(eng)
+            np.testing.assert_allclose(eng.lam0_followup, hazards, rtol=1e-13)
+            np.testing.assert_allclose(eng._level_exposures(), exposures, rtol=1e-13)
+            np.testing.assert_allclose(eng.ev_logsum, log_sums, rtol=1e-13, atol=1e-14)
+            eng.update_baseline_block(rng, post=True)
+
+    def test_engine_memory_grows_with_levels_not_records_times_levels(self):
+        # 35 more levels add a few level-sized arrays to the engine, not a
+        # records-by-levels matrix (2000 x 35 float64 would be 560 KB)
+        dataset, _ = simulate_dataset(2000, 20, seed=5)
+
+        def engine_bytes(grid_count):
+            eng = SamplerEngine(dataset, Hyperparams(grid_count=grid_count), variant="BMZ-DP")
+            eng.init_state(np.random.default_rng(1))
+            assert eng.n_levels == grid_count
+            return sum(v.nbytes for v in vars(eng).values() if isinstance(v, np.ndarray))
+
+        extra = engine_bytes(40) - engine_bytes(5)
+        assert 0 < extra <= 8 * 8 * (40 - 5), extra
+
     @pytest.mark.parametrize("case", ["corrected", "literal", "no-events"])
     def test_level_draws_match_gamma_conditional(self, case, rng):
         # the exact draw: 20k draws of the levels from one loaded state,
@@ -512,8 +570,6 @@ class TestBaselineBlock:
         se_var = var * np.sqrt((2.0 + 6.0 / shapes) / reps)
         assert np.all(np.abs(draws.mean(axis=0) - mean) < 5 * se_mean), (draws.mean(axis=0), mean)
         assert np.all(np.abs(draws.var(axis=0) - var) < 5 * se_var), (draws.var(axis=0), var)
-        # the levels' caches follow each draw
-        np.testing.assert_allclose(eng.lam0_followup, eng.durations @ eng.lam, rtol=1e-14)
         # the exact draw records an acceptance of 1
         assert eng.acceptance_rates()["lambda"] == 1.0
 
@@ -533,7 +589,7 @@ class TestBaselineBlock:
             assert eng.lam[1] == 0.7 and eng.lam[0] != 1.5
             for name in ("lam", "lam0_followup", "ev_logsum"):
                 assert np.all(np.isfinite(getattr(eng, name))), name
-        np.testing.assert_allclose(eng.lam0_followup, eng.durations @ eng.lam, rtol=1e-14)
+        np.testing.assert_allclose(eng.lam0_followup, piecewise_reference(eng)[0], rtol=1e-14)
 
     def test_nonpositive_psi_rejected_outright(self):
         # a proposal at or below 0 records a rejection and draws no uniform
