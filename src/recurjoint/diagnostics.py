@@ -13,7 +13,6 @@ import numpy as np
 
 __all__ = [
     "summarize_columns",
-    "posterior_summary",
     "gelman_rubin_psrf",
     "cpo_accumulate",
     "cpo_lpml",
@@ -81,12 +80,6 @@ def summarize_columns(draws: np.ndarray) -> list:
     q = type7_quantiles(x, [0.025, 0.5, 0.975])
     return [{"mean": float(mean[k]), "sd": float(sd[k]), "q2.5": float(q[0, k]),
              "q50": float(q[1, k]), "q97.5": float(q[2, k])} for k in range(x.shape[0])]
-
-
-def posterior_summary(trace, parameter: str) -> dict:
-    """:func:`summarize_columns` of one named parameter from a chain trace
-    (or any object with a ``column`` accessor)."""
-    return summarize_columns(np.reshape(trace.column(parameter), (-1, 1)))[0]
 
 
 def gelman_rubin_psrf(chains) -> float:

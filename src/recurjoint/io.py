@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import Dataset, Hyperparams, RecordError
+from .model import Dataset, Hyperparams, PowerLawHazard, RecordError
 from .sampler import ChainTrace, McmcConfig, ProposalScales
 from .simulate import SimTruth
 
@@ -249,37 +249,20 @@ def load_dataset(path) -> Dataset:
 # ---------------------------------------------------------------------------
 
 def truth_to_dict(truth: SimTruth) -> dict:
-    from .model import PiecewiseConstantHazard
-
-    if isinstance(truth.baseline, PiecewiseConstantHazard):
-        baseline = {"variant": "piecewise",
-                    "grid": [float(v) for v in truth.baseline.grid],
-                    "levels": [float(v) for v in truth.baseline.levels]}
-    else:
-        baseline = {"variant": "powerlaw", "shape": float(truth.baseline.shape)}
-    return {
-        "beta": [float(v) for v in truth.beta],
-        "alpha": [float(v) for v in truth.alpha],
-        "alpha0": float(truth.alpha0),
-        "xi1": float(truth.xi1),
-        "xi2": float(truth.xi2),
-        "zeta": [float(v) for v in truth.zeta],
-        "frailty_log_variance": float(truth.frailty_log_variance),
-        "mu_means": [float(v) for v in truth.mu_means],
-        "mu_sd": float(truth.mu_sd),
-        "kappa_values": [float(v) for v in truth.kappa_values],
-        "baseline": baseline,
-        "baseline_variant": truth.baseline_variant,
-        "seed": int(truth.seed),
-        "latents": {
-            "gamma": [float(v) for v in truth.gamma],
-            "kappa": [float(v) for v in truth.kappa],
-            "unsusceptible": [int(v) for v in truth.unsusceptible],
-            "cluster_mu": [float(v) for v in truth.cluster_mu],
-            "uncensored_time": [float(v) for v in truth.uncensored_time],
-            "susceptibility_prob": [float(v) for v in truth.susceptibility_prob],
-        },
-    }
+    """``truth`` as plain JSON values, one key per field, with the fields
+    :class:`SimTruth` marks latent under ``"latents"``."""
+    doc = {"latents": {}}
+    for f in fields(truth):
+        value = getattr(truth, f.name)
+        if f.name == "baseline":
+            value = ({"variant": "powerlaw", "shape": float(value.shape)}
+                     if isinstance(value, PowerLawHazard) else
+                     {"variant": "piecewise", "grid": value.grid.tolist(),
+                      "levels": value.levels.tolist()})
+        else:
+            value = np.asarray(value).tolist()
+        (doc["latents"] if f.metadata.get("latent") else doc)[f.name] = value
+    return doc
 
 
 def write_truth(truth: SimTruth, path) -> None:

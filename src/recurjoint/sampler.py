@@ -73,14 +73,18 @@ assignment steps are blocked-Gibbs categorical draws (Ishwaran & James
   it holds: up to ``_KAPPA_SORTED_BINS`` runs, no more than one per
   ``_KAPPA_SORTED_BIN_RECORDS`` records, starting at Chebyshev-spaced
   ranks, so that they are shortest, down to single records, in the sparse
-  tails of d.  From ``_KAPPA_SORT_LIMIT`` records on the range of d is cut
-  into B = N / ``_KAPPA_BIN_RECORDS`` equal-width bins, which need no
-  sort.  For each terminal flag, bin and atom an upper bound U of s_k over
-  the bin is tabulated (2B rows of K entries).  A record proposes k with
-  probability proportional to ``exp(U)`` of its row, by searching its row
-  of the table's CDF, held as integers in units of 2^-53, with a 53-bit
-  uniform: sorted records search the whole table at once, the others take
-  a branchless binary search.  It accepts k with probability
+  tails of d.  From ``_KAPPA_SORT_LIMIT`` records on the range of asinh(d)
+  is cut into B = N / ``_KAPPA_BIN_RECORDS`` equal-width bins, which need
+  no sort, and their edges are mapped back with sinh, widened so that each
+  bin holds its offsets.  Near 0 a bin is about as wide in d as in
+  asinh(d), and far from 0 it widens in proportion to |d|, so that one
+  outlying offset widens the bins with the log of its distance, not with
+  the distance.  For each terminal flag, bin and atom an upper bound U of
+  s_k over the bin is tabulated (2B rows of K entries).  A record proposes
+  k with probability proportional to ``exp(U)`` of its row, by searching
+  its row of the table's CDF, held as integers in units of 2^-53, with a
+  53-bit uniform: sorted records search the whole table at once, the
+  others take a branchless binary search.  It accepts k with probability
   ``exp(s_k(d_i) - U)``; an accepted k is distributed exactly as the
   target, whatever the bound's slack.  There are up to
   ``_KAPPA_ROUNDS`` rounds; round r makes up to
@@ -148,14 +152,15 @@ _CHUNK_ELEMENTS = 16_384
 
 # the shape step's rejection sampler.  Below _KAPPA_SORT_LIMIT records the
 # envelope has up to _KAPPA_SORTED_BINS bins, and no more than one per
-# _KAPPA_SORTED_BIN_RECORDS records; from there on, equal-width bins of
-# about _KAPPA_BIN_RECORDS records each, so that for up to 64 atoms each of
-# the envelope's two tables (2 rows per bin) is no larger than a per-record
-# array, and at most _KAPPA_MAX_BINS of them, so that a row number shifted
-# past a 53-bit uniform fits an int64.  Then: rounds before the dense draw
-# takes the records left; records per block of a round, which bounds its
-# temporaries (a round makes no more proposals per record than fill one
-# block); and the growth from round to round of the proposals per record
+# _KAPPA_SORTED_BIN_RECORDS records; from there on, bins of equal width in
+# asinh(d), one per _KAPPA_BIN_RECORDS records, so that for up to 64 atoms
+# each of the envelope's two tables (2 rows per bin) is no larger than a
+# per-record array, and at most _KAPPA_MAX_BINS of them, so that a row
+# number shifted past a 53-bit uniform fits an int64.  Then: rounds before
+# the dense draw takes the records left; records per block of a round, which
+# bounds its temporaries (a round makes no more proposals per record than
+# fill one block); and the growth from round to round of the proposals per
+# record
 _KAPPA_SORT_LIMIT = 4096
 _KAPPA_SORTED_BINS = 40
 _KAPPA_SORTED_BIN_RECORDS = 8
@@ -590,9 +595,6 @@ class SamplerEngine:
                                    + self.ev_logsum - self.gamma * self.erx * self.lam0_followup)
         return terminal + recurrent
 
-    def total_loglik(self) -> float:
-        return float(self.participant_loglik().sum())
-
     # -- acceptance bookkeeping ------------------------------------------------------
 
     def _record_accept(self, name: str, rate: float, post_burn_in: bool) -> None:
@@ -876,7 +878,9 @@ class SamplerEngine:
         least and greatest offset they hold: the runs are shortest in the
         sparse tails, where an atom's score changes most across a run.  The
         records come back in order of offset.  From there on the bins have
-        equal widths, which need no sort, and the records keep their order.
+        equal widths in asinh(d), which need no sort, and the records keep
+        their order; one outlying offset then widens the bins with the log
+        of its distance, not with the distance.
         """
         m = span.size
         if m < _KAPPA_SORT_LIMIT:
@@ -886,20 +890,25 @@ class SamplerEngine:
             span = span[order]
             todo = order if todo is None else todo[order]
             return span[first], span[last], todo, span, run_key, True
-        lo, hi = float(span.min()), float(span.max())
+        a = np.arcsinh(span)
+        lo, hi = float(a.min()), float(a.max())
         bins = min(_KAPPA_MAX_BINS, max(1, m // _KAPPA_BIN_RECORDS))
         width = (hi - lo) / bins
         # a single value of d, or a range too narrow to cut, is one bin
         if not width >= np.finfo(float).tiny:
             bins, width = 1, 1.0
-        edges = lo + width * np.arange(bins + 1)
-        # the rounding of an offset's bin index and of the edges stays within
-        # `slack` of its bin, so the bin's bound covers the offset
+        # the rounding of asinh, of an offset's bin index and of the edges
+        # stays within `slack` of its bin.  Mapped back, the slack widens an
+        # edge e by at least 2^-48 |sinh(e)| (as |e| cosh(e) >= |sinh(e)|),
+        # more than the rounding of sinh, so the bin's bound covers the offset
         slack = 2.0 ** -48 * (abs(lo) + abs(hi))
-        which = np.minimum(((span - lo) / width).astype(np.int64), bins - 1)
+        edges = lo + width * np.arange(bins + 1)
+        a -= lo
+        a /= width
+        which = np.minimum(a.astype(np.int64), bins - 1)
         which <<= 53
-        return (edges[:-1] - slack, edges[1:] + slack, np.arange(m) if todo is None else todo,
-                span, which, False)
+        return (np.sinh(edges[:-1] - slack), np.sinh(edges[1:] + slack),
+                np.arange(m) if todo is None else todo, span, which, False)
 
     def _kappa_rejection_rounds(self, rng, v: np.ndarray) -> np.ndarray:
         """Up to ``_KAPPA_ROUNDS`` rounds of envelope rejection for each

@@ -40,7 +40,6 @@ from .model import (
 __all__ = [
     "SimTruth",
     "check_design",
-    "sample_piecewise_nhpp",
     "sample_terminal_times",
     "simulate_dataset",
     "TRUE_BETA",
@@ -72,7 +71,9 @@ CENSOR_PROB = 0.5
 
 @dataclass(frozen=True)
 class SimTruth:
-    """Everything the generator used, including per-participant latents."""
+    """Everything the generator used.  The fields marked ``latent`` are
+    per-participant (``cluster_mu``: per-cluster) draws; the rest are the
+    generating values."""
 
     beta: np.ndarray
     alpha: np.ndarray
@@ -87,12 +88,12 @@ class SimTruth:
     baseline: BaselineHazard
     baseline_variant: str
     seed: int
-    gamma: np.ndarray
-    kappa: np.ndarray
-    unsusceptible: np.ndarray
-    cluster_mu: np.ndarray
-    uncensored_time: np.ndarray
-    susceptibility_prob: np.ndarray
+    gamma: np.ndarray = field(metadata={"latent": True})
+    kappa: np.ndarray = field(metadata={"latent": True})
+    unsusceptible: np.ndarray = field(metadata={"latent": True})
+    cluster_mu: np.ndarray = field(metadata={"latent": True})
+    uncensored_time: np.ndarray = field(metadata={"latent": True})
+    susceptibility_prob: np.ndarray = field(metadata={"latent": True})
 
 
 # ---------------------------------------------------------------------------
@@ -155,22 +156,6 @@ def _sample_events(rates: np.ndarray, baseline: BaselineHazard, horizons: np.nda
         times = times[keep]
         counts = np.bincount(owner[keep], minlength=rates.size)
     return times, counts
-
-
-def sample_piecewise_nhpp(rate_multiplier: float, baseline: BaselineHazard,
-                          horizon: float, rng: np.random.Generator) -> np.ndarray:
-    """Event times of a Poisson process with intensity
-    ``rate_multiplier * lambda0(t)`` on ``(0, horizon]``: a Poisson count,
-    then the order statistics of iid draws with density
-    ``lambda0 / Lambda0(horizon)``, each by closed-form inversion of the
-    cumulative baseline.  The one-record case of the simulator's sampler.
-    """
-    if horizon <= 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
-    if rate_multiplier <= 0.0:
-        return np.empty(0)
-    return _sample_events(np.array([float(rate_multiplier)]), baseline,
-                          np.array([float(horizon)]), rng)[0]
 
 
 def sample_terminal_times(location: np.ndarray, kappa: np.ndarray,

@@ -13,7 +13,7 @@ import numpy as np
 from . import simulate as sim
 from .diagnostics import cpo_lpml, gelman_rubin_psrf, replicate_aggregate, summarize_columns
 from .io import check_config_keys, config_objects, config_to_dict
-from .model import Dataset, Hyperparams
+from .model import Dataset, Hyperparams, PowerLawHazard
 from .sampler import McmcConfig, ProposalScales, run_chain
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "build_summary",
     "fit_manifest",
     "scored_parameters",
-    "generator_truth",
     "run_replicate_study",
 ]
 
@@ -35,16 +34,15 @@ def scored_parameters(columns) -> list:
     return out
 
 
-def generator_truth(baseline_variant: str = "piecewise") -> dict:
-    truth = {f"beta_{i + 1}": float(v) for i, v in enumerate(sim.TRUE_BETA)}
-    truth.update({f"alpha_{i + 1}": float(v) for i, v in enumerate(sim.TRUE_ALPHA)})
-    truth["alpha0"] = sim.TRUE_ALPHA0
-    truth["xi1"] = sim.TRUE_XI1
-    truth["xi2"] = sim.TRUE_XI2
-    truth.update({f"zeta_{i + 1}": float(v) for i, v in enumerate(sim.TRUE_ZETA)})
-    if baseline_variant == "powerlaw":
-        truth["psi"] = sim.POWERLAW_SHAPE
-    return truth
+def _scored_truth(truth: sim.SimTruth) -> dict:
+    """The generating values of ``truth`` that :func:`scored_parameters`
+    can score, by trace column."""
+    scored = {f"{name}_{i + 1}": float(v) for name in ("beta", "alpha", "zeta")
+              for i, v in enumerate(getattr(truth, name))}
+    scored.update(alpha0=float(truth.alpha0), xi1=float(truth.xi1), xi2=float(truth.xi2))
+    if isinstance(truth.baseline, PowerLawHazard):
+        scored["psi"] = float(truth.baseline.shape)
+    return scored
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +191,7 @@ def _study_task(args) -> dict:
         return {
             "ok": True, "replicate": replicate, "variant": variant,
             "summaries": {name: summary["parameters"][name] for name in scored},
+            "truth": _scored_truth(truth),
             "lpml": summary["lpml"],
         }
     except Exception as exc:  # a failed replicate is recorded, not fatal
@@ -205,7 +204,9 @@ def run_replicate_study(study: dict, threads: int = 1) -> tuple:
 
     Returns ``(report, timing)``; the report is fully determined by the
     study config and seed, while wall-clock accounting goes into the
-    separate timing document.
+    separate timing document.  The report scores against the generating
+    values of the :class:`~recurjoint.simulate.SimTruth` the cells simulate
+    from, by trace column, and holds no truth when no cell succeeded.
     """
     study, configs, hyper, scales = _resolve_study(study)
     tasks = [(study, r, configs[v], hyper, scales) for r in range(study["replicates"])
@@ -214,7 +215,8 @@ def run_replicate_study(study: dict, threads: int = 1) -> tuple:
     results = _map(_study_task, tasks, threads)
     elapsed = time.monotonic() - started
 
-    truth = generator_truth(study["baseline_variant"])
+    # every cell's generating values are the same
+    truth = next((res["truth"] for res in results if res["ok"]), {})
     variants = {}
     failures = []
     for variant in study["variants"]:

@@ -439,6 +439,29 @@ class TestCliCommands:
         assert truth["beta"] == [0.4, 0.3, 0.2]
         assert len(truth["latents"]["gamma"]) == 40
 
+    @pytest.mark.parametrize("baseline", BASELINE_VARIANTS)
+    def test_truth_json_holds_every_simtruth_field(self, tmp_path, baseline):
+        # truth.json is written field by field from SimTruth, so a field
+        # added to the dataclass cannot be left out of the file
+        out = tmp_path / "sim"
+        assert main(["simulate", "--out", str(out), "--n", "40", "--j", "4", "--seed", "5",
+                     "--baseline", baseline]) == 0
+        doc = read_json(out / "truth.json")
+        _, truth = simulate_dataset(40, 4, baseline, seed=5)
+        latent = {f.name for f in dataclasses.fields(truth) if f.metadata.get("latent")}
+        assert latent == {"gamma", "kappa", "unsusceptible", "cluster_mu", "uncensored_time",
+                          "susceptibility_prob"}
+        assert doc.keys() == {f.name for f in dataclasses.fields(truth)} - latent | {"latents"}
+        assert doc["latents"].keys() == latent
+        for name in latent:
+            assert doc["latents"][name] == getattr(truth, name).tolist()
+        for name in doc.keys() - {"latents", "baseline"}:
+            assert doc[name] == np.asarray(getattr(truth, name)).tolist()
+        expected = ({"variant": "powerlaw", "shape": 1.5} if baseline == "powerlaw" else
+                    {"variant": "piecewise", "grid": truth.baseline.grid.tolist(),
+                     "levels": truth.baseline.levels.tolist()})
+        assert doc["baseline"] == expected
+
     def test_fit_smoke_and_summary_blocks(self, tmp_path):
         out = self._simulate(tmp_path)
         fit_dir = tmp_path / "fit"
@@ -633,8 +656,8 @@ class TestCliCommands:
 
     @pytest.mark.parametrize("baseline", BASELINE_VARIANTS)
     def test_replicate_study_truth_is_every_cells_simulated_truth(self, monkeypatch, baseline):
-        # the report scores against generator_truth, a second truth table
-        # beside the SimTruth each cell simulates from; they must agree
+        # the report scores against the SimTruth each cell simulates from,
+        # named by trace column; every cell's truth is the same
         import recurjoint.study as study_module
 
         truths = []
@@ -682,6 +705,9 @@ class TestCliCommands:
             assert "in failing_fit" in failure["traceback"]
             assert "in _study_task" in failure["traceback"]
         assert report["variants"]["BMZ"]["failures"] == 1
+        # no cell simulated and fitted, so there is no truth to score against
+        assert report["truth"] == {}
+        assert all(v["aggregate"] == {} for v in report["variants"].values())
 
     @pytest.mark.parametrize("fields,message", [
         ({"replicate": 2}, "unknown key 'replicate' in the study config;"),

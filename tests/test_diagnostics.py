@@ -10,28 +10,26 @@ from recurjoint.diagnostics import (
     cpo_accumulate,
     cpo_lpml,
     gelman_rubin_psrf,
-    posterior_summary,
     replicate_aggregate,
     sorted_unique,
+    summarize_columns,
     type7_quantiles,
 )
 from recurjoint.model import Hyperparams
-from recurjoint.sampler import _KAPPA_SORTED_BINS, SamplerEngine, _rank_bins
+from recurjoint.sampler import (
+    _KAPPA_SORTED_BINS,
+    ChainTrace,
+    McmcConfig,
+    SamplerEngine,
+    _rank_bins,
+)
 from recurjoint.simulate import simulate_dataset
-
-
-class _Series:
-    """A trace holding one series, under every name."""
-
-    def __init__(self, draws):
-        self.draws = draws
-
-    def column(self, name):
-        return self.draws
+from recurjoint.study import build_summary, fit_manifest
 
 
 def summarize(draws) -> dict:
-    return posterior_summary(_Series(draws), "x")
+    """The summary of one series: a one-column :func:`summarize_columns`."""
+    return summarize_columns(np.reshape(draws, (-1, 1)))[0]
 
 
 class TestPosteriorSummary:
@@ -60,12 +58,15 @@ class TestPosteriorSummary:
             assert s["q2.5"] <= s["q50"] <= s["q97.5"]
 
     def test_named_selector(self):
-        class Fake:
-            def column(self, name):
-                assert name == "beta_1"
-                return np.array([1.0, 2.0, 3.0])
-
-        assert posterior_summary(Fake(), "beta_1")["mean"] == 2.0
+        # a fit's summary names each column's summary by its trace column
+        trace = ChainTrace(columns=["alpha0", "beta_1"],
+                           draws=np.column_stack([np.zeros(3), [1.0, 2.0, 3.0]]),
+                           neg_loglik_lse=np.empty(0), total_loglik=np.zeros(3),
+                           acceptance={}, final_scales={}, chain_index=0, grid=None)
+        config = McmcConfig(iterations=4, burn_in=1)
+        summary = build_summary([trace], fit_manifest([trace], config, Hyperparams()))
+        assert summary["parameters"]["beta_1"] == {**summarize([1.0, 2.0, 3.0]), "psrf": None}
+        assert summary["parameters"]["beta_1"]["mean"] == 2.0
 
 
 def assert_same_bits(ours, reference):

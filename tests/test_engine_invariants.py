@@ -90,7 +90,6 @@ def test_engine_matches_oracle(variant, baseline, mode):
         expected = _oracle_loglik(eng, i, mode)
         assert math.isclose(float(ll[i]), expected, rel_tol=ORACLE_REL_TOL,
                             abs_tol=ORACLE_ABS_TOL), (i, float(ll[i]), expected)
-    assert eng.total_loglik() == float(ll.sum())
 
 
 def _assert_caches_fresh(eng, present, label, tol=CACHE_REL_TOL):

@@ -232,8 +232,8 @@ class TestMuBlock:
                 r_time = float(sim.sample_terminal_times([loc], [kappa], gen)[0])
                 censor = float(gen.uniform(0.2, 2.0))
                 followup = max(min(r_time, censor), 1e-9)
-                times = sim.sample_piecewise_nhpp(gamma * math.exp(true_mu[c]), base,
-                                                  followup, gen)
+                times, _ = sim._sample_events(np.array([gamma * math.exp(true_mu[c])]), base,
+                                              np.array([followup]), gen)
                 records.append(make_record(followup=followup, delta=int(r_time <= censor),
                                            times=times, cluster=c, participant=i))
                 gammas.append(gamma)
@@ -337,6 +337,42 @@ class TestKappaBlock:
         assert pooled.var() == pytest.approx(1.0, abs=0.2)
 
 
+    @pytest.mark.parametrize("case", ["spread", "outlier", "edges", "repeated", "route limit",
+                                      "subnormal range"])
+    def test_equal_width_bins_cover_their_offsets(self, case, rng):
+        # from _KAPPA_SORT_LIMIT offsets on, the bins are cut in asinh(d) and
+        # mapped back; the envelope bounds the scores over a bin's [lo, hi],
+        # so every offset must lie inside the bin it is routed to
+        m = 5000
+        assert m >= sampler._KAPPA_SORT_LIMIT
+        bins = m // sampler._KAPPA_BIN_RECORDS
+        if case == "spread":
+            span = rng.choice([-1.0, 1.0], m) * 10.0 ** rng.uniform(-300, 300, m)
+        elif case == "outlier":
+            span = np.append(rng.normal(0.0, 1.5, m - 1), 110.0)
+        elif case == "edges":
+            # offsets at and next to the edges of asinh bins over [-3, 5]
+            at = np.sinh(np.linspace(-3.0, 5.0, bins + 1))
+            span = np.resize(np.concatenate((at, np.nextafter(at, -np.inf),
+                                             np.nextafter(at, np.inf))), m)
+        elif case == "repeated":
+            span, bins = np.full(m, -0.7), 1
+        elif case == "route limit":
+            limit = sampler._KAPPA_ROUTE_LIMIT
+            span = np.concatenate(([-limit, limit], rng.normal(0.0, 2.0, m - 2)))
+        else:
+            # a range narrower than the smallest normal width per bin
+            span, bins = np.resize([0.0, 5e-324, 1e-323], m), 1
+        eng = engine_for([make_record(participant=0)], make_state(n=1))
+        lo, hi, todo, got, key, ordered = eng._kappa_bins(None, span)
+        assert not ordered and todo.tolist() == list(range(m)) and got is span
+        assert lo.size == hi.size == bins
+        assert np.isfinite(lo).all() and np.isfinite(hi).all()
+        b = key >> 53
+        assert (key == b << 53).all() and b.min() >= 0 and b.max() < bins
+        inside = (lo[b] <= span) & (span <= hi[b])
+        assert inside.all(), span[~inside][:5]
+
     def test_envelope_bounds_every_score_in_its_bin(self, rng):
         # atoms from 1e-12 to 1e12; bins all negative, straddling 0, all
         # positive, past the exp cap, and at the routing limit on each side
@@ -405,8 +441,17 @@ class TestKappaBlock:
         assert 14 * 200 < sampler._KAPPA_SORT_LIMIT
         self._check_rejection_draws(mode, rounds, bin_records, max_left, 200, monkeypatch)
 
+    def test_one_outlying_offset_keeps_the_bins_tight(self, monkeypatch):
+        # the types above and one at d = 110, 400 records each: bins of
+        # equal width in d would be 16 times wider than without it, and one
+        # round left about half the records to the later rounds
+        assert 14 * 400 >= sampler._KAPPA_SORT_LIMIT
+        self._check_rejection_draws("corrected", 1, None, 0.1, 400, monkeypatch,
+                                    outlier=110.0)
+
     @staticmethod
-    def _check_rejection_draws(mode, rounds, bin_records, max_left, reps, monkeypatch):
+    def _check_rejection_draws(mode, rounds, bin_records, max_left, reps, monkeypatch,
+                               outlier=None):
         monkeypatch.setattr(sampler, "_KAPPA_ROUNDS", rounds)
         if bin_records is not None:
             # one bin in either binning
@@ -414,7 +459,7 @@ class TestKappaBlock:
             monkeypatch.setattr(sampler, "_KAPPA_SORTED_BINS", 1)
         # record types (offset d = log followup, terminal flag, unsusceptible);
         # from d = 3 on, the largest atom's theta d is past the exp cap
-        offsets = (-4.0, -1.0, -0.2, 0.3, 1.2, 3.0)
+        offsets = (-4.0, -1.0, -0.2, 0.3, 1.2, 3.0) + (() if outlier is None else (outlier,))
         types = [(d, delta, 0) for d in offsets for delta in (0, 1)]
         if mode == "literal":
             types += [(0.3, 0, 1), (-1.0, 1, 1)]

@@ -15,29 +15,32 @@ import recurjoint.simulate as sim
 from conftest import engine_loglik, make_record, make_state
 from recurjoint.simulate import (
     KAPPA_VALUES,
-    sample_piecewise_nhpp,
     sample_terminal_times,
     simulate_dataset,
 )
 
 
 class TestNhppSampler:
+    """``simulate._sample_events`` on one record, or on many of one rate and
+    horizon."""
+
     def test_zero_multiplier_gives_empty(self, rng):
         base = PiecewiseConstantHazard(np.array([0.0, 1.0]), np.array([2.0]))
-        assert sample_piecewise_nhpp(0.0, base, 5.0, rng).size == 0
+        times, counts = sim._sample_events(np.zeros(1), base, np.array([5.0]), rng)
+        assert times.size == 0 and counts.tolist() == [0]
 
     def test_constant_rate_poisson_mean(self, rng):
         base = PiecewiseConstantHazard(np.array([0.0, 10.0]), np.array([1.0]))
         rate, horizon = 1.3, 2.0
-        counts = np.array([sample_piecewise_nhpp(rate, base, horizon, rng).size
-                           for _ in range(10_000)])
+        _, counts = sim._sample_events(np.full(10_000, rate), base, np.full(10_000, horizon),
+                                       rng)
         expected = rate * horizon
         assert counts.mean() == pytest.approx(expected, abs=3 * math.sqrt(expected / 10_000))
 
     def test_times_sorted_and_bounded(self, rng):
         base = PiecewiseConstantHazard(np.array([0.0, 0.5, 1.5]), np.array([2.0, 3.0]))
-        for _ in range(200):
-            t = sample_piecewise_nhpp(2.0, base, 1.2, rng)
+        times, counts = sim._sample_events(np.full(200, 2.0), base, np.full(200, 1.2), rng)
+        for t in np.split(times, np.cumsum(counts)[:-1]):
             assert np.all(np.diff(t) > 0)
             assert t.size == 0 or (t[0] > 0 and t[-1] <= 1.2)
 
@@ -50,7 +53,7 @@ class TestNhppSampler:
         # transformed gaps are exactly Exp(1); a long observation budget makes
         # the end-of-window truncation bias negligible
         multiplier = 1.7
-        times = sample_piecewise_nhpp(multiplier, baseline, horizon, rng)
+        times, _ = sim._sample_events(np.array([multiplier]), baseline, np.array([horizon]), rng)
         assert times.size > 10_000
         transformed = multiplier * np.array(
             [cumulative_baseline_hazard(t, baseline) for t in times[:10_001]])
@@ -60,7 +63,7 @@ class TestNhppSampler:
 
     def test_rejects_absurd_budget(self, rng):
         with pytest.raises(ValueError, match="too large"):
-            sample_piecewise_nhpp(1e6, PowerLawHazard(3.0), 1e3, rng)
+            sim._sample_events(np.array([1e6]), PowerLawHazard(3.0), np.array([1e3]), rng)
 
 
 PIECEWISE = PiecewiseConstantHazard(np.array([0.0, 0.4, 0.9, 1.3, 1.9, 2.5]),
