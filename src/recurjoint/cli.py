@@ -5,11 +5,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .io import (
-    load_config,
     load_dataset,
     parse_config,
     read_chain_trace,
@@ -26,16 +25,10 @@ from .study import build_summary, fit_manifest, run_fit, run_replicate_study
 
 
 def _apply_overrides(config: McmcConfig, args) -> McmcConfig:
-    fields = {}
-    if args.seed is not None:
-        fields["seed"] = args.seed
-    if args.chains is not None:
-        fields["chains"] = args.chains
-    if args.variant is not None:
-        fields["variant"] = args.variant
-    if args.baseline is not None:
-        fields["baseline_variant"] = args.baseline
-    return replace(config, **fields) if fields else config
+    """``config`` with the fields the fit flags set; each flag's dest is the
+    name of the field it sets."""
+    return replace(config, **{f.name: getattr(args, f.name) for f in fields(config)
+                              if getattr(args, f.name, None) is not None})
 
 
 def cmd_simulate(args) -> int:
@@ -51,10 +44,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_fit(args) -> int:
     # the config first: a bad key is refused before the data are read
-    if args.config:
-        config, hyper, scales = load_config(args.config)
-    else:
-        config, hyper, scales = parse_config({})
+    config, hyper, scales = parse_config(read_json(args.config) if args.config else {})
     config = _apply_overrides(config, args)
     dataset = load_dataset(args.data)
 
@@ -119,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--seed", type=int, default=None)
     p_fit.add_argument("--chains", type=int, default=None)
     p_fit.add_argument("--variant", choices=VARIANTS, default=None)
-    p_fit.add_argument("--baseline", choices=BASELINE_VARIANTS, default=None)
+    p_fit.add_argument("--baseline", choices=BASELINE_VARIANTS, dest="baseline_variant")
     p_fit.add_argument("--threads", type=int, default=1)
     p_fit.set_defaults(func=cmd_fit)
 

@@ -25,6 +25,28 @@ the same rules.  Both readers hand numpy's C reader the file one line at a
 time, holding neither its text nor a Python object per cell; a row-by-row
 loop in Python re-reads the file only when the reader rejects it, to name
 the first bad row and cell.
+
+A fit config is a JSON object of four sections, each optional; a key left
+out takes the default of the dataclass field it sets:
+
+- ``model``: McmcConfig's ``variant``, ``baseline_variant`` and
+  ``likelihood_mode`` (strings) and ``grid`` (a list of numbers, or null),
+  and ``fixed_p``;
+- ``mcmc``: McmcConfig's other fields, all integers: ``iterations`` (10000),
+  ``burn_in`` (5000), ``thin`` (1), ``chains`` (1), ``seed`` (0) and
+  ``adapt_window`` (50);
+- ``hyper``: Hyperparams's fields, of the types it annotates; ``fixed_p``
+  may be set here or in the model section, not in both;
+- ``scales``: ProposalScales's fields, positive numbers.
+
+A study config holds the integers ``n`` (600), ``j`` (20), ``replicates``
+(25, at least 1) and ``seed`` (0), ``variants`` (distinct model variants,
+["BMZ-DP"]), ``baseline_variant`` ("piecewise"), and a fit config's
+``mcmc``, ``hyper`` and ``scales`` sections, but its mcmc section takes
+``likelihood_mode`` and no ``seed``: each cell's comes from the study seed.
+
+An integer may be written as an integral float such as 100.0.  An unknown
+key and a setting of the wrong type are refused by name.
 """
 
 from __future__ import annotations
@@ -47,10 +69,11 @@ __all__ = [
     "write_truth",
     "truth_to_dict",
     "check_config_keys",
+    "read_settings",
     "config_objects",
     "parse_config",
-    "load_config",
     "config_to_dict",
+    "MCMC_DEFAULTS",
     "write_chain_trace",
     "read_chain_trace",
     "write_json",
@@ -273,10 +296,11 @@ def write_truth(truth: SimTruth, path) -> None:
 # Config documents
 # ---------------------------------------------------------------------------
 
-# the keys of a fit config's model and mcmc sections; its hyper and scales
-# sections take the fields of Hyperparams and ProposalScales
-_MODEL_KEYS = ("variant", "baseline_variant", "likelihood_mode", "grid", "fixed_p")
-_MCMC_KEYS = ("iterations", "burn_in", "thin", "chains", "seed", "adapt_window")
+_SECTIONS = ("model", "hyper", "mcmc", "scales")
+# the McmcConfig fields a fit config's model section holds; its mcmc section
+# holds the others, which are all integers
+_MODEL_FIELDS = ("variant", "baseline_variant", "likelihood_mode", "grid")
+MCMC_DEFAULTS = {f.name: f.default for f in fields(McmcConfig) if f.name not in _MODEL_FIELDS}
 
 
 def check_config_keys(doc: dict, known, where: str) -> None:
@@ -288,6 +312,20 @@ def check_config_keys(doc: dict, known, where: str) -> None:
                              f"{', '.join(sorted(known))}")
 
 
+def read_settings(doc: dict, defaults: dict, where: str) -> dict:
+    """The settings of ``doc``, found in ``where``, whose keys must be keys
+    of ``defaults``.  A setting whose default is an int must be an integer,
+    and an integral float such as 100.0 is read as one; a boolean, a
+    fraction or a string raises ValueError naming it."""
+    check_config_keys(doc, defaults, where)
+    integers = [key for key in doc if type(defaults[key]) is int]
+    for key in integers:
+        value = doc[key]
+        if not (type(value) is int or isinstance(value, float) and value.is_integer()):
+            raise ValueError(f"{key} in {where} must be an integer, got {value!r}")
+    return {**doc, **{key: int(doc[key]) for key in integers}}
+
+
 def config_objects(hyper: dict, scales: dict, where: str) -> tuple:
     """Hyperparams and ProposalScales from the hyper and scales sections of
     the config ``where``, whose keys are checked first."""
@@ -297,45 +335,28 @@ def config_objects(hyper: dict, scales: dict, where: str) -> tuple:
 
 
 def parse_config(doc: dict) -> tuple:
-    """Build (McmcConfig, Hyperparams, ProposalScales) from a config
-    document with ``model``, ``hyper``, ``mcmc`` and optional ``scales``
-    sections; what a document leaves out takes the classes' defaults.  An
-    unknown section or key raises ValueError naming it."""
-    check_config_keys(doc, ("model", "hyper", "mcmc", "scales"), "the config")
-    model, hyper, mcmc = (dict(doc.get(name, {})) for name in ("model", "hyper", "mcmc"))
-    check_config_keys(model, _MODEL_KEYS, "the config's model section")
-    check_config_keys(mcmc, _MCMC_KEYS, "the config's mcmc section")
+    """Build (McmcConfig, Hyperparams, ProposalScales) from a fit config, as
+    the module docstring sets it out.  An unknown section or key, a
+    non-integer integer setting and a ``fixed_p`` in two sections raise
+    ValueError naming them."""
+    check_config_keys(doc, _SECTIONS, "the config")
+    model, hyper, mcmc, scales = (dict(doc.get(name, {})) for name in _SECTIONS)
+    check_config_keys(model, (*_MODEL_FIELDS, "fixed_p"), "the config's model section")
+    mcmc = read_settings(mcmc, MCMC_DEFAULTS, "the config's mcmc section")
     if "fixed_p" in model:
-        hyper.setdefault("fixed_p", model.pop("fixed_p"))
-    grid = model.pop("grid", None)
-    config = McmcConfig(**{key: int(value) for key, value in mcmc.items()}, **model,
-                        grid=None if grid is None else tuple(float(v) for v in grid))
-    return (config, *config_objects(hyper, dict(doc.get("scales", {})), "the config"))
-
-
-def load_config(path) -> tuple:
-    return parse_config(read_json(path))
+        if "fixed_p" in hyper:
+            raise ValueError("fixed_p is set in both the config's model and hyper sections")
+        hyper["fixed_p"] = model.pop("fixed_p")
+    return (McmcConfig(**model, **mcmc), *config_objects(hyper, scales, "the config"))
 
 
 def config_to_dict(config: McmcConfig, hyper: Hyperparams) -> dict:
-    """The fully resolved configuration, embedded in every output document."""
-    return {
-        "model": {
-            "variant": config.variant,
-            "baseline_variant": config.baseline_variant,
-            "likelihood_mode": config.likelihood_mode,
-            "grid": None if config.grid is None else [float(v) for v in config.grid],
-        },
-        "mcmc": {
-            "iterations": config.iterations,
-            "burn_in": config.burn_in,
-            "thin": config.thin,
-            "chains": config.chains,
-            "seed": config.seed,
-            "adapt_window": config.adapt_window,
-        },
-        "hyper": {k: v for k, v in vars(hyper).items()},
-    }
+    """The fully resolved configuration, embedded in every output document:
+    a fit config that :func:`parse_config` reads back to ``config`` and
+    ``hyper``."""
+    mcmc = {f.name: getattr(config, f.name) for f in fields(config)}
+    model = {name: mcmc.pop(name) for name in _MODEL_FIELDS}
+    return {"model": model, "mcmc": mcmc, "hyper": dict(vars(hyper))}
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Union
 
@@ -353,19 +353,22 @@ class Hyperparams:
     b_psi: float = 1.0
 
     def __post_init__(self):
-        for name in ("sigma2_beta", "sigma2_alpha", "sigma2_zeta", "sigma2_xi1",
-                     "sigma2_xi2", "a0", "b0", "a_kappa", "b_kappa", "sigma2_mu",
-                     "a_phi", "b_phi", "a_psi", "b_psi"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be strictly positive")
-        for name, optional in (("grid_count", False), ("truncation_kappa", True),
-                               ("truncation_mu", True)):
-            value = getattr(self, name)
-            if not ((optional and value is None)
-                    or (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-                        and value >= 1)):
-                raise ValueError(f"{name} must be {'None or ' if optional else ''}an integer "
-                                 f"of at least 1, got {value!r}")
+        # each field is checked against its annotation: a bool is true or
+        # false, an int at least 1, a float a number, positive unless optional
+        for f in fields(self):
+            value, kind = getattr(self, f.name), f.type.removesuffix(" | None")
+            if kind != f.type and value is None:
+                continue
+            is_int = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            if kind == "bool" and not isinstance(value, bool):
+                raise ValueError(f"{f.name} must be true or false, got {value!r}")
+            if kind == "int" and not (is_int and value >= 1):
+                raise ValueError(f"{f.name} must be {'None or ' if kind != f.type else ''}an "
+                                 f"integer of at least 1, got {value!r}")
+            if kind == "float" and not (is_int or isinstance(value, (float, np.floating))):
+                raise ValueError(f"{f.name} must be a number, got {value!r}")
+            if f.type == "float" and not value > 0:
+                raise ValueError(f"{f.name} must be strictly positive")
         if self.fixed_p is not None and not 0.0 < self.fixed_p < 1.0:
             raise ValueError("fixed_p must lie in (0, 1)")
 

@@ -103,7 +103,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -214,7 +214,8 @@ def _rank_bins(m: int, bins: int) -> tuple:
 
 @dataclass(frozen=True)
 class ProposalScales:
-    """Random-walk standard deviations, one per Metropolis block."""
+    """Random-walk standard deviations, ``rho_<block>`` for each Metropolis
+    block."""
 
     rho_beta: float = 0.1
     rho_alpha: float = 0.1
@@ -229,8 +230,9 @@ class ProposalScales:
 
     def __post_init__(self):
         for name, value in self.__dict__.items():
-            if not value > 0:
-                raise ValueError(f"{name} must be strictly positive")
+            number = isinstance(value, (int, float, np.integer, np.floating))
+            if isinstance(value, bool) or not (number and value > 0):
+                raise ValueError(f"{name} must be a strictly positive number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -264,7 +266,7 @@ class McmcConfig:
         if self.adapt_window < 1:
             raise ValueError("adapt_window must be at least 1")
         if self.grid is not None:
-            check_grid(self.grid)
+            object.__setattr__(self, "grid", tuple(check_grid(self.grid).tolist()))
 
     @property
     def kept_draws(self) -> int:
@@ -412,11 +414,7 @@ class SamplerEngine:
             self.total_log_ev = float(np.log(self.ev_times).sum()) if self.ev_times.size else 0.0
 
         sc = scales or ProposalScales()
-        self.scales = {
-            "beta": sc.rho_beta, "alpha": sc.rho_alpha, "alpha0": sc.rho_alpha0,
-            "gamma": sc.rho_gamma, "eta": sc.rho_eta, "theta": sc.rho_theta,
-            "xi1": sc.rho_xi1, "xi2": sc.rho_xi2, "zeta": sc.rho_zeta, "psi": sc.rho_psi,
-        }
+        self.scales = {f.name.removeprefix("rho_"): getattr(sc, f.name) for f in fields(sc)}
         self.targets = {name: TARGET_SCALAR for name in self.scales}
         for name in ("beta", "alpha", "zeta"):
             self.targets[name] = TARGET_VECTOR

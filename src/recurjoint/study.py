@@ -3,7 +3,6 @@ score many replicates per model variant, in parallel across workers."""
 
 from __future__ import annotations
 
-import re
 import time
 import traceback
 from dataclasses import replace
@@ -12,7 +11,7 @@ import numpy as np
 
 from . import simulate as sim
 from .diagnostics import cpo_lpml, gelman_rubin_psrf, replicate_aggregate, summarize_columns
-from .io import check_config_keys, config_objects, config_to_dict
+from .io import MCMC_DEFAULTS, config_objects, config_to_dict, read_settings
 from .model import Dataset, Hyperparams, PowerLawHazard
 from .sampler import McmcConfig, ProposalScales, run_chain
 
@@ -24,24 +23,30 @@ __all__ = [
     "run_replicate_study",
 ]
 
-_SCORED_RE = re.compile(r"^(beta|alpha|zeta)_\d+$")
+# the generating values a study scores, named as SimTruth and the trace name
+# them: a vector's elements are the columns <name>_1, <name>_2, ...; "psi" is
+# the power-law baseline's shape
+_SCORED_NAMES = ("beta", "alpha", "zeta", "alpha0", "xi1", "xi2", "psi")
 
 
 def scored_parameters(columns) -> list:
-    """Regression-type parameters with a known generating truth."""
-    out = [c for c in columns if _SCORED_RE.match(c)]
-    out += [c for c in ("alpha0", "xi1", "xi2", "psi") if c in columns]
-    return out
+    """The columns scored against a generating truth: vector elements, then scalars."""
+    elements = [c for c in columns
+                if c.rpartition("_")[0] in _SCORED_NAMES and c.rpartition("_")[2].isdigit()]
+    return elements + [name for name in _SCORED_NAMES if name in columns]
 
 
 def _scored_truth(truth: sim.SimTruth) -> dict:
     """The generating values of ``truth`` that :func:`scored_parameters`
     can score, by trace column."""
-    scored = {f"{name}_{i + 1}": float(v) for name in ("beta", "alpha", "zeta")
-              for i, v in enumerate(getattr(truth, name))}
-    scored.update(alpha0=float(truth.alpha0), xi1=float(truth.xi1), xi2=float(truth.xi2))
-    if isinstance(truth.baseline, PowerLawHazard):
-        scored["psi"] = float(truth.baseline.shape)
+    psi = truth.baseline.shape if isinstance(truth.baseline, PowerLawHazard) else None
+    scored = {}
+    for name in _SCORED_NAMES:
+        value = psi if name == "psi" else getattr(truth, name)
+        if np.ndim(value):
+            scored.update((f"{name}_{i + 1}", float(v)) for i, v in enumerate(value))
+        elif value is not None:
+            scored[name] = float(value)
     return scored
 
 
@@ -112,11 +117,8 @@ def build_summary(traces, manifest: dict) -> dict:
     draws = sum(t.draws.shape[0] for t in traces)
     lpml = cpo_lpml(neg_loglik_lse, draws)[1] if neg_loglik_lse.size else None
 
-    acceptance = {}
-    for rates in manifest["acceptance"]:
-        for k, v in rates.items():
-            acceptance.setdefault(k, []).append(v)
-    acceptance = {k: float(np.mean(v)) for k, v in acceptance.items()}
+    acceptance = {k: float(np.mean([rates[k] for rates in manifest["acceptance"]]))
+                  for k in manifest["acceptance"][0]}
 
     return {
         "config": manifest["config"],
@@ -135,9 +137,16 @@ def build_summary(traces, manifest: dict) -> dict:
 # Replicate study
 # ---------------------------------------------------------------------------
 
-_STUDY_KEYS = ("n", "j", "replicates", "variants", "baseline_variant", "seed", "mcmc", "hyper",
-               "scales")
-_STUDY_MCMC_KEYS = ("iterations", "burn_in", "thin", "chains", "likelihood_mode", "adapt_window")
+# a study config's keys and their defaults; the report records the config
+# with these filled in
+_STUDY_DEFAULTS = {"n": 600, "j": 20, "replicates": 25, "variants": [McmcConfig.variant],
+                   "baseline_variant": McmcConfig.baseline_variant, "seed": 0,
+                   "mcmc": {"iterations": McmcConfig.iterations, "burn_in": McmcConfig.burn_in},
+                   "hyper": {}, "scales": {}}
+# a study's mcmc section takes a fit config's mcmc settings but the seed,
+# which the study seed sets per cell, and the likelihood mode
+_STUDY_MCMC_DEFAULTS = {**{k: v for k, v in MCMC_DEFAULTS.items() if k not in _STUDY_DEFAULTS},
+                        "likelihood_mode": McmcConfig.likelihood_mode}
 
 
 def _resolve_study(study: dict) -> tuple:
@@ -145,28 +154,22 @@ def _resolve_study(study: dict) -> tuple:
     it, and the objects every cell fits with: a McmcConfig per variant (its
     seed set per cell), the Hyperparams and the ProposalScales.  An unknown
     key or a bad value raises here, before any cell runs."""
-    check_config_keys(study, _STUDY_KEYS, "the study config")
-    resolved = {
-        "n": int(study.get("n", 600)),
-        "j": int(study.get("j", 20)),
-        "replicates": int(study.get("replicates", 25)),
-        "variants": list(study.get("variants", ["BMZ-DP"])),
-        "baseline_variant": study.get("baseline_variant", "piecewise"),
-        "seed": int(study.get("seed", 0)),
-        "mcmc": dict(study.get("mcmc", {})),
-        "hyper": dict(study.get("hyper", {})),
-        "scales": dict(study.get("scales", {})),
-    }
-    mcmc = resolved["mcmc"]
-    check_config_keys(mcmc, _STUDY_MCMC_KEYS, "the study config's mcmc section")
+    resolved = {**_STUDY_DEFAULTS, **read_settings(study, _STUDY_DEFAULTS, "the study config")}
+    resolved["mcmc"] = {**_STUDY_DEFAULTS["mcmc"], **read_settings(
+        resolved["mcmc"], _STUDY_MCMC_DEFAULTS, "the study config's mcmc section")}
     sim.check_design(resolved["n"], resolved["j"])
-    mcmc.setdefault("iterations", 10_000)
-    mcmc.setdefault("burn_in", 5_000)
-    settings = {key: value if key == "likelihood_mode" else int(value)
-                for key, value in mcmc.items()}
-    configs = {variant: McmcConfig(**settings, variant=variant,
+    if resolved["replicates"] < 1:
+        raise ValueError(f"replicates in the study config must be at least 1, "
+                         f"got {resolved['replicates']}")
+    variants = resolved["variants"]
+    if not variants:
+        raise ValueError("variants in the study config is empty")
+    for k, variant in enumerate(variants):
+        if variant in variants[:k]:
+            raise ValueError(f"variants in the study config names {variant!r} twice")
+    configs = {variant: McmcConfig(**resolved["mcmc"], variant=variant,
                                    baseline_variant=resolved["baseline_variant"])
-               for variant in resolved["variants"]}
+               for variant in variants}
     hyper, scales = config_objects(resolved["hyper"], resolved["scales"], "the study config")
     return resolved, configs, hyper, scales
 
@@ -220,38 +223,22 @@ def run_replicate_study(study: dict, threads: int = 1) -> tuple:
     variants = {}
     failures = []
     for variant in study["variants"]:
+        # one row per replicate, in replicate order
         rows = [res for res in results if res["variant"] == variant]
-        ok_rows = [res for res in rows if res["ok"]]
-        failures += [{"replicate": res["replicate"], "variant": variant, "error": res["error"],
-                      "traceback": res["traceback"]}
-                     for res in rows if not res["ok"]]
+        failures += [{k: v for k, v in res.items() if k != "ok"} for res in rows if not res["ok"]]
         per_param = {}
-        for res in sorted(ok_rows, key=lambda r: r["replicate"]):
-            for name, summary in res["summaries"].items():
+        for res in rows:
+            for name, summary in res.get("summaries", {}).items():
                 per_param.setdefault(name, []).append(summary)
-        lpml = [None] * study["replicates"]
-        means = {}
-        for res in ok_rows:
-            lpml[res["replicate"]] = res["lpml"]
-        for name, summaries in per_param.items():
-            means[name] = [s["mean"] for s in summaries]
         variants[variant] = {
             "aggregate": replicate_aggregate(per_param, truth),
-            "lpml": lpml,
-            "replicate_means": means,
-            "failures": len(rows) - len(ok_rows),
+            "lpml": [res.get("lpml") for res in rows],
+            "replicate_means": {name: [s["mean"] for s in summaries]
+                                for name, summaries in per_param.items()},
+            "failures": sum(not res["ok"] for res in rows),
         }
 
-    report = {
-        "study": study,
-        "truth": truth,
-        "variants": variants,
-        "failures": failures,
-    }
-    timing = {
-        "total_seconds": elapsed,
-        "tasks": len(tasks),
-        "threads": threads,
-        "seconds_per_task": elapsed / max(len(tasks), 1),
-    }
+    report = {"study": study, "truth": truth, "variants": variants, "failures": failures}
+    timing = {"total_seconds": elapsed, "tasks": len(tasks), "threads": threads,
+              "seconds_per_task": elapsed / max(len(tasks), 1)}
     return report, timing

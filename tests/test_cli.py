@@ -11,7 +11,7 @@ import pytest
 import output_digest
 from recurjoint.cli import main
 from recurjoint.io import (
-    load_config,
+    config_to_dict,
     load_dataset,
     parse_config,
     read_chain_trace,
@@ -20,7 +20,7 @@ from recurjoint.io import (
     write_dataset,
 )
 from recurjoint.model import BASELINE_VARIANTS, VARIANTS, Dataset, Hyperparams
-from recurjoint.sampler import ChainTrace, McmcConfig, run_chain
+from recurjoint.sampler import ChainTrace, McmcConfig, ProposalScales, run_chain
 from recurjoint.simulate import simulate_dataset
 from recurjoint.study import build_summary, fit_manifest, run_replicate_study
 from conftest import make_dataset, make_record
@@ -377,7 +377,7 @@ class TestConfigDocuments:
                "mcmc": {"iterations": 100, "burn_in": 50, "seed": 7}}
         path = tmp_path / "config.json"
         path.write_text(json.dumps(doc))
-        config, hyper, scales = load_config(path)
+        config, hyper, scales = parse_config(read_json(path))
         assert config.variant == "BMZ"
         assert config.baseline_variant == "powerlaw"
         assert hyper.fixed_p == 0.5
@@ -404,6 +404,57 @@ class TestConfigDocuments:
     def test_unknown_keys_are_named(self, doc, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             parse_config(doc)
+
+    @pytest.mark.parametrize("doc,message", [
+        ({"model": {"fixed_p": 0.5}, "hyper": {"fixed_p": 0.3}},
+         "fixed_p is set in both the config's model and hyper sections"),
+        ({"mcmc": {"iterations": 100.9}},
+         "iterations in the config's mcmc section must be an integer, got 100.9"),
+        ({"mcmc": {"seed": "abc"}},
+         "seed in the config's mcmc section must be an integer, got 'abc'"),
+        ({"mcmc": {"chains": True}},
+         "chains in the config's mcmc section must be an integer, got True"),
+        ({"hyper": {"update_concentrations": "false"}},
+         "update_concentrations must be true or false, got 'false'"),
+        ({"hyper": {"resample_coef_variances": 0}},
+         "resample_coef_variances must be true or false, got 0"),
+        ({"hyper": {"a0": "1.0"}}, "a0 must be a number, got '1.0'"),
+        ({"hyper": {"fixed_p": "0.3"}}, "fixed_p must be a number, got '0.3'"),
+        ({"scales": {"rho_beta": "0.1"}},
+         "rho_beta must be a strictly positive number, got '0.1'"),
+    ])
+    def test_bad_values_are_named(self, doc, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_config(doc)
+
+    def test_integral_floats_are_integers(self):
+        config, _, _ = parse_config({"mcmc": {"iterations": 100.0, "burn_in": 50.0, "seed": 7}})
+        assert (config.iterations, config.burn_in, config.seed) == (100, 50, 7)
+        assert type(config.iterations) is int and type(config.burn_in) is int
+
+    @pytest.mark.parametrize("baseline,grid,section", [
+        ("piecewise", (0.0, 0.25, 1.5), "hyper"),
+        ("powerlaw", None, "model"),
+    ])
+    def test_config_to_dict_reads_back_to_the_same_objects(self, baseline, grid, section):
+        # every McmcConfig field but one is set away from its default (the
+        # piecewise baseline is the default one; the grid is only for it),
+        # and so are fixed_p and every scale
+        config = McmcConfig(iterations=40, burn_in=10, thin=3, chains=2, seed=9, variant="BZ-DP",
+                            baseline_variant=baseline, likelihood_mode="literal",
+                            adapt_window=7, grid=grid)
+        changed = {f.name for f in dataclasses.fields(config)
+                   if getattr(config, f.name) != f.default}
+        assert len(changed) == len(dataclasses.fields(config)) - 1
+        hyper = Hyperparams(a0=2.0, fixed_p=0.25, update_concentrations=False, truncation_mu=4)
+        scales = ProposalScales(**{f.name: 0.05 * (k + 1)
+                                   for k, f in enumerate(dataclasses.fields(ProposalScales))})
+        doc = json.loads(json.dumps(config_to_dict(config, hyper)))
+        doc["scales"] = dataclasses.asdict(scales)
+        assert parse_config(doc) == (config, hyper, scales)
+        # fixed_p read from the model section instead of the hyper section
+        doc[section]["fixed_p"] = doc["hyper"].pop("fixed_p")
+        assert parse_config(doc) == (config, hyper, scales)
 
     def test_fit_refuses_an_unknown_key_before_reading_the_data(self, tmp_path, capsys):
         config = tmp_path / "config.json"
@@ -494,6 +545,25 @@ class TestCliCommands:
         bm = read_json(bm_dir / "summary.json")
         assert not any(name.startswith("zeta_") for name in bm["parameters"])
         assert bm["parameters"]["n_unsusceptible"]["mean"] == 0.0
+
+    def test_fit_flags_override_the_config(self, tmp_path):
+        out = self._simulate(tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "model": {"variant": "BMZ", "baseline_variant": "piecewise"},
+            "mcmc": {"iterations": 12, "burn_in": 6, "chains": 1, "seed": 1}}))
+        fit = ["fit", "--data", str(out / "events.csv"), "--config", str(config)]
+        assert main([*fit, "--out", str(tmp_path / "plain")]) == 0
+        assert main([*fit, "--out", str(tmp_path / "flags"), "--variant", "BZ-DP",
+                     "--baseline", "powerlaw", "--chains", "2", "--seed", "5"]) == 0
+        settings = {}
+        for name in ("plain", "flags"):
+            doc = read_json(tmp_path / name / "manifest.json")["config"]
+            model, mcmc = doc["model"], doc["mcmc"]
+            settings[name] = (model["variant"], model["baseline_variant"], mcmc["chains"],
+                              mcmc["seed"], mcmc["iterations"])
+        assert settings == {"plain": ("BMZ", "piecewise", 1, 1, 12),
+                            "flags": ("BZ-DP", "powerlaw", 2, 5, 12)}
 
     def test_fit_empty_covariate_dataset(self, tmp_path):
         path = tmp_path / "bare.csv"
@@ -685,6 +755,14 @@ class TestCliCommands:
         for variant in study["variants"]:
             assert report["variants"][variant]["replicate_means"].keys() <= scored.keys()
 
+    def test_scored_parameters_are_vector_elements_then_scalars(self):
+        from recurjoint.study import scored_parameters
+
+        columns = ["beta_1", "beta_2", "alpha_1", "alpha0", "xi1", "xi2", "zeta_1", "sigma2_beta",
+                   "psi", "lambda_01", "tau2_1", "mu_1", "theta_1", "n_unsusceptible"]
+        assert scored_parameters(columns) == ["beta_1", "beta_2", "alpha_1", "zeta_1", "alpha0",
+                                              "xi1", "xi2", "psi"]
+
     def test_replicate_study_failure_keeps_traceback(self, monkeypatch):
         # a config is checked before any cell runs, so the cells fail in
         # the fit itself
@@ -719,6 +797,16 @@ class TestCliCommands:
         ({"hyper": {"a0": -1}}, "a0 must be strictly positive"),
         ({"mcmc": {"iterations": 20, "burn_in": 20}}, "burn_in must satisfy"),
         ({"variants": ["BMZ", "BOGUS"]}, "unknown variant 'BOGUS'"),
+        ({"variants": ["BMZ", "BMZ"]}, "variants in the study config names 'BMZ' twice"),
+        ({"variants": []}, "variants in the study config is empty"),
+        ({"replicates": 0}, "replicates in the study config must be at least 1, got 0"),
+        ({"n": 20.5}, "n in the study config must be an integer, got 20.5"),
+        ({"seed": "abc"}, "seed in the study config must be an integer, got 'abc'"),
+        ({"replicates": True}, "replicates in the study config must be an integer, got True"),
+        ({"mcmc": {"iterations": 20.9, "burn_in": 10}},
+         "iterations in the study config's mcmc section must be an integer, got 20.9"),
+        ({"hyper": {"update_concentrations": "false"}},
+         "update_concentrations must be true or false, got 'false'"),
     ])
     def test_replicate_study_rejects_a_bad_config_before_any_cell(self, tmp_path, capsys,
                                                                   monkeypatch, fields, message):
@@ -734,6 +822,43 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert not (tmp_path / "study").exists()
+
+    @pytest.mark.parametrize("study", [
+        {},
+        # the study configs of the tests above and of output_digest.py
+        {"n": 20, "j": 2, "replicates": 1, "variants": ["BMZ-DP"], "seed": 3,
+         "mcmc": {"iterations": 50, "burn_in": 30, "adapt_window": 10}},
+        {"n": 20, "j": 2, "replicates": 2, "variants": ["BMZ-DP", "BMZ"], "seed": 4,
+         "mcmc": {"iterations": 20, "burn_in": 10, "adapt_window": 5}},
+        {"n": 20, "j": 2, "replicates": 2, "variants": ["BZ-DP", "BMZ"], "seed": 8,
+         "baseline_variant": "powerlaw",
+         "mcmc": {"iterations": 12, "burn_in": 6, "adapt_window": 3}},
+        {"n": 20, "j": 2, "replicates": 1, "variants": ["BMZ-DP", "BMZ"], "seed": 3,
+         "mcmc": {"iterations": 20, "burn_in": 10}},
+        {"n": 60, "j": 4, "replicates": 2, "variants": list(VARIANTS),
+         "baseline_variant": "powerlaw", "seed": 7,
+         "mcmc": {"iterations": 20, "burn_in": 10, "adapt_window": 10}},
+        {"hyper": {"a0": 2.0}, "scales": {"rho_beta": 0.2},
+         "mcmc": {"likelihood_mode": "literal", "thin": 5, "chains": 2}},
+    ])
+    def test_report_records_the_study_config_with_its_defaults(self, study):
+        import recurjoint.study as study_module
+
+        expected = {"n": 600, "j": 20, "replicates": 25, "variants": ["BMZ-DP"],
+                    "baseline_variant": "piecewise", "seed": 0, "hyper": {}, "scales": {},
+                    **study, "mcmc": {"iterations": 10_000, "burn_in": 5_000,
+                                      **study.get("mcmc", {})}}
+        resolved = study_module._resolve_study(json.loads(json.dumps(study)))[0]
+        assert json.dumps(resolved, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+    def test_study_integral_floats_are_recorded_as_integers(self):
+        import recurjoint.study as study_module
+
+        resolved, configs, _, _ = study_module._resolve_study(
+            {"n": 20.0, "j": 2, "replicates": 1.0, "mcmc": {"iterations": 20.0, "burn_in": 10}})
+        assert json.dumps(resolved["mcmc"], sort_keys=True) == '{"burn_in": 10, "iterations": 20}'
+        assert (resolved["n"], resolved["replicates"]) == (20, 1)
+        assert type(configs["BMZ-DP"].iterations) is int
 
     @pytest.mark.parametrize("n,j,message", [
         (40, 0, "j (clusters) must be at least 1, got 0"),
