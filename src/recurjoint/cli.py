@@ -13,10 +13,10 @@ from .io import (
     parse_config,
     read_chain_trace,
     read_json,
+    truth_to_dict,
     write_chain_trace,
     write_dataset,
     write_json,
-    write_truth,
 )
 from .model import BASELINE_VARIANTS, VARIANTS
 from .sampler import McmcConfig
@@ -37,7 +37,7 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_dataset(dataset, out / "events.csv")
-    write_truth(truth, out / "truth.json")
+    write_json(truth_to_dict(truth), out / "truth.json")
     print(f"wrote {len(dataset)} records in {dataset.num_clusters} clusters to {out}")
     return 0
 

@@ -45,8 +45,9 @@ A study config holds the integers ``n`` (600), ``j`` (20), ``replicates``
 ``mcmc``, ``hyper`` and ``scales`` sections, but its mcmc section takes
 ``likelihood_mode`` and no ``seed``: each cell's comes from the study seed.
 
-An integer may be written as an integral float such as 100.0.  An unknown
-key and a setting of the wrong type are refused by name.
+An integer setting (a field annotated ``int`` or ``int | None``) may be
+written as an integral float such as 100.0.  A document or section that is
+not a JSON object, an unknown key and a wrong type are refused by name.
 """
 
 from __future__ import annotations
@@ -66,14 +67,12 @@ from .simulate import SimTruth
 __all__ = [
     "write_dataset",
     "load_dataset",
-    "write_truth",
     "truth_to_dict",
-    "check_config_keys",
     "read_settings",
     "config_objects",
     "parse_config",
     "config_to_dict",
-    "MCMC_DEFAULTS",
+    "MCMC_TYPES",
     "write_chain_trace",
     "read_chain_trace",
     "write_json",
@@ -219,16 +218,10 @@ def _raise_row_error(fh, path, err: Exception, row_error) -> None:
 
 
 def load_dataset(path) -> Dataset:
-    """Parse an events file; a cell that does not parse and a record that
-    breaks a :class:`Dataset` data rule are both reported by file row and
-    column.
-
-    The grammar is the module docstring's: comma-separated cells, optionally
-    in double quotes, on lines ending in LF, CRLF or CR; numbers in plain
-    ASCII with optional surrounding whitespace and sign; no blank lines and
-    no digit separators.  numpy's C reader parses the rows a line at a time,
-    and the event times in one more call; only when it rejects the file does
-    a row-by-row loop re-read it, to name the first bad row and column."""
+    """Parse an events file in the module docstring's grammar; a cell that
+    does not parse and a record that breaks a :class:`Dataset` data rule
+    are both reported by file row and column.  numpy's C reader parses the
+    rows a line at a time, and the event times in one more call."""
     with open(path, newline="") as fh:
         header = next(csv.reader(fh), None)
         if header is None:
@@ -288,10 +281,6 @@ def truth_to_dict(truth: SimTruth) -> dict:
     return doc
 
 
-def write_truth(truth: SimTruth, path) -> None:
-    write_json(truth_to_dict(truth), path)
-
-
 # ---------------------------------------------------------------------------
 # Config documents
 # ---------------------------------------------------------------------------
@@ -300,53 +289,53 @@ _SECTIONS = ("model", "hyper", "mcmc", "scales")
 # the McmcConfig fields a fit config's model section holds; its mcmc section
 # holds the others, which are all integers
 _MODEL_FIELDS = ("variant", "baseline_variant", "likelihood_mode", "grid")
-MCMC_DEFAULTS = {f.name: f.default for f in fields(McmcConfig) if f.name not in _MODEL_FIELDS}
+MCMC_TYPES = {name: kind for name, kind in McmcConfig.__annotations__.items()
+              if name not in _MODEL_FIELDS}
 
 
-def check_config_keys(doc: dict, known, where: str) -> None:
-    """Raise ValueError naming the first key of ``doc``, found in ``where``,
-    that is not in ``known``."""
-    for key in doc:
-        if key not in known:
+def read_settings(doc, types: dict, where: str) -> dict:
+    """The settings of ``doc``, found in ``where``: a JSON object keyed by
+    keys of ``types``, their annotations (None: checked elsewhere).  A
+    ``dict`` must be a JSON object, an ``int`` an integer (100.0 is read as
+    100) and an ``int | None`` one or null; ValueError names what is not."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object, got {doc!r}")
+    read = dict(doc)
+    for key, value in doc.items():
+        if key not in types:
             raise ValueError(f"unknown key {key!r} in {where}; known keys: "
-                             f"{', '.join(sorted(known))}")
-
-
-def read_settings(doc: dict, defaults: dict, where: str) -> dict:
-    """The settings of ``doc``, found in ``where``, whose keys must be keys
-    of ``defaults``.  A setting whose default is an int must be an integer,
-    and an integral float such as 100.0 is read as one; a boolean, a
-    fraction or a string raises ValueError naming it."""
-    check_config_keys(doc, defaults, where)
-    integers = [key for key in doc if type(defaults[key]) is int]
-    for key in integers:
-        value = doc[key]
-        if not (type(value) is int or isinstance(value, float) and value.is_integer()):
-            raise ValueError(f"{key} in {where} must be an integer, got {value!r}")
-    return {**doc, **{key: int(doc[key]) for key in integers}}
+                             f"{', '.join(sorted(types))}")
+        kind = types[key]
+        if kind == "dict" and not isinstance(value, dict):
+            raise ValueError(f"{key} in {where} must be a JSON object, got {value!r}")
+        if kind == "int" or kind == "int | None" and value is not None:
+            if not (type(value) is int or isinstance(value, float) and value.is_integer()):
+                raise ValueError(f"{key} in {where} must be an integer, got {value!r}")
+            read[key] = int(value)
+    return read
 
 
 def config_objects(hyper: dict, scales: dict, where: str) -> tuple:
     """Hyperparams and ProposalScales from the hyper and scales sections of
-    the config ``where``, whose keys are checked first."""
-    for doc, cls, section in ((hyper, Hyperparams, "hyper"), (scales, ProposalScales, "scales")):
-        check_config_keys(doc, [f.name for f in fields(cls)], f"{where}'s {section} section")
-    return Hyperparams(**hyper), ProposalScales(**scales)
+    the config ``where``, read by :func:`read_settings`."""
+    return tuple(cls(**read_settings(doc, cls.__annotations__, f"{where}'s {section} section"))
+                 for doc, cls, section in ((hyper, Hyperparams, "hyper"),
+                                           (scales, ProposalScales, "scales")))
 
 
 def parse_config(doc: dict) -> tuple:
     """Build (McmcConfig, Hyperparams, ProposalScales) from a fit config, as
-    the module docstring sets it out.  An unknown section or key, a
-    non-integer integer setting and a ``fixed_p`` in two sections raise
-    ValueError naming them."""
-    check_config_keys(doc, _SECTIONS, "the config")
-    model, hyper, mcmc, scales = (dict(doc.get(name, {})) for name in _SECTIONS)
-    check_config_keys(model, (*_MODEL_FIELDS, "fixed_p"), "the config's model section")
-    mcmc = read_settings(mcmc, MCMC_DEFAULTS, "the config's mcmc section")
+    the module docstring sets it out; ``fixed_p`` in both sections that may
+    hold it raises ValueError."""
+    sections = read_settings(doc, dict.fromkeys(_SECTIONS, "dict"), "the config")
+    model, hyper, mcmc, scales = (sections.get(name, {}) for name in _SECTIONS)
+    model = read_settings(model, dict.fromkeys((*_MODEL_FIELDS, "fixed_p")),
+                          "the config's model section")
+    mcmc = read_settings(mcmc, MCMC_TYPES, "the config's mcmc section")
     if "fixed_p" in model:
         if "fixed_p" in hyper:
             raise ValueError("fixed_p is set in both the config's model and hyper sections")
-        hyper["fixed_p"] = model.pop("fixed_p")
+        hyper = {**hyper, "fixed_p": model.pop("fixed_p")}
     return (McmcConfig(**model, **mcmc), *config_objects(hyper, scales, "the config"))
 
 
@@ -400,9 +389,8 @@ def _trace_row_error(path, header: list, line_no: int, row: list) -> ValueError 
 def read_chain_trace(prefix, manifest: dict, chain_index: int) -> ChainTrace:
     """Re-read chain ``chain_index`` of a fit written by
     :func:`write_chain_trace`; the acceptance rates, final proposal scales
-    and piecewise grid come from the fit's manifest.  numpy's C reader
-    parses the draws a line at a time; only when it rejects them does a
-    row-by-row loop re-read the file, to name the first bad row and column."""
+    and piecewise grid come from the fit's manifest.  The draws are parsed
+    as the module docstring sets out."""
     prefix = Path(prefix)
     path = prefix.with_suffix(".csv")
     with open(path, newline="") as fh:

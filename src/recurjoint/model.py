@@ -292,9 +292,10 @@ class ParamState:
     mixture over the clusters for BMZ-DP and BM-DP, an array of one normal
     effect per cluster for BMZ, and None for BZ-DP, which has none.
 
-    Arrays are stored read-only and nothing else is checked here:
-    ``load_state`` is the one place a state is checked, against the
-    engine's dataset and variant, before any of it is loaded.
+    Fields annotated as arrays are stored read-only, ``float`` ones as
+    floats.  The engine holds the plain fields under these names, from one
+    table, ``recurjoint.sampler._STATE_FIELDS``, and shares their arrays;
+    ``load_state`` checks a state against the engine before loading it.
     """
 
     beta: np.ndarray
@@ -313,12 +314,14 @@ class ParamState:
     sigma2_alpha: float = 1.0
 
     def __post_init__(self):
-        for name in ("beta", "alpha", "zeta", "gamma", "tau2", "unsusceptible", "cluster_effects"):
-            value = getattr(self, name)
-            if value is not None and not isinstance(value, TruncatedDP):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float":
+                value = float(value)
+            elif "np.ndarray" in f.type and not isinstance(value, (TruncatedDP, type(None))):
                 # flags keep their type, so that load_state sees a flag of 0.5 or 2
-                dtype = None if name == "unsusceptible" else float
-                object.__setattr__(self, name, _readonly(value, dtype))
+                value = _readonly(value, None if f.name == "unsusceptible" else float)
+            object.__setattr__(self, f.name, value)
 
 
 @dataclass(frozen=True)

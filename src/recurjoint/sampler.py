@@ -28,11 +28,12 @@ moves the terminal offset ``d_scale`` (alpha, alpha0, gamma, xi1, xi2) takes
 its change of terminal log density from one move,
 :meth:`SamplerEngine._terminal_shift`.
 
-The engine holds per-record caches of the state (linear predictors, log
-frailties, shapes and their products with the terminal flags, terminal
-offsets, capped exponentials, baseline integrals, susceptibility weights,
-the logistic predictor and its summed softplus).  Only the one state
-writer, behind :meth:`SamplerEngine.load_state` and
+The engine holds a ParamState's plain fields under their own names, from one
+table, ``_STATE_FIELDS``, and per-record caches of the state (linear
+predictors, log frailties, shapes and their products with the terminal
+flags, terminal offsets, capped exponentials, baseline integrals,
+susceptibility weights, the logistic predictor and its summed softplus).
+Only the one state writer, behind :meth:`SamplerEngine.load_state` and
 :meth:`SamplerEngine.init_state`, rebuilds them, through
 :meth:`SamplerEngine.refresh_caches`; each block keeps current the caches
 its moves change, so a sweep rebuilds none.
@@ -173,6 +174,15 @@ _TWO_53 = 2.0 ** 53
 # a record with |theta d| possibly past this takes the dense draw, since its
 # scores may reach the +-_SCORE_CLIP clip
 _KAPPA_ROUTE_LIMIT = 1e300
+
+
+# the plain fields of a ParamState, held by the engine under their names: each
+# with the axis it spans (x, z or u columns, records, clusters; None: a
+# scalar) and whether it must be positive
+_STATE_FIELDS = (("beta", "x", False), ("alpha", "z", False), ("alpha0", None, False),
+                 ("xi1", None, False), ("xi2", None, False), ("zeta", "u", False),
+                 ("gamma", "records", True), ("tau2", "clusters", True),
+                 ("sigma2_beta", None, True), ("sigma2_alpha", None, True))
 
 
 def _exp_capped(x):
@@ -343,10 +353,9 @@ def _categorical_columns(scores: np.ndarray, uniforms: np.ndarray,
 
 def _mixture_arrays(dp: TruncatedDP) -> tuple:
     """The arrays of a mixture state, with its weights: (atoms,
-    assignments, sticks, weights, concentration)."""
-    sticks = np.asarray(dp.raw_sticks, dtype=float)
-    return (np.asarray(dp.atoms, dtype=float), np.asarray(dp.assignments, dtype=np.int64),
-            sticks, stick_to_weights(sticks), float(dp.concentration))
+    assignments, weights, concentration)."""
+    return (dp.atoms, np.asarray(dp.assignments, dtype=np.int64),
+            stick_to_weights(dp.raw_sticks), float(dp.concentration))
 
 
 # ---------------------------------------------------------------------------
@@ -502,13 +511,13 @@ class SamplerEngine:
     def _update_sticks(self, assignments: np.ndarray, size: int, concentration: float,
                        rng) -> tuple:
         """Conjugate stick fractions given the assignment counts, then the
-        concentration's Gibbs draw (kept fixed unless ``update_concentrations``).
-        Returns (sticks, weights, concentration)."""
+        concentration's Gibbs draw from them (kept fixed unless
+        ``update_concentrations``).  Returns (weights, concentration)."""
         sticks = posterior_stick_update(np.bincount(assignments, minlength=size), concentration,
                                         rng)
         if self.hyper.update_concentrations:
             concentration = update_concentration(sticks, self.hyper.a_phi, self.hyper.b_phi, rng)
-        return sticks, stick_to_weights(sticks), concentration
+        return stick_to_weights(sticks), concentration
 
     def _propose_atoms(self, rng, name: str, atoms: np.ndarray) -> np.ndarray:
         """A random-walk proposal for every atom of a mixture."""
@@ -640,7 +649,7 @@ class SamplerEngine:
         erx2 = _exp_capped(lin2 + self.mu_rec)
         logr = (float(self.q_events @ (lin2 - self.lin_x))
                 - float((self.su * self.gamma * self.lam0_followup) @ (erx2 - self.erx))
-                + (self.beta @ self.beta - prop @ prop) / (2.0 * self.s2b))
+                + (self.beta @ self.beta - prop @ prop) / (2.0 * self.sigma2_beta))
         if self._step(rng, "beta", logr, post):
             self.beta, self.lin_x, self.erx = prop, lin2, erx2
 
@@ -650,7 +659,8 @@ class SamplerEngine:
         prop = self.alpha + self.scales["alpha"] * rng.standard_normal(self.alpha.size)
         lin2 = self.z @ prop
         d2, ekd2, d_ll = self._terminal_shift(lin2 - self.lin_z)
-        logr = float(d_ll.sum()) + (self.alpha @ self.alpha - prop @ prop) / (2.0 * self.s2a)
+        logr = (float(d_ll.sum())
+                + (self.alpha @ self.alpha - prop @ prop) / (2.0 * self.sigma2_alpha))
         if self._step(rng, "alpha", logr, post):
             self.alpha, self.lin_z, self.d_scale, self.ekd = prop, lin2, d2, ekd2
 
@@ -751,7 +761,7 @@ class SamplerEngine:
                 scores = ll[:, :size] + np.log(self.mu_weights)
             self.m = _categorical_columns(scores.T, rng.random(self.j),
                                           "cluster {} (cluster-effect mixture)".format)
-            self.mu_sticks, self.mu_weights, self.phi_mu = self._update_sticks(
+            self.mu_weights, self.phi_mu = self._update_sticks(
                 self.m, self.level_mu, self.phi_mu, rng)
             # each cluster's change of score at its new atom
             d_ll = (ll[:, size:] - ll[:, :size])[np.arange(self.j), self.m]
@@ -869,17 +879,11 @@ class SamplerEngine:
         """Cut the offsets ``span`` of the records ``todo`` (None: every
         record) into the envelope's bins.  Returns (lower edges, upper
         edges, the records, their offsets, the bin of each shifted left by
-        53 bits, whether the records are in order of offset).
-
-        Below ``_KAPPA_SORT_LIMIT`` offsets the bins are the runs of
-        :func:`_rank_bins` over the sorted offsets, and their edges are the
-        least and greatest offset they hold: the runs are shortest in the
-        sparse tails, where an atom's score changes most across a run.  The
-        records come back in order of offset.  From there on the bins have
-        equal widths in asinh(d), which need no sort, and the records keep
-        their order; one outlying offset then widens the bins with the log
-        of its distance, not with the distance.
-        """
+        53 bits, whether the records are in order of offset).  The bins are
+        the module docstring's: below ``_KAPPA_SORT_LIMIT`` offsets, the runs
+        of :func:`_rank_bins` over the sorted offsets, whose records come
+        back in order of offset; from there on, equal widths in asinh(d),
+        whose records keep their order."""
         m = span.size
         if m < _KAPPA_SORT_LIMIT:
             first, last, run_key = _rank_bins(
@@ -1068,7 +1072,7 @@ class SamplerEngine:
 
     def update_kappa_block(self, rng, post=False) -> None:
         self.v = self._kappa_assignments(rng)
-        self.kappa_sticks, self.kappa_weights, self.phi_kappa = self._update_sticks(
+        self.kappa_weights, self.phi_kappa = self._update_sticks(
             self.v, self.level_kappa, self.phi_kappa, rng)
         prop = self._propose_atoms(rng, "theta", self.theta)
         self.theta = self._move_atoms(rng, "theta", self.theta, self.v, prop,
@@ -1130,9 +1134,9 @@ class SamplerEngine:
         if not self.hyper.resample_coef_variances:
             return
         rate_b = 0.5 + 0.5 * float(self.beta @ self.beta)
-        self.s2b = rate_b / max(float(rng.gamma(0.5 + 0.5 * self.beta.size, 1.0)), 1e-300)
+        self.sigma2_beta = rate_b / max(float(rng.gamma(0.5 + 0.5 * self.beta.size, 1.0)), 1e-300)
         rate_a = 0.5 + 0.5 * float(self.alpha @ self.alpha)
-        self.s2a = rate_a / max(float(rng.gamma(0.5 + 0.5 * self.alpha.size, 1.0)), 1e-300)
+        self.sigma2_alpha = rate_a / max(float(rng.gamma(0.5 + 0.5 * self.alpha.size, 1.0)), 1e-300)
 
     # -- sweep ------------------------------------------------------------------------------
 
@@ -1166,29 +1170,20 @@ class SamplerEngine:
         and :meth:`init_state` (whose prior draw is valid by construction)."""
         # a state's arrays are read-only and no block writes into one, so the
         # engine shares them; only the piecewise levels, drawn in place, are copied
-        self.beta = np.asarray(state.beta, dtype=float)
-        self.alpha = np.asarray(state.alpha, dtype=float)
-        self.alpha0 = float(state.alpha0)
-        self.xi1 = float(state.xi1)
-        self.xi2 = float(state.xi2)
-        self.zeta = None if state.zeta is None else np.asarray(state.zeta, dtype=float)
-        self.gamma = np.asarray(state.gamma, dtype=float)
-        self.tau2 = np.asarray(state.tau2, dtype=float)
+        for name, *_ in _STATE_FIELDS:
+            setattr(self, name, getattr(state, name))
         self.d_flags = np.asarray(state.unsusceptible, dtype=np.int8)
         if self.mu_mode == "dp":
-            self.eta, self.m, self.mu_sticks, self.mu_weights, self.phi_mu = \
-                _mixture_arrays(state.cluster_effects)
+            self.eta, self.m, self.mu_weights, self.phi_mu = _mixture_arrays(state.cluster_effects)
         else:
-            self.eta = np.asarray(state.cluster_effects if self.mu_mode == "param" else (),
-                                  dtype=float)
+            self.eta = state.cluster_effects if self.mu_mode == "param" else np.zeros(0)
             self.m = np.arange(self.eta.size, dtype=np.int64)
         self.level_mu = self.eta.size
-        self.theta, self.v, self.kappa_sticks, self.kappa_weights, self.phi_kappa = \
-            _mixture_arrays(state.kappa_dp)
+        self.theta, self.v, self.kappa_weights, self.phi_kappa = _mixture_arrays(state.kappa_dp)
         self.level_kappa = self.theta.size
         if self.baseline_variant == "piecewise":
-            self.grid = np.asarray(state.baseline.grid, dtype=float)
-            self.lam, self.psi = np.array(state.baseline.levels, dtype=float), None
+            self.grid = state.baseline.grid
+            self.lam, self.psi = state.baseline.levels.copy(), None
             self.n_levels = self.lam.size
             self.level_widths = np.diff(self.grid)
             self.followup_interval, self.followup_offset = piecewise_intervals(
@@ -1198,8 +1193,6 @@ class SamplerEngine:
             self.level_shapes = np.bincount(self.ev_interval, minlength=self.n_levels) + 1.0
         else:
             self.lam, self.psi = None, float(state.baseline.shape)
-        self.s2b = float(state.sigma2_beta)
-        self.s2a = float(state.sigma2_alpha)
         self.refresh_caches()
 
     def _check_state(self, state: ParamState) -> None:
@@ -1222,11 +1215,14 @@ class SamplerEngine:
         mixtures = [("shape-mixture", state.kappa_dp, self.n)]
         if self.mu_mode == "dp":
             mixtures.append(("cluster-effect", effects, self.j))
-        sizes = [("beta", state.beta, self.x.shape[1]), ("alpha", state.alpha, self.z.shape[1]),
-                 ("gamma", state.gamma, self.n), ("unsusceptible", state.unsusceptible, self.n),
-                 ("tau2", state.tau2, self.j)]
+        # the length of each axis; zeta's counts only in the logistic model
+        lengths = {"x": self.x.shape[1], "z": self.z.shape[1], "records": self.n,
+                   "clusters": self.j}
         if self.logistic:
-            sizes.append(("zeta", state.zeta, self.u.shape[1]))
+            lengths["u"] = self.u.shape[1]
+        sizes = [(name, getattr(state, name), lengths[axis])
+                 for name, axis, _ in _STATE_FIELDS if axis in lengths]
+        sizes.append(("unsusceptible", state.unsusceptible, self.n))
         if self.mu_mode == "param":
             sizes.append(("cluster-effect atoms", effects, self.j))
         sizes += [(f"{name} assignments", dp.assignments, units) for name, dp, units in mixtures]
@@ -1242,14 +1238,15 @@ class SamplerEngine:
         flags, kappa = state.unsusceptible, state.kappa_dp
         # (field, rule, values, mask of the entries that keep it); values
         # None names the participant instead of the value
-        rules = [("gamma", "must be positive", state.gamma, state.gamma > 0),
-                 ("tau2", "must be positive", state.tau2, state.tau2 > 0),
-                 ("unsusceptible", "must be 0 or 1", flags, (flags == 0) | (flags == 1)),
-                 ("unsusceptible", f"must be 0 in the {self.variant} variant, which has no "
-                  "zero-inflation", flags, (flags == 0) | self.has_d),
-                 ("unsusceptible", "participants with recurrent events cannot be unsusceptible",
-                  None, (flags != 1) | self.eventless),
-                 ("shape-mixture atoms", "must be positive", kappa.atoms, kappa.atoms > 0)]
+        positive = [(name, np.asarray(getattr(state, name)))
+                    for name, _, must_be_positive in _STATE_FIELDS if must_be_positive]
+        rules = [(name, "must be positive", values, values > 0) for name, values in positive]
+        rules += [("unsusceptible", "must be 0 or 1", flags, (flags == 0) | (flags == 1)),
+                  ("unsusceptible", f"must be 0 in the {self.variant} variant, which has no "
+                   "zero-inflation", flags, (flags == 0) | self.has_d),
+                  ("unsusceptible", "participants with recurrent events cannot be unsusceptible",
+                   None, (flags != 1) | self.eventless),
+                  ("shape-mixture atoms", "must be positive", kappa.atoms, kappa.atoms > 0)]
         for name, dp, _ in mixtures:
             sticks, assignments, k = dp.raw_sticks, dp.assignments, dp.atoms.size
             concentration = np.asarray(dp.concentration, dtype=float)
@@ -1278,7 +1275,7 @@ class SamplerEngine:
                  ("xi1", self.xi1), ("xi2", self.xi2)]
         if self.logistic:
             parts.append(("zeta_", self.zeta))
-        parts += [("sigma2_beta", self.s2b), ("sigma2_alpha", self.s2a),
+        parts += [("sigma2_beta", self.sigma2_beta), ("sigma2_alpha", self.sigma2_alpha),
                   ("lambda_0", self.lam) if self.baseline_variant == "piecewise"
                   else ("psi", self.psi), ("tau2_", self.tau2)]
         if self.mu_mode != "none":

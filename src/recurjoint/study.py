@@ -11,7 +11,7 @@ import numpy as np
 
 from . import simulate as sim
 from .diagnostics import cpo_lpml, gelman_rubin_psrf, replicate_aggregate, summarize_columns
-from .io import MCMC_DEFAULTS, config_objects, config_to_dict, read_settings
+from .io import MCMC_TYPES, config_objects, config_to_dict, read_settings
 from .model import Dataset, Hyperparams, PowerLawHazard
 from .sampler import McmcConfig, ProposalScales, run_chain
 
@@ -137,16 +137,20 @@ def build_summary(traces, manifest: dict) -> dict:
 # Replicate study
 # ---------------------------------------------------------------------------
 
-# a study config's keys and their defaults; the report records the config
-# with these filled in
-_STUDY_DEFAULTS = {"n": 600, "j": 20, "replicates": 25, "variants": [McmcConfig.variant],
-                   "baseline_variant": McmcConfig.baseline_variant, "seed": 0,
-                   "mcmc": {"iterations": McmcConfig.iterations, "burn_in": McmcConfig.burn_in},
-                   "hyper": {}, "scales": {}}
+# a study config's keys, each with its annotation and its default; the report
+# records the config with the defaults filled in
+_STUDY_KEYS = {"n": ("int", 600), "j": ("int", 20), "replicates": ("int", 25), "seed": ("int", 0),
+               "variants": ("list", [McmcConfig.variant]),
+               "baseline_variant": ("str", McmcConfig.baseline_variant),
+               "mcmc": ("dict", {"iterations": McmcConfig.iterations,
+                                 "burn_in": McmcConfig.burn_in}),
+               "hyper": ("dict", {}), "scales": ("dict", {})}
+_STUDY_TYPES = {key: kind for key, (kind, _) in _STUDY_KEYS.items()}
+_STUDY_DEFAULTS = {key: default for key, (_, default) in _STUDY_KEYS.items()}
 # a study's mcmc section takes a fit config's mcmc settings but the seed,
 # which the study seed sets per cell, and the likelihood mode
-_STUDY_MCMC_DEFAULTS = {**{k: v for k, v in MCMC_DEFAULTS.items() if k not in _STUDY_DEFAULTS},
-                        "likelihood_mode": McmcConfig.likelihood_mode}
+_STUDY_MCMC_TYPES = {**{k: v for k, v in MCMC_TYPES.items() if k not in _STUDY_TYPES},
+                     "likelihood_mode": McmcConfig.__annotations__["likelihood_mode"]}
 
 
 def _resolve_study(study: dict) -> tuple:
@@ -154,14 +158,17 @@ def _resolve_study(study: dict) -> tuple:
     it, and the objects every cell fits with: a McmcConfig per variant (its
     seed set per cell), the Hyperparams and the ProposalScales.  An unknown
     key or a bad value raises here, before any cell runs."""
-    resolved = {**_STUDY_DEFAULTS, **read_settings(study, _STUDY_DEFAULTS, "the study config")}
+    resolved = {**_STUDY_DEFAULTS, **read_settings(study, _STUDY_TYPES, "the study config")}
     resolved["mcmc"] = {**_STUDY_DEFAULTS["mcmc"], **read_settings(
-        resolved["mcmc"], _STUDY_MCMC_DEFAULTS, "the study config's mcmc section")}
+        resolved["mcmc"], _STUDY_MCMC_TYPES, "the study config's mcmc section")}
     sim.check_design(resolved["n"], resolved["j"])
     if resolved["replicates"] < 1:
         raise ValueError(f"replicates in the study config must be at least 1, "
                          f"got {resolved['replicates']}")
     variants = resolved["variants"]
+    if not (isinstance(variants, list) and all(isinstance(v, str) for v in variants)):
+        raise ValueError(f"variants in the study config must be a list of variant names, "
+                         f"got {variants!r}")
     if not variants:
         raise ValueError("variants in the study config is empty")
     for k, variant in enumerate(variants):
@@ -171,6 +178,8 @@ def _resolve_study(study: dict) -> tuple:
                                    baseline_variant=resolved["baseline_variant"])
                for variant in variants}
     hyper, scales = config_objects(resolved["hyper"], resolved["scales"], "the study config")
+    # recorded as read: an integral float as an integer
+    resolved["hyper"] = {key: getattr(hyper, key) for key in resolved["hyper"]}
     return resolved, configs, hyper, scales
 
 

@@ -422,6 +422,18 @@ class TestConfigDocuments:
         ({"hyper": {"fixed_p": "0.3"}}, "fixed_p must be a number, got '0.3'"),
         ({"scales": {"rho_beta": "0.1"}},
          "rho_beta must be a strictly positive number, got '0.1'"),
+        # the hyper section's integers, by their annotations
+        ({"hyper": {"grid_count": 40.5}},
+         "grid_count in the config's hyper section must be an integer, got 40.5"),
+        ({"hyper": {"truncation_mu": True}},
+         "truncation_mu in the config's hyper section must be an integer, got True"),
+        ({"hyper": {"truncation_kappa": "4"}},
+         "truncation_kappa in the config's hyper section must be an integer, got '4'"),
+        # a document or section that is not a JSON object
+        ([1], "the config must be a JSON object, got [1]"),
+        ({"hyper": 5}, "hyper in the config must be a JSON object, got 5"),
+        ({"model": [1]}, "model in the config must be a JSON object, got [1]"),
+        ({"mcmc": "fast"}, "mcmc in the config must be a JSON object, got 'fast'"),
     ])
     def test_bad_values_are_named(self, doc, message):
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -431,6 +443,15 @@ class TestConfigDocuments:
         config, _, _ = parse_config({"mcmc": {"iterations": 100.0, "burn_in": 50.0, "seed": 7}})
         assert (config.iterations, config.burn_in, config.seed) == (100, 50, 7)
         assert type(config.iterations) is int and type(config.burn_in) is int
+
+    def test_hyper_integral_floats_are_integers(self):
+        # int and int | None fields alike, recorded as integers
+        config, hyper, _ = parse_config({"hyper": {"grid_count": 40.0, "truncation_mu": 4.0,
+                                                   "truncation_kappa": None}})
+        assert (hyper.grid_count, hyper.truncation_mu, hyper.truncation_kappa) == (40, 4, None)
+        assert type(hyper.grid_count) is int and type(hyper.truncation_mu) is int
+        recorded = json.dumps(config_to_dict(config, hyper)["hyper"], sort_keys=True)
+        assert '"grid_count": 40,' in recorded and '"truncation_mu": 4,' in recorded
 
     @pytest.mark.parametrize("baseline,grid,section", [
         ("piecewise", (0.0, 0.25, 1.5), "hyper"),
@@ -807,6 +828,15 @@ class TestCliCommands:
          "iterations in the study config's mcmc section must be an integer, got 20.9"),
         ({"hyper": {"update_concentrations": "false"}},
          "update_concentrations must be true or false, got 'false'"),
+        ({"hyper": {"truncation_mu": 2.5}},
+         "truncation_mu in the study config's hyper section must be an integer, got 2.5"),
+        ({"variants": "BMZ"},
+         "variants in the study config must be a list of variant names, got 'BMZ'"),
+        ({"variants": ["BMZ", 1]},
+         "variants in the study config must be a list of variant names, got ['BMZ', 1]"),
+        ({"hyper": 5}, "hyper in the study config must be a JSON object, got 5"),
+        ({"mcmc": [20]}, "mcmc in the study config must be a JSON object, got [20]"),
+        ({"scales": None}, "scales in the study config must be a JSON object, got None"),
     ])
     def test_replicate_study_rejects_a_bad_config_before_any_cell(self, tmp_path, capsys,
                                                                   monkeypatch, fields, message):
@@ -850,6 +880,23 @@ class TestCliCommands:
                                       **study.get("mcmc", {})}}
         resolved = study_module._resolve_study(json.loads(json.dumps(study)))[0]
         assert json.dumps(resolved, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+    def test_replicate_study_refuses_a_document_that_is_not_an_object(self, tmp_path, capsys):
+        config = tmp_path / "study.json"
+        config.write_text("[1]")
+        assert main(["replicate-study", "--config", str(config),
+                     "--out", str(tmp_path / "study")]) == 1
+        assert capsys.readouterr().err == "error: the study config must be a JSON object, got [1]\n"
+        assert not (tmp_path / "study").exists()
+
+    def test_study_hyper_integral_floats_are_recorded_as_integers(self):
+        import recurjoint.study as study_module
+
+        resolved, _, hyper, _ = study_module._resolve_study(
+            {"n": 20, "j": 2, "hyper": {"grid_count": 40.0, "truncation_mu": 3.0, "a0": 2.0}})
+        assert (hyper.grid_count, hyper.truncation_mu) == (40, 3)
+        assert json.dumps(resolved["hyper"], sort_keys=True) == \
+            '{"a0": 2.0, "grid_count": 40, "truncation_mu": 3}'
 
     def test_study_integral_floats_are_recorded_as_integers(self):
         import recurjoint.study as study_module

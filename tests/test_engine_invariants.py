@@ -152,8 +152,8 @@ def _zeta_log_target(eng):
 
 
 SCALAR_PRIORS = {
-    "update_beta": lambda e: -float(e.beta @ e.beta) / (2.0 * e.s2b),
-    "update_alpha": lambda e: -float(e.alpha @ e.alpha) / (2.0 * e.s2a),
+    "update_beta": lambda e: -float(e.beta @ e.beta) / (2.0 * e.sigma2_beta),
+    "update_alpha": lambda e: -float(e.alpha @ e.alpha) / (2.0 * e.sigma2_alpha),
     "update_alpha0": lambda e: 0.0,  # flat
     "update_xi1": lambda e: -e.xi1 ** 2 / (2.0 * e.hyper.sigma2_xi1),
     "update_xi2": lambda e: -e.xi2 ** 2 / (2.0 * e.hyper.sigma2_xi2),

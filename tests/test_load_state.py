@@ -18,7 +18,7 @@ from recurjoint.model import (
     PiecewiseConstantHazard,
     PowerLawHazard,
 )
-from recurjoint.sampler import SamplerEngine
+from recurjoint.sampler import _STATE_FIELDS, SamplerEngine
 from recurjoint.simulate import simulate_dataset
 
 N, J = 30, 3
@@ -146,6 +146,10 @@ RULES = [
     ("mu-concentration", "BM-DP",
      lambda st, ds: _with_mixture(st, "cluster_effects", concentration=-1.0),
      "cluster-effect concentration: must be positive"),
+    ("sigma2-beta-positive", "BMZ-DP", lambda st, ds: _with(st, sigma2_beta=0.0),
+     "sigma2_beta: must be positive, got 0.0"),
+    ("sigma2-alpha-nan", "BZ-DP", lambda st, ds: _with(st, sigma2_alpha=np.nan),
+     "sigma2_alpha: must be positive, got nan"),
 ]
 
 
@@ -164,6 +168,33 @@ def test_rejected_state_leaves_engine_unchanged(variant, edit, pattern):
         eng.load_state(edit(other, dataset))
     np.testing.assert_array_equal(eng.trace_row(), row)
     np.testing.assert_array_equal(eng.participant_loglik(), loglik)
+
+
+def test_param_state_stores_fields_by_their_annotations():
+    # arrays read-only and floats as floats; the flags keep their type
+    state = _with(valid_state(_dataset(), "BMZ"), beta=[1, 2, 3], alpha0=np.float64(0.5),
+                  xi1=2, sigma2_beta=np.array(3.0), unsusceptible=np.zeros(N, dtype=np.int64))
+    assert state.beta.dtype == float and not state.beta.flags.writeable
+    assert all(type(getattr(state, name)) is float for name in ("alpha0", "xi1", "sigma2_beta"))
+    assert state.unsusceptible.dtype == np.int64
+    for f in dataclasses.fields(state):
+        value = getattr(state, f.name)
+        if isinstance(value, np.ndarray):
+            assert not value.flags.writeable, f.name
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_engine_holds_the_plain_fields_under_their_state_names(variant):
+    # each plain field of the table is a ParamState field, and the engine
+    # shares the loaded state's own value, with no converted copy
+    names = [name for name, *_ in _STATE_FIELDS]
+    assert set(names) <= {f.name for f in dataclasses.fields(ParamState)}
+    dataset = _dataset()
+    eng = SamplerEngine(dataset, Hyperparams(), variant=variant)
+    state = valid_state(dataset, variant)
+    eng.load_state(state)
+    for name in names:
+        assert getattr(eng, name) is getattr(state, name), name
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

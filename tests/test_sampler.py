@@ -210,8 +210,9 @@ class TestMuBlock:
             eng.load_state(state)
             eng.update_mu_block(rng)
             assert np.all(eng.m == 0)
-            first_sticks.append(eng.mu_sticks[0])
-        # counts (J, 0, 0) make the first stick Beta(1 + J, phi)
+            first_sticks.append(eng.mu_weights[0])
+        # counts (J, 0, 0) make the first stick, which is the first weight,
+        # Beta(1 + J, phi)
         assert np.mean(first_sticks) == pytest.approx(5 / 6, abs=0.01)
 
     def test_two_cluster_recovery(self, rng):
