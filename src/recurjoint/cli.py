@@ -48,9 +48,10 @@ def cmd_fit(args) -> int:
     config = _apply_overrides(config, args)
     dataset = load_dataset(args.data)
 
+    traces = run_fit(dataset, config, hyper, scales=scales, threads=args.threads)
+    # made once the fit has run, so that a failed fit leaves no directory
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    traces = run_fit(dataset, config, hyper, scales=scales, threads=args.threads)
     for trace in traces:
         write_chain_trace(trace, out / f"chain{trace.chain_index:02d}")
     manifest = fit_manifest(traces, config, hyper)

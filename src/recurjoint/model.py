@@ -317,7 +317,10 @@ class ParamState:
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type == "float":
-                value = float(value)
+                try:
+                    value = float(value)
+                except (TypeError, ValueError):
+                    raise ValueError(f"{f.name} must be a number, got {value!r}") from None
             elif "np.ndarray" in f.type and not isinstance(value, (TruncatedDP, type(None))):
                 # flags keep their type, so that load_state sees a flag of 0.5 or 2
                 value = _readonly(value, None if f.name == "unsusceptible" else float)

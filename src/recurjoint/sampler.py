@@ -1270,7 +1270,8 @@ class SamplerEngine:
 
     def _trace_parts(self) -> list:
         """(name, value) pairs in trace order: a scalar fills the column
-        ``name``, an array the columns ``name`` + "1", "2", ..."""
+        ``name``, an array the columns ``name`` + "1", "2", ...  Mixture atoms are
+        left out: their labels switch, and an empty atom is a prior draw."""
         parts = [("beta_", self.beta), ("alpha_", self.alpha), ("alpha0", self.alpha0),
                  ("xi1", self.xi1), ("xi2", self.xi2)]
         if self.logistic:
@@ -1281,9 +1282,8 @@ class SamplerEngine:
         if self.mu_mode != "none":
             parts.append(("mu_", self.eta[self.m]))
         if self.mu_mode == "dp":
-            parts += [("phi_mu", self.phi_mu), ("eta_", self.eta)]
-        return parts + [("phi_kappa", self.phi_kappa), ("theta_", self.theta),
-                        ("n_unsusceptible", float(self.d_flags.sum()))]
+            parts.append(("phi_mu", self.phi_mu))
+        return parts + [("phi_kappa", self.phi_kappa), ("n_unsusceptible", float(self.d_flags.sum()))]
 
     def trace_columns(self) -> list:
         return [name if np.ndim(value) == 0 else f"{name}{i + 1}"
@@ -1320,7 +1320,11 @@ def run_chain(dataset: Dataset, config: McmcConfig, hyper: Hyperparams,
 
     columns = eng.trace_columns()
     kept = config.kept_draws
-    draws = np.empty((kept, len(columns)))
+    try:
+        draws = np.empty((kept, len(columns)))
+    except (ValueError, MemoryError) as err:
+        raise ValueError(f"the trace of {kept} kept draws by {len(columns)} columns cannot be "
+                         f"allocated: lower mcmc iterations, or raise burn_in or thin") from err
     neg_loglik_lse = np.full(eng.n, -np.inf)
     total_ll = np.empty(kept)
 

@@ -18,6 +18,7 @@ from recurjoint.io import (
     read_json,
     write_chain_trace,
     write_dataset,
+    write_json,
 )
 from recurjoint.model import BASELINE_VARIANTS, VARIANTS, Dataset, Hyperparams
 from recurjoint.sampler import ChainTrace, McmcConfig, ProposalScales, run_chain
@@ -680,6 +681,54 @@ class TestCliCommands:
                      "--out", str(tmp_path / "s.json")]) == 1
         err = capsys.readouterr().err
         assert f"chain00.csv: row 4, column 3 ({header[2]}): not a number: 'abc'" in err
+
+    def test_summarize_reads_a_fit_that_traced_the_mixture_atoms(self, tmp_path):
+        # a fit written while the trace still held the raw atoms theta_* and
+        # eta_*: the summary reads the columns its manifest lists, so the
+        # fit summarizes, atom entries and all, and every other entry is the
+        # one the fit itself wrote
+        out = self._simulate(tmp_path)
+        fit_dir = tmp_path / "fit"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"mcmc": {"iterations": 20, "burn_in": 10, "seed": 4,
+                                               "adapt_window": 5}}))
+        assert main(["fit", "--data", str(out / "events.csv"), "--config", str(config),
+                     "--out", str(fit_dir)]) == 0
+        fit_summary = read_json(fit_dir / "summary.json")
+        path = fit_dir / "chain00.csv"
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        # the old order: eta_* after phi_mu, theta_* after phi_kappa
+        for name, after, value in (("eta_1", "phi_mu", lambda k: -0.5 + 0.125 * k),
+                                   ("theta_1", "phi_kappa", lambda k: 0.5 * k)):
+            at = rows[0].index(after) + 1
+            for k, row in enumerate(rows):
+                row.insert(at, name if k == 0 else repr(value(k)))
+        path.write_text("\n".join(",".join(row) for row in rows) + "\n")
+        manifest = read_json(fit_dir / "manifest.json")
+        manifest["columns"] = rows[0][:-1]
+        write_json(manifest, fit_dir / "manifest.json")
+
+        target = tmp_path / "old.json"
+        assert main(["summarize", "--fit-dir", str(fit_dir), "--out", str(target)]) == 0
+        summary = read_json(target)
+        assert list(summary["parameters"]) == sorted(rows[0][:-1])
+        assert summary["parameters"].pop("eta_1")["mean"] == pytest.approx(-0.5 + 0.125 * 5.5)
+        assert summary["parameters"].pop("theta_1")["mean"] == pytest.approx(0.5 * 5.5)
+        assert json.dumps(summary, sort_keys=True) == json.dumps(fit_summary, sort_keys=True)
+
+    def test_fit_names_an_unallocatable_trace_and_leaves_no_directory(self, tmp_path, capsys):
+        # numpy refuses a matrix of this size before allocating any of it,
+        # so the fit fails as soon as its engine is built
+        out = self._simulate(tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"mcmc": {"iterations": 1e18, "burn_in": 10}}))
+        fit_dir = tmp_path / "fit"
+        assert main(["fit", "--data", str(out / "events.csv"), "--config", str(config),
+                     "--out", str(fit_dir)]) == 1
+        assert capsys.readouterr().err == (
+            "error: the trace of 999999999999999990 kept draws by 31 columns cannot be "
+            "allocated: lower mcmc iterations, or raise burn_in or thin\n")
+        assert not fit_dir.exists()
 
     def test_fit_determinism_byte_identical(self, tmp_path):
         out = self._simulate(tmp_path)

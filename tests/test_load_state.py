@@ -5,6 +5,7 @@ differs from the loaded one everywhere else, so that a rule checked after
 some field was written shows as a changed engine."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -183,6 +184,13 @@ def test_param_state_stores_fields_by_their_annotations():
             assert not value.flags.writeable, f.name
 
 
+@pytest.mark.parametrize("name", ["alpha0", "xi2", "sigma2_alpha"])
+@pytest.mark.parametrize("value", ["x", None, [1.0, 2.0]], ids=["text", "none", "list"])
+def test_param_state_names_a_float_field_that_is_not_a_number(name, value):
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be a number, got {value!r}")):
+        _with(valid_state(_dataset(), "BMZ"), **{name: value})
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_engine_holds_the_plain_fields_under_their_state_names(variant):
     # each plain field of the table is a ParamState field, and the engine
@@ -251,9 +259,9 @@ def test_trace_row_reports_loaded_state(variant, baseline):
     elif variant != "BZ-DP":
         expected.update({f"mu_{i + 1}": effects.atoms[a] for i, a in enumerate(effects.assignments)})
         expected["phi_mu"] = effects.concentration
-        expected.update({f"eta_{i + 1}": v for i, v in enumerate(effects.atoms)})
+    # the mixture atoms are not traced: only the cluster effects they give
+    # and the concentrations
     expected["phi_kappa"] = state.kappa_dp.concentration
-    expected.update({f"theta_{i + 1}": v for i, v in enumerate(state.kappa_dp.atoms)})
     expected["n_unsusceptible"] = float(state.unsusceptible.sum())
 
     assert dict(zip(eng.trace_columns(), eng.trace_row())) == expected

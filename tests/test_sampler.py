@@ -11,7 +11,9 @@ from conftest import engine_for, make_dataset, make_dp, make_record, make_state
 from recurjoint import sampler
 from recurjoint.diagnostics import cpo_accumulate
 from recurjoint.model import (
+    BASELINE_VARIANTS,
     LIKELIHOOD_MODES,
+    VARIANTS,
     Hyperparams,
     ParamState,
     PiecewiseConstantHazard,
@@ -779,6 +781,34 @@ class TestRunChain:
         bmz = run_chain(dataset, dataclasses.replace(config, variant="BMZ"), hyper)
         assert not any(c.startswith("eta_") or c == "phi_mu" for c in bmz.columns)
         assert any(c.startswith("mu_") for c in bmz.columns)
+
+    @pytest.mark.parametrize("baseline", BASELINE_VARIANTS)
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_trace_columns_hold_no_mixture_atoms(self, variant, baseline):
+        # every column the trace held with the raw atoms theta_* and eta_*,
+        # in the same order, less those atoms
+        dataset, _ = simulate_dataset(40, 4, baseline, seed=3)
+        eng = SamplerEngine(dataset, Hyperparams(), variant=variant, baseline_variant=baseline)
+        eng.init_state(np.random.default_rng(1))
+
+        def numbered(name, count):
+            return [f"{name}{i + 1}" for i in range(count)]
+
+        expected = [*numbered("beta_", 3), *numbered("alpha_", 3), "alpha0", "xi1", "xi2"]
+        if variant != "BM-DP":
+            expected += numbered("zeta_", 4)
+        expected += ["sigma2_beta", "sigma2_alpha"]
+        expected += numbered("lambda_0", 5) if baseline == "piecewise" else ["psi"]
+        expected += numbered("tau2_", 4)
+        if variant != "BZ-DP":
+            expected += numbered("mu_", 4)
+        if variant in ("BMZ-DP", "BM-DP"):
+            expected.append("phi_mu")
+        expected += ["phi_kappa", "n_unsusceptible"]
+        columns = eng.trace_columns()
+        assert not any(c.startswith(("theta_", "eta_")) for c in columns)
+        assert columns == expected
+        assert eng.trace_row().shape == (len(columns),)
 
     def test_unsusceptible_never_set_with_events(self, rng):
         dataset, _ = simulate_dataset(80, 4, seed=8)
