@@ -5,8 +5,11 @@ Decimal values are serialized with 17 significant digits so every format
 round-trips losslessly at full double precision.
 
 The events file is a header row (``cluster_id, participant_id,
-followup_time, event_indicator, event_times``, then ``x_*``, ``z_*`` and
-``u_*`` covariate columns) and one row per record.  Its grammar:
+followup_time, event_indicator, event_times``, then the ``x_*``, then the
+``z_*``, then the ``u_*`` covariate columns) and one row per record.  Each
+covariate group is read in file order, whatever follows its prefix
+(``x_age`` is an x column); a header whose groups interleave is refused,
+naming the first column out of place.  Its grammar:
 
 - cells are separated by commas; a cell may be wrapped in double quotes,
   inside which a doubled quote stands for one, but it may not span lines
@@ -85,6 +88,8 @@ __all__ = [
 
 _FIXED_COLUMNS = ["cluster_id", "participant_id", "followup_time", "event_indicator",
                   "event_times"]
+# the prefixes of the x, z and u covariate columns, in file order
+_PREFIXES = ("x_", "z_", "u_")
 # file column of each per-record Dataset field
 _FIELD_COLUMN = {"cluster_index": 0, "participant_index": 1, "followup_time": 2,
                  "event_indicator": 3, "event_times": 4}
@@ -217,6 +222,26 @@ def _raise_row_error(fh, path, err: Exception, row_error) -> None:
         f"the data lines from 0: {err})") from err
 
 
+def _covariate_counts(path, header: list) -> tuple:
+    """The numbers of x_, z_ and u_ columns after the fixed ones of an events
+    header.  ValueError names the first column that has none of the prefixes
+    or follows a column of a later group."""
+    group = 0
+    counts = [0, 0, 0]
+    for col, name in enumerate(header[len(_FIXED_COLUMNS):], start=len(_FIXED_COLUMNS) + 1):
+        own = next((k for k, prefix in enumerate(_PREFIXES) if name.startswith(prefix)), None)
+        if own is None:
+            raise ValueError(f"{path}: unrecognized column {col} ({name}) in header; covariate "
+                             f"columns start with x_, z_ or u_")
+        if own < group:
+            raise ValueError(f"{path}: column {col} ({name}) follows a {_PREFIXES[group]} "
+                             f"column; the covariate columns must be the x_ columns, then "
+                             f"the z_, then the u_")
+        group = own
+        counts[own] += 1
+    return tuple(counts)
+
+
 def load_dataset(path) -> Dataset:
     """Parse an events file in the module docstring's grammar; a cell that
     does not parse and a record that breaks a :class:`Dataset` data rule
@@ -229,9 +254,7 @@ def load_dataset(path) -> Dataset:
         if header[: len(_FIXED_COLUMNS)] != _FIXED_COLUMNS:
             raise ValueError(f"{path}: malformed header, expected leading columns "
                              f"{_FIXED_COLUMNS}")
-        p, q, r = (sum(h.startswith(prefix) for h in header) for prefix in ("x_", "z_", "u_"))
-        if len(header) != len(_FIXED_COLUMNS) + p + q + r:
-            raise ValueError(f"{path}: unrecognized columns in header")
+        p, q, r = _covariate_counts(path, header)
 
         dtype = np.dtype([("cluster", "i8"), ("participant", "i8"), ("followup", "f8"),
                           ("event", "i8"), ("times", "O"), ("covariates", "f8", (p + q + r,))])

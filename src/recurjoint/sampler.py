@@ -26,13 +26,19 @@ power-law shape psi) share one accept-and-record step,
 :meth:`SamplerEngine._step`, and every block that
 moves the terminal offset ``d_scale`` (alpha, alpha0, gamma, xi1, xi2) takes
 its change of terminal log density from one move,
-:meth:`SamplerEngine._terminal_shift`.
+:meth:`SamplerEngine._terminal_shift`.  Each block adds its acceptance rates
+to a [sum, count] tally of its own, which
+:meth:`SamplerEngine.take_acceptance` reads and restarts.  A chain
+(:func:`run_chain`) has two phases: burn-in adapts the random-walk scales to
+the tally after each full window of sweeps, and sampling holds them fixed,
+so that the kernel is stationary while draws are kept.
 
 The engine holds a ParamState's plain fields under their own names, from one
 table, ``_STATE_FIELDS``, and per-record caches of the state (linear
 predictors, log frailties, shapes and their products with the terminal
 flags, terminal offsets, capped exponentials, baseline integrals,
-susceptibility weights, the logistic predictor and its summed softplus).
+susceptibility weights, the susceptibility logit: the logistic predictor,
+with its summed softplus, or the fixed probability's logit).
 Only the one state writer, behind :meth:`SamplerEngine.load_state` and
 :meth:`SamplerEngine.init_state`, rebuilds them, through
 :meth:`SamplerEngine.refresh_caches`; each block keeps current the caches
@@ -427,10 +433,9 @@ class SamplerEngine:
         self.targets = {name: TARGET_SCALAR for name in self.scales}
         for name in ("beta", "alpha", "zeta"):
             self.targets[name] = TARGET_VECTOR
-        # the baseline levels' exact draw has no scale but records an
-        # acceptance of 1, so a piecewise fit reports a baseline rate
-        self._window_accept = {name: [] for name in (*self.scales, "lambda")}
-        self._accept_totals = {name: [0.0, 0] for name in self._window_accept}
+        # each block's acceptance tally, [sum, count]; the baseline levels'
+        # exact draw records an acceptance of 1, so a piecewise fit reports one
+        self._accept = {name: [0.0, 0] for name in (*self.scales, "lambda")}
 
     # -- design helpers ------------------------------------------------------
 
@@ -524,8 +529,7 @@ class SamplerEngine:
         return atoms + self.scales[name] * rng.standard_normal(atoms.size)
 
     def _move_atoms(self, rng, name: str, atoms: np.ndarray, assignments: np.ndarray,
-                    prop: np.ndarray, log_ratio: np.ndarray, draw_atoms: Callable,
-                    post: bool) -> np.ndarray:
+                    prop: np.ndarray, log_ratio: np.ndarray, draw_atoms: Callable) -> np.ndarray:
         """One simultaneous Metropolis move of every occupied atom of a
         mixture to ``prop``, accepted with the per-atom ``log_ratio``;
         every empty atom is redrawn from its base measure.  Returns the atoms."""
@@ -536,7 +540,7 @@ class SamplerEngine:
         occupied = np.bincount(assignments, minlength=size) > 0
         n_occupied = np.count_nonzero(occupied)
         if n_occupied:
-            self._record_accept(name, np.count_nonzero(accept & occupied) / n_occupied, post)
+            self._record_accept(name, np.count_nonzero(accept & occupied) / n_occupied)
         return np.where(occupied, np.where(accept, prop, atoms), fresh)
 
     # -- caches -------------------------------------------------------------------
@@ -558,6 +562,9 @@ class SamplerEngine:
         if self.logistic:
             self.logit_p = self.u @ self.zeta
             self.softplus_sum = float(log_add_exp(0.0, self.logit_p).sum())
+        elif self.has_d:
+            p = self.hyper.fixed_p
+            self.logit_p = math.log(p) - math.log1p(-p)
 
     def _refresh_mu_caches(self) -> None:
         """The caches that read the cluster effects."""
@@ -604,18 +611,16 @@ class SamplerEngine:
 
     # -- acceptance bookkeeping ------------------------------------------------------
 
-    def _record_accept(self, name: str, rate: float, post_burn_in: bool) -> None:
-        self._window_accept[name].append(rate)
-        if post_burn_in:
-            tot = self._accept_totals[name]
-            tot[0] += rate
-            tot[1] += 1
+    def _record_accept(self, name: str, rate: float) -> None:
+        tally = self._accept[name]
+        tally[0] += rate
+        tally[1] += 1
 
-    def _step(self, rng, name: str, log_ratio: float, post: bool) -> bool:
+    def _step(self, rng, name: str, log_ratio: float) -> bool:
         """The Metropolis decision on block ``name``'s scalar ``log_ratio``,
         recorded as its acceptance; the caller commits on True."""
         ok = bool(metropolis_decision(log_ratio, rng.random()))
-        self._record_accept(name, float(ok), post)
+        self._record_accept(name, float(ok))
         return ok
 
     def _terminal_shift(self, shift):
@@ -629,19 +634,22 @@ class SamplerEngine:
             d_ll *= self.su
         return d2, ekd2, d_ll
 
-    def acceptance_rates(self) -> dict:
-        return {name: tot[0] / tot[1] for name, tot in self._accept_totals.items() if tot[1]}
+    def take_acceptance(self) -> dict:
+        """Each recording block's mean acceptance since the last read; restarts the tally."""
+        rates = {name: total / count for name, (total, count) in self._accept.items() if count}
+        self._accept = {name: [0.0, 0] for name in self._accept}
+        return rates
 
     def adapt_all(self) -> None:
+        """Adapt each proposal scale to its block's rate from :meth:`take_acceptance`."""
+        rates = self.take_acceptance()
         for name, scale in self.scales.items():
-            rates = self._window_accept[name]
-            if rates:
-                self.scales[name] = adapt_scale(float(np.mean(rates)), scale, self.targets[name])
-        self._window_accept = {name: [] for name in self._window_accept}
+            if name in rates:
+                self.scales[name] = adapt_scale(rates[name], scale, self.targets[name])
 
     # -- regression blocks --------------------------------------------------------------
 
-    def update_beta(self, rng, post=False) -> None:
+    def update_beta(self, rng) -> None:
         if self.beta.size == 0:
             return
         prop = self.beta + self.scales["beta"] * rng.standard_normal(self.beta.size)
@@ -650,10 +658,10 @@ class SamplerEngine:
         logr = (float(self.q_events @ (lin2 - self.lin_x))
                 - float((self.su * self.gamma * self.lam0_followup) @ (erx2 - self.erx))
                 + (self.beta @ self.beta - prop @ prop) / (2.0 * self.sigma2_beta))
-        if self._step(rng, "beta", logr, post):
+        if self._step(rng, "beta", logr):
             self.beta, self.lin_x, self.erx = prop, lin2, erx2
 
-    def update_alpha(self, rng, post=False) -> None:
+    def update_alpha(self, rng) -> None:
         if self.alpha.size == 0:
             return
         prop = self.alpha + self.scales["alpha"] * rng.standard_normal(self.alpha.size)
@@ -661,14 +669,14 @@ class SamplerEngine:
         d2, ekd2, d_ll = self._terminal_shift(lin2 - self.lin_z)
         logr = (float(d_ll.sum())
                 + (self.alpha @ self.alpha - prop @ prop) / (2.0 * self.sigma2_alpha))
-        if self._step(rng, "alpha", logr, post):
+        if self._step(rng, "alpha", logr):
             self.alpha, self.lin_z, self.d_scale, self.ekd = prop, lin2, d2, ekd2
 
-    def update_alpha0(self, rng, post=False) -> None:
+    def update_alpha0(self, rng) -> None:
         prop = self.alpha0 + self.scales["alpha0"] * rng.standard_normal()
         d2, ekd2, d_ll = self._terminal_shift(prop - self.alpha0)
         # flat prior: the full conditional is proportional to the likelihood
-        if self._step(rng, "alpha0", float(d_ll.sum()), post):
+        if self._step(rng, "alpha0", float(d_ll.sum())):
             self.alpha0, self.d_scale, self.ekd = prop, d2, ekd2
 
     def update_tau2(self, rng) -> None:
@@ -678,7 +686,7 @@ class SamplerEngine:
         rate = self.hyper.b0 + 0.5 * ssq
         self.tau2 = rate / np.maximum(rng.standard_gamma(self.tau2_shape, size=self.j), 1e-300)
 
-    def update_gamma(self, rng, post=False) -> None:
+    def update_gamma(self, rng) -> None:
         if self.n == 0:
             return
         prop = self.gamma + self.scales["gamma"] * rng.standard_normal(self.n)
@@ -697,7 +705,7 @@ class SamplerEngine:
         self.lgam = np.where(accept, lg2, self.lgam)
         self.d_scale = np.where(accept, d2, self.d_scale)
         self.ekd = np.where(accept, ekd2, self.ekd)
-        self._record_accept("gamma", np.count_nonzero(accept) / self.n, post)
+        self._record_accept("gamma", np.count_nonzero(accept) / self.n)
 
     # -- cluster-effect block -----------------------------------------------------------
 
@@ -744,7 +752,7 @@ class SamplerEngine:
             ll -= np.minimum(term_c @ e_term, _SCORE_CLIP)
         return _clip_scores(ll)
 
-    def update_mu_block(self, rng, post=False) -> None:
+    def update_mu_block(self, rng) -> None:
         """Assignments, sticks, concentration and atom moves for the cluster
         effects (plain per-cluster Metropolis steps in the parametric
         variant).  The atoms' proposal is drawn first: in the mixture, one
@@ -770,7 +778,7 @@ class SamplerEngine:
         ratio = (np.bincount(self.m, weights=d_ll, minlength=size)
                  + (self.eta ** 2 - prop ** 2) / (2.0 * self.hyper.sigma2_mu))
         self.eta = self._move_atoms(rng, "eta", self.eta, self.m, prop, ratio,
-                                    self._draw_mu_atoms, post)
+                                    self._draw_mu_atoms)
         self._refresh_mu_caches()
 
     def _mu_own_atom_change(self, sums, prop: np.ndarray) -> np.ndarray:
@@ -793,13 +801,8 @@ class SamplerEngine:
     def update_susceptibility(self, rng) -> None:
         if not self.has_d or self.n == 0:
             return
-        if self.hyper.fixed_p is not None:
-            p = self.hyper.fixed_p
-            logit_p = np.full(self.n, math.log(p) - math.log1p(-p))
-        else:
-            logit_p = self.logit_p
         # log_s = -gamma * erx * lam0 is the log survival of the recurrent process
-        logit = logit_p + self.gamma * self.erx * self.lam0_followup
+        logit = self.logit_p + self.gamma * self.erx * self.lam0_followup
         if self.literal:
             logit = logit - self._terminal_loglik()
         with np.errstate(over="ignore"):
@@ -810,13 +813,13 @@ class SamplerEngine:
 
     # -- baseline block -------------------------------------------------------------------
 
-    def update_baseline_block(self, rng, post=False) -> None:
+    def update_baseline_block(self, rng) -> None:
         if self.baseline_variant == "piecewise":
-            self._update_levels(rng, post)
+            self._update_levels(rng)
         else:
-            self._update_psi(rng, post)
+            self._update_psi(rng)
 
-    def _update_levels(self, rng, post=False) -> None:
+    def _update_levels(self, rng) -> None:
         # uniform (0, inf) prior on each level: its full conditional is
         # Gamma(n_g + 1, E_g).  Where E_g is not finite and positive the
         # conditional is improper, and the level keeps its value
@@ -824,7 +827,7 @@ class SamplerEngine:
         draws = rng.standard_gamma(self.level_shapes)
         np.divide(draws, exposure, out=self.lam, where=(exposure > 0.0) & (exposure < np.inf))
         self._refresh_baseline_caches()
-        self._record_accept("lambda", 1.0, post)
+        self._record_accept("lambda", 1.0)
 
     def _level_exposures(self) -> np.ndarray:
         """Each level's exposure E_g: the records' weights r = su gamma erx
@@ -839,11 +842,11 @@ class SamplerEngine:
         exposure[:-1] += self.level_widths[:-1] * np.add.accumulate(ending[:0:-1])[::-1]
         return exposure
 
-    def _update_psi(self, rng, post=False) -> None:
+    def _update_psi(self, rng) -> None:
         prop = self.psi + self.scales["psi"] * rng.standard_normal()
         if prop <= 0.0:
             # a nonpositive shape is rejected outright, with no uniform drawn
-            self._record_accept("psi", 0.0, post)
+            self._record_accept("psi", 0.0)
             return
         h = self.hyper
         weights = self.su * self.gamma * self.erx
@@ -860,7 +863,7 @@ class SamplerEngine:
         log_prop = math.log(prop)
         # an overflowing risk makes the ratio -inf or NaN, which rejects
         logr = log_target(prop, log_prop, float(weights @ powered)) - current
-        if self._step(rng, "psi", logr, post):
+        if self._step(rng, "psi", logr):
             self.psi, self.lam0_followup = prop, powered
             self.ev_logsum = self.q_events * log_prop + (prop - 1.0) * self.slog_ev
 
@@ -1004,7 +1007,7 @@ class SamplerEngine:
                     v[idx] = k
                     rest = (~ok).nonzero()[0]
                     if rest.size:
-                        parts.append(tuple(a[rest] for a in (idx, di, fi, ri)))
+                        parts.append((idx[rest], di[rest], fi[rest], ri[rest]))
                 if not parts:
                     return dense
                 left = parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
@@ -1070,14 +1073,13 @@ class SamplerEngine:
                                         lambda i: f"{self._record_name(r[i])} (shape mixture)")
         return v
 
-    def update_kappa_block(self, rng, post=False) -> None:
+    def update_kappa_block(self, rng) -> None:
         self.v = self._kappa_assignments(rng)
         self.kappa_weights, self.phi_kappa = self._update_sticks(
             self.v, self.level_kappa, self.phi_kappa, rng)
         prop = self._propose_atoms(rng, "theta", self.theta)
         self.theta = self._move_atoms(rng, "theta", self.theta, self.v, prop,
-                                      self._theta_atom_log_ratio(prop), self._draw_kappa_atoms,
-                                      post)
+                                      self._theta_atom_log_ratio(prop), self._draw_kappa_atoms)
         self.kap = self.theta[self.v]
         self.delta_kap = self.delta * self.kap
         self.ekd = _exp_capped(self.kap * self.d_scale)
@@ -1104,21 +1106,21 @@ class SamplerEngine:
 
     # -- frailty-loading blocks ------------------------------------------------------------------
 
-    def update_xi1(self, rng, post=False) -> None:
+    def update_xi1(self, rng) -> None:
         prop = self.xi1 + self.scales["xi1"] * rng.standard_normal()
         d2, ekd2, d_ll = self._terminal_shift((prop - self.xi1) * self.lgam)
         logr = float(d_ll.sum()) + (self.xi1 ** 2 - prop ** 2) / (2.0 * self.hyper.sigma2_xi1)
-        if self._step(rng, "xi1", logr, post):
+        if self._step(rng, "xi1", logr):
             self.xi1, self.d_scale, self.ekd = prop, d2, ekd2
 
-    def update_xi2(self, rng, post=False) -> None:
+    def update_xi2(self, rng) -> None:
         prop = self.xi2 + self.scales["xi2"] * rng.standard_normal()
         d2, ekd2, d_ll = self._terminal_shift((prop - self.xi2) * self.mu_rec)
         logr = float(d_ll.sum()) + (self.xi2 ** 2 - prop ** 2) / (2.0 * self.hyper.sigma2_xi2)
-        if self._step(rng, "xi2", logr, post):
+        if self._step(rng, "xi2", logr):
             self.xi2, self.d_scale, self.ekd = prop, d2, ekd2
 
-    def update_zeta(self, rng, post=False) -> None:
+    def update_zeta(self, rng) -> None:
         if not self.logistic or self.zeta.size == 0:
             return
         prop = self.zeta + self.scales["zeta"] * rng.standard_normal(self.zeta.size)
@@ -1127,7 +1129,7 @@ class SamplerEngine:
         d = self.d_flags.astype(float)
         logr = (float(d @ (t2 - self.logit_p)) - (softplus2 - self.softplus_sum)
                 + (self.zeta @ self.zeta - prop @ prop) / (2.0 * self.hyper.sigma2_zeta))
-        if self._step(rng, "zeta", logr, post):
+        if self._step(rng, "zeta", logr):
             self.zeta, self.logit_p, self.softplus_sum = prop, t2, softplus2
 
     def update_coef_variances(self, rng) -> None:
@@ -1140,19 +1142,19 @@ class SamplerEngine:
 
     # -- sweep ------------------------------------------------------------------------------
 
-    def sweep(self, rng: np.random.Generator, post_burn_in: bool = False) -> None:
-        self.update_beta(rng, post_burn_in)
-        self.update_alpha(rng, post_burn_in)
-        self.update_alpha0(rng, post_burn_in)
+    def sweep(self, rng: np.random.Generator) -> None:
+        self.update_beta(rng)
+        self.update_alpha(rng)
+        self.update_alpha0(rng)
         self.update_tau2(rng)
-        self.update_gamma(rng, post_burn_in)
-        self.update_mu_block(rng, post_burn_in)
+        self.update_gamma(rng)
+        self.update_mu_block(rng)
         self.update_susceptibility(rng)
-        self.update_baseline_block(rng, post_burn_in)
-        self.update_kappa_block(rng, post_burn_in)
-        self.update_xi1(rng, post_burn_in)
-        self.update_xi2(rng, post_burn_in)
-        self.update_zeta(rng, post_burn_in)
+        self.update_baseline_block(rng)
+        self.update_kappa_block(rng)
+        self.update_xi1(rng)
+        self.update_xi2(rng)
+        self.update_zeta(rng)
         self.update_coef_variances(rng)
 
     # -- state loading --------------------------------------------------------------------------
@@ -1300,18 +1302,16 @@ class SamplerEngine:
 # ---------------------------------------------------------------------------
 
 def run_chain(dataset: Dataset, config: McmcConfig, hyper: Hyperparams,
-              seed: int | None = None, chain_index: int = 0,
-              scales: ProposalScales | None = None) -> ChainTrace:
+              chain_index: int = 0, scales: ProposalScales | None = None) -> ChainTrace:
     """Run one chain and return its post-burn-in trace.
 
-    Identical (seed, config, data) inputs yield a bit-identical trace.  The
-    generator stream is derived from (seed, chain_index) so multiple chains
-    are independent.  Proposal scales adapt during burn-in only; the
-    post-burn-in kernel is fixed.
+    Identical (config, data) inputs yield a bit-identical trace; the
+    generator stream comes from (config.seed, chain_index), so chains are
+    independent.  Burn-in adapts the scales at each full window of sweeps;
+    the sampling sweeps hold them fixed, keep the first draw and every
+    ``thin``-th after it, and report their own mean acceptance.
     """
-    if seed is None:
-        seed = config.seed
-    rng = np.random.default_rng([seed, chain_index])
+    rng = np.random.default_rng([config.seed, chain_index])
     eng = SamplerEngine(dataset, hyper, variant=config.variant,
                         baseline_variant=config.baseline_variant,
                         likelihood_mode=config.likelihood_mode,
@@ -1328,22 +1328,22 @@ def run_chain(dataset: Dataset, config: McmcConfig, hyper: Hyperparams,
     neg_loglik_lse = np.full(eng.n, -np.inf)
     total_ll = np.empty(kept)
 
-    row = 0
-    for it in range(config.iterations):
-        post = it >= config.burn_in
-        eng.sweep(rng, post_burn_in=post)
-        if not post and (it + 1) % config.adapt_window == 0:
+    for it in range(config.burn_in):
+        eng.sweep(rng)
+        if (it + 1) % config.adapt_window == 0:
             eng.adapt_all()
-        if post and (it - config.burn_in) % config.thin == 0:
-            draws[row] = eng.trace_row()
-            ll = eng.participant_loglik()
-            cpo_accumulate(neg_loglik_lse, ll, row)
-            total_ll[row] = ll.sum()
-            row += 1
-    assert row == kept
+    eng.take_acceptance()  # the sampling phase's tally starts empty
+    for row in range(kept):
+        eng.sweep(rng)
+        draws[row] = eng.trace_row()
+        ll = eng.participant_loglik()
+        cpo_accumulate(neg_loglik_lse, ll, row)
+        total_ll[row] = ll.sum()
+        for _ in range(config.thin - 1):
+            eng.sweep(rng)
 
     return ChainTrace(
         columns=columns, draws=draws, neg_loglik_lse=neg_loglik_lse, total_loglik=total_ll,
-        acceptance=eng.acceptance_rates(), final_scales=dict(eng.scales),
+        acceptance=eng.take_acceptance(), final_scales=dict(eng.scales),
         chain_index=chain_index,
         grid=None if eng.grid is None else eng.grid.copy())

@@ -55,27 +55,33 @@ def _scored_truth(truth: sim.SimTruth) -> dict:
 # ---------------------------------------------------------------------------
 
 def _map(fn, tasks: list, threads: int) -> list:
-    """``[fn(t) for t in tasks]``, on a pool of ``threads`` worker processes
-    when there is more than one of each; results keep the order of ``tasks``."""
-    if threads > 1 and len(tasks) > 1:
+    """``[fn(t) for t in tasks]``, on a pool of ``min(threads, len(tasks))``
+    worker processes when that is more than one; results keep the order of
+    ``tasks``.  ``threads`` below 1 raises ValueError."""
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    workers = min(threads, len(tasks))
+    if workers > 1:
         # imported here: the pool brings in multiprocessing, which a
         # single-worker command never needs
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        # a pool forks all its workers at the first task, so no more than
+        # there are tasks
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, tasks))
     return [fn(t) for t in tasks]
 
 
 def _chain_task(args):
-    dataset, config, hyper, scales, seed, index = args
-    return run_chain(dataset, config, hyper, seed=seed, chain_index=index, scales=scales)
+    dataset, config, hyper, scales, index = args
+    return run_chain(dataset, config, hyper, chain_index=index, scales=scales)
 
 
 def run_fit(dataset: Dataset, config: McmcConfig, hyper: Hyperparams,
             scales: ProposalScales | None = None, threads: int = 1) -> list:
     """Run the configured number of independent chains."""
-    tasks = [(dataset, config, hyper, scales, config.seed, k) for k in range(config.chains)]
+    tasks = [(dataset, config, hyper, scales, k) for k in range(config.chains)]
     return _map(_chain_task, tasks, threads)
 
 

@@ -127,7 +127,8 @@ class TestEventsFile:
         _HEADER + ",u_1\n+3,+0,+1.5,+1,+0.5,+2e-3\n",
         _HEADER + ",x_1\n-9223372036854775808,9223372036854775807,1,0,,-inf\n"
                   "9223372036854775807,-9223372036854775808,1,0,,nan\n",
-    ], ids=["quoted", "crlf", "cr", "spaces", "plus", "int64 limits"])
+        _HEADER + ",x_age,x_1,z_dose,u_1\n0,0,1.0,0,,1,2,3,4\n",
+    ], ids=["quoted", "crlf", "cr", "spaces", "plus", "int64 limits", "descriptive suffixes"])
     def test_accepted_spellings_match_row_loop(self, tmp_path, text):
         path = tmp_path / "e.csv"
         path.write_text(text, newline="")
@@ -230,6 +231,22 @@ class TestEventsFile:
             "cluster_id,participant_id,followup_time,event_indicator,event_times\n"
             "0,0,1.0,0,\n0,0,2.0,1,\n")
         with pytest.raises(ValueError, match="duplicate"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("columns, match", [
+        ("z_1,x_1,u_1", r"column 7 \(x_1\) follows a z_ column; the covariate columns must be "
+                        r"the x_ columns, then the z_, then the u_$"),
+        ("x_1,u_1,z_1", r"column 8 \(z_1\) follows a u_ column"),
+        ("x_1,z_1,x_2", r"column 8 \(x_2\) follows a z_ column"),
+        ("x_1,age", r"unrecognized column 7 \(age\) in header; covariate columns start with "
+                    r"x_, z_ or u_$"),
+    ])
+    def test_covariate_columns_out_of_order_are_named(self, tmp_path, columns, match):
+        # the groups are read by position, so an interleaved header would
+        # load one group's values as another's
+        path = tmp_path / "e.csv"
+        path.write_text(f"{_HEADER},{columns}\n0,0,1.0,0,,7,3,5\n0,1,1.0,0,,8,4,6\n")
+        with pytest.raises(ValueError, match=match):
             load_dataset(path)
 
     def test_missing_covariate_rejected(self, tmp_path):
@@ -793,6 +810,61 @@ class TestCliCommands:
             files.append({p.name: p.read_bytes() for p in sorted(fit_dir.iterdir())})
         assert {"chain00.csv", "chain01.csv", "summary.json"} <= set(files[0])
         assert files[0] == files[1]
+
+    @pytest.mark.parametrize("command", ["fit", "replicate-study"])
+    def test_pool_has_no_more_workers_than_tasks(self, tmp_path, monkeypatch, command):
+        # a recorder stands in for the pool: it maps in this process and
+        # records the workers asked for, so no process is started
+        import concurrent.futures
+
+        asked = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+        mcmc = {"iterations": 20, "burn_in": 10, "adapt_window": 5}
+        config = tmp_path / "config.json"
+        if command == "fit":
+            out = self._simulate(tmp_path)
+            config.write_text(json.dumps({"mcmc": {**mcmc, "chains": 2}}))
+            argv = ["fit", "--data", str(out / "events.csv")]
+        else:
+            config.write_text(json.dumps({"n": 20, "j": 2, "replicates": 1,
+                                          "variants": ["BMZ-DP", "BMZ", "BZ-DP"], "mcmc": mcmc}))
+            argv = ["replicate-study"]
+        for threads in ("2", "64"):
+            assert main([*argv, "--config", str(config), "--out", str(tmp_path / threads),
+                         "--threads", threads]) == 0
+        tasks = 2 if command == "fit" else 3
+        assert asked == [2, tasks]
+
+    @pytest.mark.parametrize("command", ["fit", "replicate-study"])
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_are_refused(self, tmp_path, capsys, command, threads):
+        config = tmp_path / "config.json"
+        if command == "fit":
+            out = self._simulate(tmp_path)
+            config.write_text(json.dumps({"mcmc": {"iterations": 20, "burn_in": 10}}))
+            argv = ["fit", "--data", str(out / "events.csv")]
+        else:
+            config.write_text(json.dumps({"n": 20, "j": 2, "replicates": 1,
+                                          "mcmc": {"iterations": 20, "burn_in": 10}}))
+            argv = ["replicate-study"]
+        assert main([*argv, "--config", str(config), "--out", str(tmp_path / "out"),
+                     "--threads", threads]) == 1
+        assert capsys.readouterr().err == f"error: threads must be at least 1, got {threads}\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("baseline", BASELINE_VARIANTS)
     def test_replicate_study_truth_is_every_cells_simulated_truth(self, monkeypatch, baseline):

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,19 +76,19 @@ class TestScalarStep:
         eng = prior_only_engine()
         for _ in range(200):
             before = copy.deepcopy(rng.bit_generator.state)
-            assert eng._step(rng, "xi1", 0.0, True)
+            assert eng._step(rng, "xi1", 0.0)
             # one uniform per decision
             assert rng.bit_generator.state != before
-        assert eng.acceptance_rates()["xi1"] == 1.0
+        assert eng.take_acceptance()["xi1"] == 1.0
 
     def test_flat_target_statistics(self, rng):
         # a prior variance of 1e300 leaves the ratio far above any log(u)
         eng = prior_only_engine(sigma2_xi1=1e300)
         values = np.empty(20_000)
         for i in range(values.size):
-            eng.update_xi1(rng, post=True)
+            eng.update_xi1(rng)
             values[i] = eng.xi1
-        assert eng.acceptance_rates()["xi1"] == 1.0
+        assert eng.take_acceptance()["xi1"] == 1.0
         increments = np.diff(np.concatenate([[0.0], values]))
         scale = eng.scales["xi1"]
         assert abs(increments.mean()) < 4.0 * scale / math.sqrt(values.size)
@@ -106,10 +107,10 @@ class TestScalarStep:
     def test_vector_block_keeps_its_shape(self, rng):
         eng = prior_only_engine()
         for _ in range(50):
-            eng.update_beta(rng, post=True)
+            eng.update_beta(rng)
             assert eng.beta.shape == (3,)
         # one decision, 0 or 1, per call
-        rate = eng.acceptance_rates()["beta"]
+        rate = eng.take_acceptance()["beta"]
         assert 0.0 < rate < 1.0 and (rate * 50).is_integer()
 
 
@@ -129,10 +130,25 @@ class TestAdaptScale:
         for window in range(40):  # 2000 sweeps of window 50
             for _ in range(50):
                 eng.update_xi1(rng)
-            rate = float(np.mean(eng._window_accept["xi1"]))
+            total, count = eng._accept["xi1"]
+            rate = total / count
             eng.adapt_all()
         assert 0.2 <= rate <= 0.6
         assert eng.scales["xi1"] < 10.0
+
+    def test_adapt_all_adapts_to_the_tally_and_restarts_it(self, rng):
+        dataset, _ = simulate_dataset(40, 4, seed=3)
+        eng = SamplerEngine(dataset, Hyperparams(), variant="BMZ-DP")
+        eng.init_state(rng)
+        for _ in range(7):
+            eng.sweep(rng)
+        means = {name: total / count for name, (total, count) in eng._accept.items() if count}
+        assert means.keys() == {*eng.scales, "lambda"} - {"psi"}
+        expected = {name: adapt_scale(means[name], scale, eng.targets[name]) if name in means
+                    else scale for name, scale in eng.scales.items()}
+        eng.adapt_all()
+        assert eng.scales == expected
+        assert eng.take_acceptance() == {}
 
 
 def tau2_draws(cluster_log_gammas, a0, b0, clusters, calls, rng):
@@ -279,9 +295,9 @@ class TestMuBlock:
         eng = SamplerEngine(dataset, Hyperparams(), variant="BZ-DP")
         eng.load_state(dataclasses.replace(truth_state(dataset, truth), cluster_effects=None))
         before = rng.bit_generator.state
-        eng.update_mu_block(rng, post=True)
+        eng.update_mu_block(rng)
         assert rng.bit_generator.state == before
-        assert eng.eta.size == 0 and "eta" not in eng.acceptance_rates()
+        assert eng.eta.size == 0 and "eta" not in eng.take_acceptance()
         np.testing.assert_array_equal(eng.mu_rec, np.zeros(20))
 
 
@@ -567,7 +583,7 @@ class TestBaselineBlock:
             np.testing.assert_allclose(eng.lam0_followup, hazards, rtol=1e-13)
             np.testing.assert_allclose(eng._level_exposures(), exposures, rtol=1e-13)
             np.testing.assert_allclose(eng.ev_logsum, log_sums, rtol=1e-13, atol=1e-14)
-            eng.update_baseline_block(rng, post=True)
+            eng.update_baseline_block(rng)
 
     def test_engine_memory_grows_with_levels_not_records_times_levels(self):
         # 35 more levels add a few level-sized arrays to the engine, not a
@@ -609,7 +625,7 @@ class TestBaselineBlock:
         eng.load_state(state)
         draws = np.empty((20_000, shapes.size))
         for s in range(draws.shape[0]):
-            eng.update_baseline_block(rng, post=True)
+            eng.update_baseline_block(rng)
             draws[s] = eng.lam
         mean, var = shapes / rates, shapes / rates ** 2
         reps = draws.shape[0]
@@ -619,7 +635,7 @@ class TestBaselineBlock:
         assert np.all(np.abs(draws.mean(axis=0) - mean) < 5 * se_mean), (draws.mean(axis=0), mean)
         assert np.all(np.abs(draws.var(axis=0) - var) < 5 * se_var), (draws.var(axis=0), var)
         # the exact draw records an acceptance of 1
-        assert eng.acceptance_rates()["lambda"] == 1.0
+        assert eng.take_acceptance()["lambda"] == 1.0
 
     def test_zero_exposure_interval_keeps_its_level(self, rng):
         # the grid's last interval is reached only by eventless records, all
@@ -653,9 +669,9 @@ class TestBaselineBlock:
                 raise AssertionError("a uniform was drawn for an invalid move")
 
         caches = eng.lam0_followup.copy(), eng.ev_logsum.copy()
-        eng.update_baseline_block(NegativeRng(), post=True)
+        eng.update_baseline_block(NegativeRng())
         assert eng.psi == truth.baseline.shape
-        assert eng.acceptance_rates()["psi"] == 0.0
+        assert eng.take_acceptance()["psi"] == 0.0
         np.testing.assert_array_equal(eng.lam0_followup, caches[0])
         np.testing.assert_array_equal(eng.ev_logsum, caches[1])
 
@@ -818,6 +834,65 @@ class TestRunChain:
         for _ in range(150):
             eng.sweep(rng)
             assert not np.any(eng.d_flags[has_events])
+
+    @pytest.mark.parametrize("baseline", BASELINE_VARIANTS)
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_acceptance_is_the_mean_over_the_sampling_sweeps(self, variant, baseline,
+                                                             monkeypatch):
+        # burn-in ends 5 sweeps past its last full window, and thin is 3: the
+        # trace's acceptance is each block's sequential mean over the 30
+        # sampling sweeps alone, and the first of them and every third after
+        # it are kept
+        sweeps, recorded, kept_at = [0], [], []
+        sweep, record_accept, trace_row = (SamplerEngine.sweep, SamplerEngine._record_accept,
+                                           SamplerEngine.trace_row)
+
+        def counting_sweep(self, rng):
+            sweeps[0] += 1
+            sweep(self, rng)
+
+        def recording(self, name, rate):
+            recorded.append((sweeps[0], name, rate))
+            record_accept(self, name, rate)
+
+        def keeping(self):
+            kept_at.append(sweeps[0])
+            return trace_row(self)
+
+        monkeypatch.setattr(SamplerEngine, "sweep", counting_sweep)
+        monkeypatch.setattr(SamplerEngine, "_record_accept", recording)
+        monkeypatch.setattr(SamplerEngine, "trace_row", keeping)
+        dataset, _ = simulate_dataset(40, 4, baseline, seed=3)
+        config = McmcConfig(iterations=55, burn_in=25, thin=3, seed=1, adapt_window=10,
+                            variant=variant, baseline_variant=baseline)
+        trace = run_chain(dataset, config, Hyperparams())
+        totals = {}
+        for at, name, rate in recorded:
+            if at > config.burn_in:
+                total, count = totals.get(name, (0.0, 0))
+                totals[name] = total + rate, count + 1
+        assert trace.acceptance == {name: total / count for name, (total, count) in totals.items()}
+        assert totals["alpha0"][1] == 30
+        assert kept_at == list(range(26, 56, 3))
+
+    def test_memory_stays_bounded_over_the_sweeps(self, rng):
+        # nothing is kept per sweep: 2000 sweeps add no more than 100 KB of
+        # traced memory, where keeping every block's rate of every sweep
+        # would add about 700 KB.  The first 1000 sweeps are not traced: the
+        # interpreter's tuple free lists fill during them
+        dataset, _ = simulate_dataset(60, 6, seed=12)
+        eng = SamplerEngine(dataset, Hyperparams(), variant="BMZ-DP")
+        eng.init_state(rng)
+        for _ in range(1000):
+            eng.sweep(rng)
+        tracemalloc.start()
+        try:
+            for _ in range(2000):
+                eng.sweep(rng)
+            grown = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert grown < 100_000, grown
 
     def test_scales_frozen_after_burn_in(self):
         # same-seed chains that differ only in their post-burn-in length end
