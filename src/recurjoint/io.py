@@ -261,13 +261,18 @@ def load_dataset(path) -> Dataset:
         try:
             rows = _numpy_rows(fh, np.empty(0, dtype))
             cells = rows["times"].tolist()
+            # the strings are freed with the list, before the times are
+            # parsed and the row fields copied
+            rows["times"] = None
             joined = ";".join(filter(None, cells))
+            counts = [cell.count(";") + 1 if cell else 0 for cell in cells]
+            del cells
             times = (np.loadtxt([joined], delimiter=";", comments=None, ndmin=1) if joined
                      else np.empty(0))
+            del joined
         except (ValueError, Warning) as err:
             _raise_row_error(fh, path, err, _record_error)
 
-    counts = [cell.count(";") + 1 if cell else 0 for cell in cells]
     cluster_ids, cluster_index = np.unique(rows["cluster"], return_inverse=True)
     covariates = rows["covariates"]
     try:

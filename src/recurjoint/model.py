@@ -294,8 +294,10 @@ class ParamState:
 
     Fields annotated as arrays are stored read-only, ``float`` ones as
     floats.  The engine holds the plain fields under these names, from one
-    table, ``recurjoint.sampler._STATE_FIELDS``, and shares their arrays;
-    ``load_state`` checks a state against the engine before loading it.
+    table, ``recurjoint.sampler._STATE_FIELDS``.  It copies the per-record
+    arrays (frailties, flags, shape assignments), which its blocks write in
+    place, and shares the others, which they replace; ``load_state`` checks
+    a state against the engine before loading it.
     """
 
     beta: np.ndarray

@@ -49,7 +49,15 @@ grows slowly with the sweeps wherever no cluster-effect block rebuilds it.
 Memory stays linear in the number of records N: no array spans clusters
 by records (J x N) or records by piecewise levels (N x G), and an
 atoms-by-records (K x N) matrix exists only as a chunk of at most
-``_CHUNK_ELEMENTS`` entries.  The two mixture
+``_CHUNK_ELEMENTS`` entries.  The engine owns its per-record arrays: the
+state writer copies a state's (frailties, susceptibility flags, shape
+assignments) and allocates each per-record cache once, with two spare
+buffers for the terminal shift's proposal.  From then on the blocks write
+into them in place (``out=`` arguments, a masked copy for per-record
+accepts, a copy for a whole-vector accept), so that no block rebinds a
+per-record array and old and new copies of one are never alive together;
+each record's summed log baseline hazard at its events, which only the
+likelihood reads, is computed there.  The two mixture
 assignment steps are blocked-Gibbs categorical draws (Ishwaran & James
 2001) made without either:
 
@@ -189,10 +197,16 @@ _STATE_FIELDS = (("beta", "x", False), ("alpha", "z", False), ("alpha0", None, F
                  ("xi1", None, False), ("xi2", None, False), ("zeta", "u", False),
                  ("gamma", "records", True), ("tau2", "clusters", True),
                  ("sigma2_beta", None, True), ("sigma2_alpha", None, True))
+# the per-record float caches: the state writer allocates them, and from then
+# on they are written in place (so is logit_p, an array in the logistic model)
+_RECORD_CACHES = ("lin_x", "lin_z", "lgam", "kap", "delta_kap", "mu_rec", "d_scale", "ekd",
+                  "erx", "lam0_followup", "su")
 
 
-def _exp_capped(x):
-    x = np.minimum(x, _EXP_CAP)
+def _exp_capped(x, out=None):
+    """``exp(min(x, _EXP_CAP))``, written into ``out`` (which may be ``x``)
+    when given."""
+    x = np.minimum(x, _EXP_CAP, out=out)
     return np.exp(x, out=x)
 
 
@@ -358,9 +372,9 @@ def _categorical_columns(scores: np.ndarray, uniforms: np.ndarray,
 
 
 def _mixture_arrays(dp: TruncatedDP) -> tuple:
-    """The arrays of a mixture state, with its weights: (atoms,
-    assignments, weights, concentration)."""
-    return (dp.atoms, np.asarray(dp.assignments, dtype=np.int64),
+    """The arrays of a mixture state, with its weights: (atoms, a writable
+    copy of the assignments, weights, concentration)."""
+    return (dp.atoms, np.array(dp.assignments, dtype=np.int64),
             stick_to_weights(dp.raw_sticks), float(dp.concentration))
 
 
@@ -546,48 +560,70 @@ class SamplerEngine:
     # -- caches -------------------------------------------------------------------
 
     def refresh_caches(self) -> None:
-        """Rebuild every per-record cache from the primary state.
+        """Rebuild every per-record cache from the primary state, in place.
 
         Only the state writer calls it; after that, each block keeps
         current the caches its moves change.  Code that writes a primary
         field directly calls it afterwards."""
-        self.lin_x = self.x @ self.beta
-        self.lin_z = self.z @ self.alpha
-        self.lgam = np.log(self.gamma)
-        self.kap = self.theta[self.v]
-        self.delta_kap = self.delta * self.kap
+        np.matmul(self.x, self.beta, out=self.lin_x)
+        np.matmul(self.z, self.alpha, out=self.lin_z)
+        np.log(self.gamma, out=self.lgam)
+        self._refresh_shapes()
         self._refresh_mu_caches()
         self._refresh_baseline_caches()
-        self.su = 1.0 - self.d_flags.astype(float)
+        np.subtract(1.0, self.d_flags, out=self.su)
         if self.logistic:
-            self.logit_p = self.u @ self.zeta
+            np.matmul(self.u, self.zeta, out=self.logit_p)
             self.softplus_sum = float(log_add_exp(0.0, self.logit_p).sum())
         elif self.has_d:
             p = self.hyper.fixed_p
             self.logit_p = math.log(p) - math.log1p(-p)
 
+    def _refresh_shapes(self) -> None:
+        """Each record's shape ``kap`` and its product with the terminal flag.
+        A gather into a cache takes mode "clip" (here and in the other
+        refreshes): its indices are in range by construction, and in the
+        default mode numpy gathers into a buffer of its own, then copies
+        that into ``out``."""
+        self.theta.take(self.v, out=self.kap, mode="clip")
+        np.multiply(self.delta, self.kap, out=self.delta_kap)
+
     def _refresh_mu_caches(self) -> None:
-        """The caches that read the cluster effects."""
+        """The caches that read the cluster effects.  The terminal shift's
+        spare buffers hold the parts of ``d_scale``."""
         self.cluster_mu = self.eta[self.m] if self.mu_mode != "none" else np.zeros(self.j)
-        self.mu_rec = self.cluster_mu[self.cluster_of]
-        self.d_scale = (self.log_followup - self.xi1 * self.lgam
-                        - (self.alpha0 + self.lin_z + self.xi2 * self.mu_rec))
-        self.ekd = _exp_capped(self.kap * self.d_scale)
-        self.erx = _exp_capped(self.lin_x + self.mu_rec)
+        self.cluster_mu.take(self.cluster_of, out=self.mu_rec, mode="clip")
+        # log_followup - xi1 lgam - (alpha0 + lin_z + xi2 mu_rec)
+        d, rest = self.d_scale, self._d_spare
+        np.multiply(self.lgam, self.xi1, out=d)
+        np.subtract(self.log_followup, d, out=d)
+        np.add(self.lin_z, self.alpha0, out=rest)
+        rest += np.multiply(self.mu_rec, self.xi2, out=self._ekd_spare)
+        d -= rest
+        _exp_capped(np.multiply(self.kap, d, out=self.ekd), out=self.ekd)
+        _exp_capped(np.add(self.lin_x, self.mu_rec, out=self.erx), out=self.erx)
 
     def _refresh_baseline_caches(self) -> None:
         if self.baseline_variant == "piecewise":
             # take() gathers by an int32 index without first casting it
             g = self.followup_interval
-            self.lam0_followup = (piecewise_knots(self.level_widths, self.lam).take(g)
-                                  + self.lam.take(g) * self.followup_offset)
-            ev_log_levels = np.log(self.lam).take(self.ev_interval)
-            self.ev_logsum = np.bincount(self.ev_record, weights=ev_log_levels,
-                                         minlength=self.n) if self.ev_times.size else np.zeros(self.n)
+            piecewise_knots(self.level_widths, self.lam).take(g, out=self.lam0_followup,
+                                                             mode="clip")
+            ramp = self.lam.take(g)
+            ramp *= self.followup_offset
+            self.lam0_followup += ramp
         else:
             with np.errstate(over="ignore"):
-                self.lam0_followup = self.followup ** self.psi
-            self.ev_logsum = self.q_events * math.log(self.psi) + (self.psi - 1.0) * self.slog_ev
+                np.power(self.followup, self.psi, out=self.lam0_followup)
+
+    def _event_log_hazards(self) -> np.ndarray:
+        """Each record's summed log baseline hazard at its recurrent events."""
+        if self.baseline_variant == "powerlaw":
+            return self.q_events * math.log(self.psi) + (self.psi - 1.0) * self.slog_ev
+        if not self.ev_times.size:
+            return np.zeros(self.n)
+        return np.bincount(self.ev_record, weights=np.log(self.lam).take(self.ev_interval),
+                           minlength=self.n)
 
     def _terminal_loglik(self) -> np.ndarray:
         """Per-record terminal log density, before the literal mode weights it
@@ -606,7 +642,8 @@ class SamplerEngine:
             if self.literal:
                 terminal *= self.su
             recurrent = self.su * (self.q_events * (self.lgam + self.lin_x + self.mu_rec)
-                                   + self.ev_logsum - self.gamma * self.erx * self.lam0_followup)
+                                   + self._event_log_hazards()
+                                   - self.gamma * self.erx * self.lam0_followup)
         return terminal + recurrent
 
     # -- acceptance bookkeeping ------------------------------------------------------
@@ -623,16 +660,31 @@ class SamplerEngine:
         self._record_accept(name, float(ok))
         return ok
 
-    def _terminal_shift(self, shift):
-        """Lower every record's terminal offset ``d_scale`` by ``shift``.
-        Returns the new offsets, their capped ``exp(kappa * d)`` and each
-        record's change of terminal log density."""
-        d2 = self.d_scale - shift
-        ekd2 = _exp_capped(self.kap * d2)
-        d_ll = (self.ekd - ekd2) - self.delta_kap * shift
+    def _terminal_shift(self, shift) -> np.ndarray:
+        """Lower every record's terminal offset ``d_scale`` by ``shift``, into
+        the spare buffers: the new offsets and their capped ``exp(kappa * d)``,
+        which :meth:`_commit_shift` commits.  Returns each record's change of
+        terminal log density."""
+        d2 = np.subtract(self.d_scale, shift, out=self._d_spare)
+        ekd2 = _exp_capped(np.multiply(self.kap, d2, out=self._ekd_spare), out=self._ekd_spare)
+        d_ll = self.ekd - ekd2
+        d_ll -= self.delta_kap * shift
         if self.literal:
             d_ll *= self.su
-        return d2, ekd2, d_ll
+        return d_ll
+
+    def _commit_shift(self, accept=None) -> None:
+        """Copy the last :meth:`_terminal_shift`'s offsets and exponentials
+        into ``d_scale`` and ``ekd``: every record's, or those ``accept``
+        marks."""
+        if accept is None:
+            np.copyto(self.d_scale, self._d_spare)
+            np.copyto(self.ekd, self._ekd_spare)
+        else:
+            # putmask writes a masked copy at about np.where's speed, where
+            # copyto's where= takes nearly twice as long
+            np.putmask(self.d_scale, accept, self._d_spare)
+            np.putmask(self.ekd, accept, self._ekd_spare)
 
     def take_acceptance(self) -> dict:
         """Each recording block's mean acceptance since the last read; restarts the tally."""
@@ -659,25 +711,30 @@ class SamplerEngine:
                 - float((self.su * self.gamma * self.lam0_followup) @ (erx2 - self.erx))
                 + (self.beta @ self.beta - prop @ prop) / (2.0 * self.sigma2_beta))
         if self._step(rng, "beta", logr):
-            self.beta, self.lin_x, self.erx = prop, lin2, erx2
+            self.beta = prop
+            np.copyto(self.lin_x, lin2)
+            np.copyto(self.erx, erx2)
 
     def update_alpha(self, rng) -> None:
         if self.alpha.size == 0:
             return
         prop = self.alpha + self.scales["alpha"] * rng.standard_normal(self.alpha.size)
         lin2 = self.z @ prop
-        d2, ekd2, d_ll = self._terminal_shift(lin2 - self.lin_z)
+        d_ll = self._terminal_shift(lin2 - self.lin_z)
         logr = (float(d_ll.sum())
                 + (self.alpha @ self.alpha - prop @ prop) / (2.0 * self.sigma2_alpha))
         if self._step(rng, "alpha", logr):
-            self.alpha, self.lin_z, self.d_scale, self.ekd = prop, lin2, d2, ekd2
+            self.alpha = prop
+            np.copyto(self.lin_z, lin2)
+            self._commit_shift()
 
     def update_alpha0(self, rng) -> None:
         prop = self.alpha0 + self.scales["alpha0"] * rng.standard_normal()
-        d2, ekd2, d_ll = self._terminal_shift(prop - self.alpha0)
+        d_ll = self._terminal_shift(prop - self.alpha0)
         # flat prior: the full conditional is proportional to the likelihood
         if self._step(rng, "alpha0", float(d_ll.sum())):
-            self.alpha0, self.d_scale, self.ekd = prop, d2, ekd2
+            self.alpha0 = prop
+            self._commit_shift()
 
     def update_tau2(self, rng) -> None:
         if self.j == 0:
@@ -689,22 +746,23 @@ class SamplerEngine:
     def update_gamma(self, rng) -> None:
         if self.n == 0:
             return
-        prop = self.gamma + self.scales["gamma"] * rng.standard_normal(self.n)
+        prop = rng.standard_normal(self.n)
+        prop *= self.scales["gamma"]
+        prop += self.gamma
         u = rng.random(self.n)
         valid = prop > 0.0
-        safe = np.where(valid, prop, 1.0)
-        lg2 = np.log(safe)
+        lg2 = np.where(valid, prop, 1.0)
+        np.log(lg2, out=lg2)
         dlg = lg2 - self.lgam
-        d2, ekd2, d_ll = self._terminal_shift(self.xi1 * dlg)
+        d_ll = self._terminal_shift(self.xi1 * dlg)
         half_precision = (0.5 / self.tau2)[self.cluster_of]
         # log-normal prior: -log(gamma) is its Jacobian term
         logr = (self.q_events * dlg - self.su * self.erx * self.lam0_followup * (prop - self.gamma)
                 + d_ll - dlg - dlg * (lg2 + self.lgam) * half_precision)
         accept = valid & metropolis_decision(logr, u)
-        self.gamma = np.where(accept, prop, self.gamma)
-        self.lgam = np.where(accept, lg2, self.lgam)
-        self.d_scale = np.where(accept, d2, self.d_scale)
-        self.ekd = np.where(accept, ekd2, self.ekd)
+        np.putmask(self.gamma, accept, prop)
+        np.putmask(self.lgam, accept, lg2)
+        self._commit_shift(accept)
         self._record_accept("gamma", np.count_nonzero(accept) / self.n)
 
     # -- cluster-effect block -----------------------------------------------------------
@@ -804,12 +862,12 @@ class SamplerEngine:
         # log_s = -gamma * erx * lam0 is the log survival of the recurrent process
         logit = self.logit_p + self.gamma * self.erx * self.lam0_followup
         if self.literal:
-            logit = logit - self._terminal_loglik()
+            logit -= self._terminal_loglik()
         with np.errstate(over="ignore"):
             prob_one = 1.0 / (1.0 + np.exp(-logit))
         draws = rng.random(self.n)
-        self.d_flags = ((draws < prob_one) & self.eventless).astype(np.int8)
-        self.su = 1.0 - self.d_flags
+        np.copyto(self.d_flags, (draws < prob_one) & self.eventless)
+        np.subtract(1.0, self.d_flags, out=self.su)
 
     # -- baseline block -------------------------------------------------------------------
 
@@ -864,15 +922,16 @@ class SamplerEngine:
         # an overflowing risk makes the ratio -inf or NaN, which rejects
         logr = log_target(prop, log_prop, float(weights @ powered)) - current
         if self._step(rng, "psi", logr):
-            self.psi, self.lam0_followup = prop, powered
-            self.ev_logsum = self.q_events * log_prop + (prop - 1.0) * self.slog_ev
+            self.psi = prop
+            np.copyto(self.lam0_followup, powered)
 
     # -- shape-parameter block ---------------------------------------------------------------
 
     def _kappa_assignments(self, rng) -> np.ndarray:
-        """Draw every record's shape atom: rejection rounds from the binned
-        envelope, then the dense draw for the records they leave."""
-        v = np.empty(self.n, dtype=np.int64)
+        """Draw every record's shape atom into ``v``, which it returns:
+        rejection rounds from the binned envelope, then the dense draw for
+        the records they leave."""
+        v = self.v
         left = self._kappa_rejection_rounds(rng, v).nonzero()[0]
         if left.size:
             v[left] = self._kappa_dense(rng, left)
@@ -1074,15 +1133,14 @@ class SamplerEngine:
         return v
 
     def update_kappa_block(self, rng) -> None:
-        self.v = self._kappa_assignments(rng)
+        self._kappa_assignments(rng)
         self.kappa_weights, self.phi_kappa = self._update_sticks(
             self.v, self.level_kappa, self.phi_kappa, rng)
         prop = self._propose_atoms(rng, "theta", self.theta)
         self.theta = self._move_atoms(rng, "theta", self.theta, self.v, prop,
                                       self._theta_atom_log_ratio(prop), self._draw_kappa_atoms)
-        self.kap = self.theta[self.v]
-        self.delta_kap = self.delta * self.kap
-        self.ekd = _exp_capped(self.kap * self.d_scale)
+        self._refresh_shapes()
+        _exp_capped(np.multiply(self.kap, self.d_scale, out=self.ekd), out=self.ekd)
 
     def _theta_atom_log_ratio(self, prop: np.ndarray) -> np.ndarray:
         h = self.hyper
@@ -1108,17 +1166,19 @@ class SamplerEngine:
 
     def update_xi1(self, rng) -> None:
         prop = self.xi1 + self.scales["xi1"] * rng.standard_normal()
-        d2, ekd2, d_ll = self._terminal_shift((prop - self.xi1) * self.lgam)
+        d_ll = self._terminal_shift((prop - self.xi1) * self.lgam)
         logr = float(d_ll.sum()) + (self.xi1 ** 2 - prop ** 2) / (2.0 * self.hyper.sigma2_xi1)
         if self._step(rng, "xi1", logr):
-            self.xi1, self.d_scale, self.ekd = prop, d2, ekd2
+            self.xi1 = prop
+            self._commit_shift()
 
     def update_xi2(self, rng) -> None:
         prop = self.xi2 + self.scales["xi2"] * rng.standard_normal()
-        d2, ekd2, d_ll = self._terminal_shift((prop - self.xi2) * self.mu_rec)
+        d_ll = self._terminal_shift((prop - self.xi2) * self.mu_rec)
         logr = float(d_ll.sum()) + (self.xi2 ** 2 - prop ** 2) / (2.0 * self.hyper.sigma2_xi2)
         if self._step(rng, "xi2", logr):
-            self.xi2, self.d_scale, self.ekd = prop, d2, ekd2
+            self.xi2 = prop
+            self._commit_shift()
 
     def update_zeta(self, rng) -> None:
         if not self.logistic or self.zeta.size == 0:
@@ -1130,7 +1190,8 @@ class SamplerEngine:
         logr = (float(d @ (t2 - self.logit_p)) - (softplus2 - self.softplus_sum)
                 + (self.zeta @ self.zeta - prop @ prop) / (2.0 * self.hyper.sigma2_zeta))
         if self._step(rng, "zeta", logr):
-            self.zeta, self.logit_p, self.softplus_sum = prop, t2, softplus2
+            self.zeta, self.softplus_sum = prop, softplus2
+            np.copyto(self.logit_p, t2)
 
     def update_coef_variances(self, rng) -> None:
         if not self.hyper.resample_coef_variances:
@@ -1170,11 +1231,19 @@ class SamplerEngine:
         """Write ``state``, build the piecewise design from its baseline and
         rebuild every cache: the one state writer, behind :meth:`load_state`
         and :meth:`init_state` (whose prior draw is valid by construction)."""
-        # a state's arrays are read-only and no block writes into one, so the
-        # engine shares them; only the piecewise levels, drawn in place, are copied
-        for name, *_ in _STATE_FIELDS:
-            setattr(self, name, getattr(state, name))
-        self.d_flags = np.asarray(state.unsusceptible, dtype=np.int8)
+        # the engine owns every per-record array, which the blocks write in
+        # place: a state's are copied (its other arrays, which the blocks
+        # replace, are shared), and the caches are allocated here, once
+        for name, axis, _ in _STATE_FIELDS:
+            value = getattr(state, name)
+            setattr(self, name, value.copy() if axis == "records" else value)
+        self.d_flags = np.array(state.unsusceptible, dtype=np.int8)
+        for name in _RECORD_CACHES:
+            setattr(self, name, np.empty(self.n))
+        # the terminal shift's new offsets and exponentials, before a commit
+        self._d_spare, self._ekd_spare = np.empty(self.n), np.empty(self.n)
+        if self.logistic:
+            self.logit_p = np.empty(self.n)
         if self.mu_mode == "dp":
             self.eta, self.m, self.mu_weights, self.phi_mu = _mixture_arrays(state.cluster_effects)
         else:

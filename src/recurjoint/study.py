@@ -54,13 +54,19 @@ def _scored_truth(truth: sim.SimTruth) -> dict:
 # Single fit
 # ---------------------------------------------------------------------------
 
-def _map(fn, tasks: list, threads: int) -> list:
-    """``[fn(t) for t in tasks]``, on a pool of ``min(threads, len(tasks))``
-    worker processes when that is more than one; results keep the order of
-    ``tasks``.  ``threads`` below 1 raises ValueError."""
+def _workers(threads: int, count: int) -> int:
+    """The worker processes that run ``count`` tasks given ``threads``: a
+    pool of ``min(threads, count)`` when that is more than one, else 1, this
+    process.  ``threads`` below 1 raises ValueError."""
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
-    workers = min(threads, len(tasks))
+    return max(1, min(threads, count))
+
+
+def _map(fn, tasks: list, threads: int) -> list:
+    """``[fn(t) for t in tasks]``, on the :func:`_workers` processes;
+    results keep the order of ``tasks``."""
+    workers = _workers(threads, len(tasks))
     if workers > 1:
         # imported here: the pool brings in multiprocessing, which a
         # single-worker command never needs
@@ -254,6 +260,7 @@ def run_replicate_study(study: dict, threads: int = 1) -> tuple:
         }
 
     report = {"study": study, "truth": truth, "variants": variants, "failures": failures}
-    timing = {"total_seconds": elapsed, "tasks": len(tasks), "threads": threads,
+    timing = {"total_seconds": elapsed, "tasks": len(tasks),
+              "threads": _workers(threads, len(tasks)),
               "seconds_per_task": elapsed / max(len(tasks), 1)}
     return report, timing

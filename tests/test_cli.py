@@ -849,6 +849,41 @@ class TestCliCommands:
         tasks = 2 if command == "fit" else 3
         assert asked == [2, tasks]
 
+    @pytest.mark.parametrize("variants,threads,workers", [
+        (["BMZ"], "8", 1), (["BMZ-DP", "BMZ", "BZ-DP"], "2", 2),
+        (["BMZ-DP", "BMZ", "BZ-DP"], "64", 3)])
+    def test_timing_records_the_workers_that_ran(self, tmp_path, monkeypatch, variants, threads,
+                                                 workers):
+        # timing.json counts the worker processes, not the --threads asked
+        # for: one cell runs in this process.  A recorder stands in for the
+        # pool, so no process is started
+        import concurrent.futures
+
+        pools = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+        config = tmp_path / "study.json"
+        config.write_text(json.dumps({"n": 20, "j": 2, "replicates": 1, "variants": variants,
+                                      "mcmc": {"iterations": 20, "burn_in": 10}}))
+        out = tmp_path / "out"
+        assert main(["replicate-study", "--config", str(config), "--out", str(out),
+                     "--threads", threads]) == 0
+        assert read_json(out / "timing.json")["threads"] == workers
+        assert pools == ([] if workers == 1 else [workers])
+
     @pytest.mark.parametrize("command", ["fit", "replicate-study"])
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_are_refused(self, tmp_path, capsys, command, threads):

@@ -8,6 +8,7 @@ engine memory linear in the number of records, and the peak memory of
 the shape-assignment step."""
 
 import copy
+import dataclasses
 import itertools
 import math
 import re
@@ -20,8 +21,15 @@ import oracles
 from conftest import engine_for, make_dataset, make_record, make_state
 from recurjoint import sampler
 from recurjoint.model import BASELINE_VARIANTS, LIKELIHOOD_MODES, VARIANTS, Hyperparams
-from recurjoint.sampler import _CHUNK_ELEMENTS, _EXP_CAP, _SCORE_CLIP, SamplerEngine
+from recurjoint.sampler import (
+    _CHUNK_ELEMENTS,
+    _EXP_CAP,
+    _RECORD_CACHES,
+    _SCORE_CLIP,
+    SamplerEngine,
+)
 from recurjoint.simulate import simulate_dataset
+from test_load_state import valid_state
 
 CASES = list(itertools.product(VARIANTS, BASELINE_VARIANTS, LIKELIHOOD_MODES))
 
@@ -41,7 +49,7 @@ MU_SCORE_REL_TOL = 1e-12
 DRIFT_REL_TOL = 1e-9
 
 CACHES = ("lin_x", "lin_z", "mu_rec", "lgam", "kap", "delta_kap", "d_scale", "ekd", "erx",
-          "lam0_followup", "ev_logsum", "su", "logit_p", "softplus_sum")
+          "lam0_followup", "su", "logit_p", "softplus_sum")
 BLOCKS = ("update_beta", "update_alpha", "update_alpha0", "update_tau2", "update_gamma",
           "update_mu_block", "update_susceptibility", "update_baseline_block",
           "update_kappa_block", "update_xi1", "update_xi2", "update_zeta",
@@ -113,6 +121,81 @@ def test_caches_match_full_refresh_after_every_block(variant, baseline, mode):
         for block in BLOCKS:
             getattr(eng, block)(rng)
             _assert_caches_fresh(eng, present, block)
+
+
+def _state_arrays(value, name="state"):
+    """(name, array) for every array of a state, its mixtures' and its
+    baseline's included."""
+    if isinstance(value, np.ndarray):
+        yield name, value
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from _state_arrays(getattr(value, f.name), f"{name}.{f.name}")
+
+
+@pytest.mark.parametrize("variant,baseline", itertools.product(VARIANTS, BASELINE_VARIANTS))
+def test_engine_owns_its_record_arrays(variant, baseline):
+    # the engine copies a loaded state's per-record arrays and writes its
+    # own in place: sweeps leave the state as it was and read-only, and
+    # each per-record array the engine holds is the same object after
+    # every block
+    dataset, _ = simulate_dataset(60, 4, baseline, seed=808)
+    eng = SamplerEngine(dataset, Hyperparams(), variant=variant, baseline_variant=baseline)
+    state = valid_state(dataset, variant, baseline, shift=1)
+    loaded = copy.deepcopy(state)
+    eng.load_state(state)
+    # the state's 3 shape atoms, 2 effect atoms or 4 clusters, and its 3
+    # levels, are not 60 long
+    held = {name: value for name, value in vars(eng).items()
+            if isinstance(value, np.ndarray) and value.shape[:1] == (eng.n,)}
+    owned = {*_RECORD_CACHES, "gamma", "d_flags", "v"} | ({"logit_p"} if eng.logistic else set())
+    assert owned <= set(held)
+    rng = np.random.default_rng(47)
+    for _ in range(3):
+        for block in BLOCKS:
+            getattr(eng, block)(rng)
+            for name, value in held.items():
+                assert getattr(eng, name) is value, (name, block)
+    arrays = dict(_state_arrays(state))
+    assert arrays.keys() == dict(_state_arrays(loaded)).keys()
+    for name, value in _state_arrays(loaded):
+        assert not arrays[name].flags.writeable, name
+        np.testing.assert_array_equal(arrays[name], value, err_msg=name)
+
+
+# each block's traced peak above its starting size at N = 5000, in arrays of
+# N float64, for every variant, baseline and likelihood mode; measured:
+# beta 4, alpha 4, alpha0 2, tau2 2, gamma 10.2, cluster effects 5.0,
+# susceptibility 4, baseline 3 (piecewise) and 2 (power law), shapes 14.1
+# (corrected) and 18.7 (literal), xi1 3, xi2 3, zeta 3, variances 0
+BLOCK_TRANSIENTS = {"update_beta": 4.5, "update_alpha": 4.5, "update_alpha0": 2.5,
+                    "update_tau2": 2.5, "update_gamma": 10.5, "update_mu_block": 5.5,
+                    "update_susceptibility": 4.5, "update_baseline_block": 3.5,
+                    "update_kappa_block": 20.0, "update_xi1": 3.5, "update_xi2": 3.5,
+                    "update_zeta": 3.5, "update_coef_variances": 0.5}
+
+
+@pytest.mark.parametrize("variant,baseline,mode", CASES)
+def test_block_transients_stay_within_their_bounds(variant, baseline, mode):
+    dataset, _ = simulate_dataset(5000, 50, baseline, seed=3)
+    eng = SamplerEngine(dataset, Hyperparams(), variant=variant, baseline_variant=baseline,
+                        likelihood_mode=mode)
+    rng = np.random.default_rng(3)
+    eng.init_state(rng)
+    for _ in range(3):
+        eng.sweep(rng)
+    record_array = 8 * eng.n
+    for _ in range(3):
+        for block in BLOCKS:
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                getattr(eng, block)(rng)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - start <= BLOCK_TRANSIENTS[block] * record_array, \
+                (block, (peak - start) / record_array)
 
 
 # BZ-DP has no cluster-effect block, the one block that rebuilds d_scale
@@ -312,8 +395,9 @@ def test_chunked_kappa_block_matches_dense_reference(n, mode, monkeypatch):
                                     likelihood_mode=mode) for _ in range(2))
     for eng in (chunked, dense):
         eng.init_state(np.random.default_rng(n))
+    # the engine draws the assignments into its own v
     monkeypatch.setattr(dense, "_kappa_assignments",
-                        lambda rng: oracles.dense_kappa_assignments(dense, rng))
+                        lambda rng: np.copyto(dense.v, oracles.dense_kappa_assignments(dense, rng)))
     monkeypatch.setattr(sampler, "_KAPPA_ROUNDS", 0)
     rng_chunked = np.random.default_rng(5)
     rng_dense = copy.deepcopy(rng_chunked)

@@ -582,7 +582,7 @@ class TestBaselineBlock:
             hazards, exposures, log_sums = piecewise_reference(eng)
             np.testing.assert_allclose(eng.lam0_followup, hazards, rtol=1e-13)
             np.testing.assert_allclose(eng._level_exposures(), exposures, rtol=1e-13)
-            np.testing.assert_allclose(eng.ev_logsum, log_sums, rtol=1e-13, atol=1e-14)
+            np.testing.assert_allclose(eng._event_log_hazards(), log_sums, rtol=1e-13, atol=1e-14)
             eng.update_baseline_block(rng)
 
     def test_engine_memory_grows_with_levels_not_records_times_levels(self):
@@ -651,8 +651,9 @@ class TestBaselineBlock:
         for _ in range(50):
             eng.update_baseline_block(rng)
             assert eng.lam[1] == 0.7 and eng.lam[0] != 1.5
-            for name in ("lam", "lam0_followup", "ev_logsum"):
+            for name in ("lam", "lam0_followup"):
                 assert np.all(np.isfinite(getattr(eng, name))), name
+            assert np.all(np.isfinite(eng._event_log_hazards()))
         np.testing.assert_allclose(eng.lam0_followup, piecewise_reference(eng)[0], rtol=1e-14)
 
     def test_nonpositive_psi_rejected_outright(self):
@@ -668,12 +669,12 @@ class TestBaselineBlock:
             def random(self, size=None):
                 raise AssertionError("a uniform was drawn for an invalid move")
 
-        caches = eng.lam0_followup.copy(), eng.ev_logsum.copy()
+        caches = eng.lam0_followup.copy(), eng.participant_loglik()
         eng.update_baseline_block(NegativeRng())
         assert eng.psi == truth.baseline.shape
         assert eng.take_acceptance()["psi"] == 0.0
         np.testing.assert_array_equal(eng.lam0_followup, caches[0])
-        np.testing.assert_array_equal(eng.ev_logsum, caches[1])
+        np.testing.assert_array_equal(eng.participant_loglik(), caches[1])
 
     def test_psi_requires_finite_current_target(self, rng):
         # follow-up 1e10 at psi = 40: the current risk overflows
