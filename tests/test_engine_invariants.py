@@ -4,8 +4,9 @@ the brute-force oracle, and every incremental cache agrees with a full
 recomputation after each block update and after thousands of sweeps with
 no recomputation between them.  Also pinned: the two mixture
 assignment steps against their dense references, the overflow guards,
-engine memory linear in the number of records, and the peak memory of
-the shape-assignment step."""
+engine memory linear in the number of records, the engine's ownership of
+its per-record arrays, each block's transient memory, and the peak memory
+of the shape-assignment step."""
 
 import copy
 import dataclasses
