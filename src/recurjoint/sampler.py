@@ -5,10 +5,10 @@ event model, plus the chain driver and proposal adaptation.
 observed-data likelihood (:meth:`SamplerEngine.participant_loglik`) or takes
 a block step; the chain driver, traces and CPO/LPML all read it.
 
-One sweep visits, in a fixed order: beta; alpha; alpha0; tau2; gamma;
-(cluster-effect assignments, sticks, concentration, atoms); the latent
-susceptibility indicators; the baseline hazard; (shape assignments, sticks,
-concentration, atoms); xi1; xi2; zeta; coefficient prior variances.
+One sweep runs the blocks of one table, ``_SWEEP``, in its order.  Each
+block adds its acceptance rates to [sum, count] tallies that the table
+names with their adaptation targets; the engine's proposal scales, targets
+and tallies are built from it.
 
 A single chain is strictly sequential.  Blocks whose coordinates are
 conditionally independent given the rest of the state (frailties, mixture
@@ -20,18 +20,15 @@ keeps each follow-up's grid interval (int32) and its offset into it, and
 shares the knots H of :func:`recurjoint.model.piecewise_knots` with the
 simulator: ``Lambda0(T_i) = H[g_i] + lambda_{g_i} o_i``, and two bincounts
 over the records give every level's exposure, so the baseline block costs
-O(N + G).  The
-scalar-decision blocks (beta, alpha, alpha0, xi1, xi2, zeta and the
-power-law shape psi) share one accept-and-record step,
-:meth:`SamplerEngine._step`, and every block that
-moves the terminal offset ``d_scale`` (alpha, alpha0, gamma, xi1, xi2) takes
-its change of terminal log density from one move,
-:meth:`SamplerEngine._terminal_shift`.  Each block adds its acceptance rates
-to a [sum, count] tally of its own, which
-:meth:`SamplerEngine.take_acceptance` reads and restarts.  A chain
-(:func:`run_chain`) has two phases: burn-in adapts the random-walk scales to
-the tally after each full window of sweeps, and sampling holds them fixed,
-so that the kernel is stationary while draws are kept.
+O(N + G).  The scalar-decision blocks (beta, alpha, alpha0, xi1, xi2, zeta
+and the power-law shape psi) share one accept-and-record step,
+:meth:`SamplerEngine._step`, and every block that moves the terminal offset
+``d_scale`` (alpha, alpha0, gamma, xi1, xi2) takes its change of terminal
+log density from one move, :meth:`SamplerEngine._terminal_shift`.
+:meth:`SamplerEngine.take_acceptance` reads and restarts the tallies.  A
+chain (:func:`run_chain`) has two phases: burn-in adapts the random-walk
+scales to the tallies after each full window of sweeps, and sampling holds
+them fixed, so that the kernel is stationary while draws are kept.
 
 The engine holds a ParamState's plain fields under their own names, from one
 table, ``_STATE_FIELDS``, and per-record caches of the state (linear
@@ -118,7 +115,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -201,6 +198,22 @@ _STATE_FIELDS = (("beta", "x", False), ("alpha", "z", False), ("alpha0", None, F
 # on they are written in place (so is logit_p, an array in the logistic model)
 _RECORD_CACHES = ("lin_x", "lin_z", "lgam", "kap", "delta_kap", "mu_rec", "d_scale", "ekd",
                   "erx", "lam0_followup", "su")
+# the sweep: each block's method, in order, with the tallies it records and
+# each tally's adaptation target.  A tally with a target has the proposal
+# scale rho_<tally> of ProposalScales; None: the levels' exact draw (always 1)
+_SWEEP = (("update_beta", (("beta", TARGET_VECTOR),)),
+          ("update_alpha", (("alpha", TARGET_VECTOR),)),
+          ("update_alpha0", (("alpha0", TARGET_SCALAR),)),
+          ("update_tau2", ()),
+          ("update_gamma", (("gamma", TARGET_SCALAR),)),
+          ("update_mu_block", (("eta", TARGET_SCALAR),)),
+          ("update_susceptibility", ()),
+          ("update_baseline_block", (("psi", TARGET_SCALAR), ("lambda", None))),
+          ("update_kappa_block", (("theta", TARGET_SCALAR),)),
+          ("update_xi1", (("xi1", TARGET_SCALAR),)),
+          ("update_xi2", (("xi2", TARGET_SCALAR),)),
+          ("update_zeta", (("zeta", TARGET_VECTOR),)),
+          ("update_coef_variances", ()))
 
 
 def _exp_capped(x, out=None):
@@ -386,8 +399,8 @@ class SamplerEngine:
     """Vectorized state of one chain.
 
     Holds the data design arrays, current parameter values and the derived
-    per-record caches that every block update shares.  Public block methods
-    mirror the update schedule; :meth:`sweep` runs them all once.
+    per-record caches that every block update shares.  The public block
+    methods are the entries of ``_SWEEP``; :meth:`sweep` runs them all once.
     """
 
     def __init__(self, dataset: Dataset, hyper: Hyperparams, *, variant: str = "BMZ-DP",
@@ -442,14 +455,11 @@ class SamplerEngine:
             self.total_events = float(self.q_events.sum())
             self.total_log_ev = float(np.log(self.ev_times).sum()) if self.ev_times.size else 0.0
 
+        tallies = [tally for _, block_tallies in _SWEEP for tally in block_tallies]
+        self.targets = {name: target for name, target in tallies if target is not None}
         sc = scales or ProposalScales()
-        self.scales = {f.name.removeprefix("rho_"): getattr(sc, f.name) for f in fields(sc)}
-        self.targets = {name: TARGET_SCALAR for name in self.scales}
-        for name in ("beta", "alpha", "zeta"):
-            self.targets[name] = TARGET_VECTOR
-        # each block's acceptance tally, [sum, count]; the baseline levels'
-        # exact draw records an acceptance of 1, so a piecewise fit reports one
-        self._accept = {name: [0.0, 0] for name in (*self.scales, "lambda")}
+        self.scales = {name: getattr(sc, f"rho_{name}") for name in self.targets}
+        self._accept = {name: [0.0, 0] for name, _ in tallies}
 
     # -- design helpers ------------------------------------------------------
 
@@ -1204,19 +1214,9 @@ class SamplerEngine:
     # -- sweep ------------------------------------------------------------------------------
 
     def sweep(self, rng: np.random.Generator) -> None:
-        self.update_beta(rng)
-        self.update_alpha(rng)
-        self.update_alpha0(rng)
-        self.update_tau2(rng)
-        self.update_gamma(rng)
-        self.update_mu_block(rng)
-        self.update_susceptibility(rng)
-        self.update_baseline_block(rng)
-        self.update_kappa_block(rng)
-        self.update_xi1(rng)
-        self.update_xi2(rng)
-        self.update_zeta(rng)
-        self.update_coef_variances(rng)
+        # by name at the call, so that a method replaced on the class runs
+        for name, _ in _SWEEP:
+            getattr(self, name)(rng)
 
     # -- state loading --------------------------------------------------------------------------
 

@@ -27,6 +27,8 @@ from recurjoint.sampler import (
     _EXP_CAP,
     _RECORD_CACHES,
     _SCORE_CLIP,
+    _SWEEP,
+    ProposalScales,
     SamplerEngine,
 )
 from recurjoint.simulate import simulate_dataset
@@ -55,6 +57,32 @@ BLOCKS = ("update_beta", "update_alpha", "update_alpha0", "update_tau2", "update
           "update_mu_block", "update_susceptibility", "update_baseline_block",
           "update_kappa_block", "update_xi1", "update_xi2", "update_zeta",
           "update_coef_variances")
+
+
+def test_blocks_are_the_sweep_table():
+    # a block added to the table fails here until it is listed in BLOCKS,
+    # with a transient bound, and so meets every invariant below
+    assert BLOCKS == tuple(name for name, _ in _SWEEP)
+    assert BLOCK_TRANSIENTS.keys() == set(BLOCKS)
+    scaled = {name for _, tallies in _SWEEP for name, target in tallies if target is not None}
+    assert scaled == {f.name.removeprefix("rho_") for f in dataclasses.fields(ProposalScales)}
+
+
+def test_each_block_replaced_on_the_class_runs_once_per_sweep(monkeypatch):
+    # the benchmark's tracer wraps the block methods on the class after the
+    # module is imported: a sweep that held the methods themselves would
+    # bypass every wrapper, and each traced block would read 0
+    calls = dict.fromkeys(BLOCKS, 0)
+    for block in BLOCKS:
+        def counted(self, rng, block=block, method=getattr(SamplerEngine, block)):
+            calls[block] += 1
+            method(self, rng)
+        monkeypatch.setattr(SamplerEngine, block, counted)
+    eng = _engine("BMZ-DP", "piecewise", "corrected", seed=909)
+    rng = np.random.default_rng(41)
+    for _ in range(3):
+        eng.sweep(rng)
+    assert calls == dict.fromkeys(BLOCKS, 3)
 
 
 def _engine(variant, baseline, mode, seed):

@@ -1,7 +1,9 @@
+import ast
 import copy
 import dataclasses
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -875,6 +877,19 @@ class TestRunChain:
         assert trace.acceptance == {name: total / count for name, (total, count) in totals.items()}
         assert totals["alpha0"][1] == 30
         assert kept_at == list(range(26, 56, 3))
+
+    @pytest.mark.parametrize("baseline,level", [("piecewise", "lambda"), ("powerlaw", "psi")])
+    def test_acceptance_keys_are_the_benchmark_blocks(self, baseline, level):
+        # the benchmark's layers read a BMZ-DP fit's rates by these names, its
+        # "baseline" from "lambda" or "psi"; a renamed tally would leave its
+        # acceptance metric empty
+        tree = ast.parse((Path(__file__).parents[1] / "perfbench" / "layers.py").read_text())
+        (names,) = [ast.literal_eval(node.value) for node in tree.body
+                    if isinstance(node, ast.Assign) and node.targets[0].id == "ACCEPT_BLOCKS"]
+        dataset, _ = simulate_dataset(40, 4, baseline, seed=5)
+        config = McmcConfig(iterations=6, burn_in=2, adapt_window=2, baseline_variant=baseline)
+        trace = run_chain(dataset, config, Hyperparams())
+        assert trace.acceptance.keys() == {*names} - {"baseline"} | {level}
 
     def test_memory_stays_bounded_over_the_sweeps(self, rng):
         # nothing is kept per sweep: 2000 sweeps add no more than 100 KB of
