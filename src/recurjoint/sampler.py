@@ -479,6 +479,16 @@ class SamplerEngine:
         """Draw a starting point and write it as a state, as
         :meth:`load_state` does: coefficients as small normal jitter,
         mixture atoms from their base measures, indicators from the prior."""
+        # the draws are freed before the engine copies them, and the state
+        # once it has, before the likelihood is checked
+        self._set_state(self._prior_state(rng))
+        ll = self.participant_loglik()
+        if self.n and not np.all(np.isfinite(ll)):
+            pos = int(np.flatnonzero(~np.isfinite(ll))[0])
+            raise RuntimeError("non-finite log likelihood at initialization for "
+                               + self._record_name(pos))
+
+    def _prior_state(self, rng) -> ParamState:
         h = self.hyper
         n, j = self.n, self.j
         beta = 0.1 * rng.standard_normal(self.x.shape[1])
@@ -507,16 +517,11 @@ class SamplerEngine:
         else:
             flags = np.zeros(n, dtype=np.int8)
 
-        self._set_state(ParamState(
+        return ParamState(
             beta=beta, alpha=alpha, alpha0=alpha0, xi1=xi1, xi2=xi2, zeta=zeta, gamma=gamma,
             tau2=np.full(j, h.b0 / (h.a0 + 1.0)), unsusceptible=flags, cluster_effects=effects,
             kappa_dp=kappa, baseline=baseline, sigma2_beta=h.sigma2_beta,
-            sigma2_alpha=h.sigma2_alpha))
-        ll = self.participant_loglik()
-        if n and not np.all(np.isfinite(ll)):
-            pos = int(np.flatnonzero(~np.isfinite(ll))[0])
-            raise RuntimeError("non-finite log likelihood at initialization for "
-                               + self._record_name(pos))
+            sigma2_alpha=h.sigma2_alpha)
 
     def _draw_mu_atoms(self, rng, size: int) -> np.ndarray:
         return math.sqrt(self.hyper.sigma2_mu) * rng.standard_normal(size)
@@ -759,17 +764,28 @@ class SamplerEngine:
         prop = rng.standard_normal(self.n)
         prop *= self.scales["gamma"]
         prop += self.gamma
-        u = rng.random(self.n)
         valid = prop > 0.0
         lg2 = np.where(valid, prop, 1.0)
         np.log(lg2, out=lg2)
         dlg = lg2 - self.lgam
         d_ll = self._terminal_shift(self.xi1 * dlg)
-        half_precision = (0.5 / self.tau2)[self.cluster_of]
-        # log-normal prior: -log(gamma) is its Jacobian term
-        logr = (self.q_events * dlg - self.su * self.erx * self.lam0_followup * (prop - self.gamma)
-                + d_ll - dlg - dlg * (lg2 + self.lgam) * half_precision)
-        accept = valid & metropolis_decision(logr, u)
+        # the log ratio, into d_ll through two scratch arrays a and b:
+        # q dlg - su erx lam0 (prop - gamma) + d_ll - dlg - dlg (lg2 + lgam) / (2 tau2),
+        # where -dlg is the log-normal prior's Jacobian term
+        a = np.subtract(prop, self.gamma)
+        b = np.multiply(self.su, self.erx)
+        b *= self.lam0_followup
+        b *= a
+        np.multiply(self.q_events, dlg, out=a)
+        a -= b
+        d_ll += a
+        d_ll -= dlg
+        np.add(lg2, self.lgam, out=a)
+        np.multiply(dlg, a, out=a)
+        a *= (0.5 / self.tau2).take(self.cluster_of, out=b, mode="clip")
+        d_ll -= a
+        # no other draw comes between the proposal and the uniforms
+        accept = valid & metropolis_decision(d_ll, rng.random(out=a))
         np.putmask(self.gamma, accept, prop)
         np.putmask(self.lgam, accept, lg2)
         self._commit_shift(accept)
@@ -951,11 +967,12 @@ class SamplerEngine:
         """Cut the offsets ``span`` of the records ``todo`` (None: every
         record) into the envelope's bins.  Returns (lower edges, upper
         edges, the records, their offsets, the bin of each shifted left by
-        53 bits, whether the records are in order of offset).  The bins are
-        the module docstring's: below ``_KAPPA_SORT_LIMIT`` offsets, the runs
-        of :func:`_rank_bins` over the sorted offsets, whose records come
-        back in order of offset; from there on, equal widths in asinh(d),
-        whose records keep their order."""
+        53 bits in an array of its own, whether the records are in order of
+        offset).  The bins are the module docstring's: below
+        ``_KAPPA_SORT_LIMIT`` offsets, the runs of :func:`_rank_bins` over the
+        sorted offsets, whose records come back in order of offset; from
+        there on, equal widths in asinh(d), whose records (None included)
+        come back as they were given."""
         m = span.size
         if m < _KAPPA_SORT_LIMIT:
             first, last, run_key = _rank_bins(
@@ -963,7 +980,7 @@ class SamplerEngine:
             order = span.argsort()
             span = span[order]
             todo = order if todo is None else todo[order]
-            return span[first], span[last], todo, span, run_key, True
+            return span[first], span[last], todo, span, run_key.copy(), True
         a = np.arcsinh(span)
         lo, hi = float(a.min()), float(a.max())
         bins = min(_KAPPA_MAX_BINS, max(1, m // _KAPPA_BIN_RECORDS))
@@ -979,10 +996,10 @@ class SamplerEngine:
         edges = lo + width * np.arange(bins + 1)
         a -= lo
         a /= width
-        which = np.minimum(a.astype(np.int64), bins - 1)
+        which = a.astype(np.int64)
+        np.minimum(which, bins - 1, out=which)
         which <<= 53
-        return (np.sinh(edges[:-1] - slack), np.sinh(edges[1:] + slack),
-                np.arange(m) if todo is None else todo, span, which, False)
+        return np.sinh(edges[:-1] - slack), np.sinh(edges[1:] + slack), todo, span, which, False
 
     def _kappa_rejection_rounds(self, rng, v: np.ndarray) -> np.ndarray:
         """Up to ``_KAPPA_ROUNDS`` rounds of envelope rejection for each
@@ -995,11 +1012,10 @@ class SamplerEngine:
         the records left to the dense draw."""
         d, theta = self.d_scale, self.theta
         limit = _KAPPA_ROUTE_LIMIT / max(float(theta.max()), 1.0)
-        magnitude = np.abs(d)
         # NaN fails the comparison, so a non-finite offset is not routed and
         # the dense draw raises on it; without records there is none to route
-        if self.literal or not (d.size and magnitude.max() <= limit):
-            routed = magnitude <= limit
+        if self.literal or not (d.size and np.abs(d).max() <= limit):
+            routed = np.abs(d) <= limit
             if self.literal:
                 routed &= self.su != 0.0
             todo = routed.nonzero()[0]
@@ -1008,8 +1024,8 @@ class SamplerEngine:
             span = d[todo]
         else:
             routed, todo, span = None, None, d
-        lo, hi, todo, span, row_key, ordered = self._kappa_bins(todo, span)
-        flag = self.delta[todo]
+        lo, hi, todo, span, flag_key, ordered = self._kappa_bins(todo, span)
+        flag = self.delta if todo is None else self.delta[todo]
         bound, cdf = self._kappa_envelope(lo, hi)
         rows, k_atoms = cdf.shape
         # row r's cumulative probabilities in units of 2^-53, offset by
@@ -1029,20 +1045,22 @@ class SamplerEngine:
             keys = np.concatenate((keys, np.full(1 << top, np.iinfo(np.int64).max)))
             probes = [(1 << s, keys[(1 << s) - 1:]) for s in reversed(range(top))]
         # a flagged record's row is its bin's row plus the number of bins
-        flag_key = (flag * float(lo.size << 53)).astype(np.int64)
-        flag_key += row_key
-        # (records, offsets, flags, row keys) of the records left, aligned
+        np.add(flag_key, lo.size << 53, out=flag_key, where=flag != 0.0)
+        # (records, offsets, flags, row keys) of the records left, aligned;
+        # records None: every record, in order
         left = todo, span, flag, flag_key
         dense = np.zeros(self.n, dtype=bool) if routed is None else ~routed
         # the acceptance test takes the log of a uniform, which may be 0
         with np.errstate(divide="ignore"):
             for r in range(_KAPPA_ROUNDS):
-                size = left[0].size
+                size = left[1].size
                 tries = max(1, min(_KAPPA_TRY_GROWTH ** r, _KAPPA_BLOCK // size))
                 parts = []
                 for start in range(0, size, _KAPPA_BLOCK):
-                    idx, di, fi, ri = (left if size <= _KAPPA_BLOCK else
-                                       (a[start:start + _KAPPA_BLOCK] for a in left))
+                    di, fi, ri = (left[1:] if size <= _KAPPA_BLOCK else
+                                  (a[start:start + _KAPPA_BLOCK] for a in left[1:]))
+                    idx = (np.arange(start, start + di.size) if left[0] is None else
+                           left[0][start:start + _KAPPA_BLOCK])
                     u = rng.random((2, tries, idx.size))
                     query = (u[0] * _TWO_53).astype(np.int64)
                     query += ri
@@ -1062,7 +1080,7 @@ class SamplerEngine:
                     x = theta[k]
                     x *= di
                     log_ratio = fi * x
-                    log_ratio -= _exp_capped(x)
+                    log_ratio -= _exp_capped(x, out=x)
                     log_ratio -= bound[pos]
                     ok = np.log(u[1], out=u[1]) < log_ratio
                     if tries > 1:
@@ -1080,6 +1098,7 @@ class SamplerEngine:
                 if not parts:
                     return dense
                 left = parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
+        # indexing by None (every record) sets every entry
         dense[left[0]] = True
         return dense
 
@@ -1127,13 +1146,12 @@ class SamplerEngine:
         for start in range(0, records.size, rows):
             c = slice(start, start + rows)
             r = records[c]
+            # two chunk-sized matrices: the powers become their exponentials
             powers = np.multiply.outer(self.theta, self.d_scale[r])
-            expo = np.minimum(powers, _EXP_CAP)
-            np.exp(expo, out=expo)
             ll = log_theta - self.log_followup[r]
             ll += powers
             ll *= self.delta[r]
-            ll -= expo
+            ll -= _exp_capped(powers, out=powers)
             if self.literal:
                 ll *= self.su[r]
             _clip_scores(ll)

@@ -5,8 +5,9 @@ recomputation after each block update and after thousands of sweeps with
 no recomputation between them.  Also pinned: the two mixture
 assignment steps against their dense references, the overflow guards,
 engine memory linear in the number of records, the engine's ownership of
-its per-record arrays, each block's transient memory, and the peak memory
-of the shape-assignment step."""
+its per-record arrays, the transient memory of each block and of the
+initial draw, the sweep's blocks against the sampler's table, and the peak
+memory of the shape-assignment step."""
 
 import copy
 import dataclasses
@@ -194,14 +195,18 @@ def test_engine_owns_its_record_arrays(variant, baseline):
 
 # each block's traced peak above its starting size at N = 5000, in arrays of
 # N float64, for every variant, baseline and likelihood mode; measured:
-# beta 4, alpha 4, alpha0 2, tau2 2, gamma 10.2, cluster effects 5.0,
-# susceptibility 4, baseline 3 (piecewise) and 2 (power law), shapes 14.1
-# (corrected) and 18.7 (literal), xi1 3, xi2 3, zeta 3, variances 0
+# beta 4, alpha 4, alpha0 2, tau2 2, gamma 7.3, cluster effects 5.0,
+# susceptibility 4, baseline 3 (piecewise) and 2 (power law), shapes 11.0
+# (corrected) and 15.5 (literal), xi1 3, xi2 3, zeta 3, variances 0.  The
+# shapes' dense draw works in chunks of fixed size, 3.3 such arrays each
 BLOCK_TRANSIENTS = {"update_beta": 4.5, "update_alpha": 4.5, "update_alpha0": 2.5,
-                    "update_tau2": 2.5, "update_gamma": 10.5, "update_mu_block": 5.5,
+                    "update_tau2": 2.5, "update_gamma": 7.5, "update_mu_block": 5.5,
                     "update_susceptibility": 4.5, "update_baseline_block": 3.5,
-                    "update_kappa_block": 20.0, "update_xi1": 3.5, "update_xi2": 3.5,
+                    "update_kappa_block": 16.0, "update_xi1": 3.5, "update_xi2": 3.5,
                     "update_zeta": 3.5, "update_coef_variances": 0.5}
+# init_state's traced peak above the engine it leaves, in the same arrays;
+# measured 5.3: the check of the first likelihood, once the draws are freed
+INIT_TRANSIENT = 5.5
 
 
 @pytest.mark.parametrize("variant,baseline,mode", CASES)
@@ -225,6 +230,20 @@ def test_block_transients_stay_within_their_bounds(variant, baseline, mode):
                 tracemalloc.stop()
             assert peak - start <= BLOCK_TRANSIENTS[block] * record_array, \
                 (block, (peak - start) / record_array)
+
+
+@pytest.mark.parametrize("variant,baseline,mode", CASES)
+def test_init_state_transient_stays_within_its_bound(variant, baseline, mode):
+    dataset, _ = simulate_dataset(5000, 50, baseline, seed=3)
+    eng = SamplerEngine(dataset, Hyperparams(), variant=variant, baseline_variant=baseline,
+                        likelihood_mode=mode)
+    tracemalloc.start()
+    try:
+        eng.init_state(np.random.default_rng(3))
+        left, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - left <= INIT_TRANSIENT * 8 * eng.n, (peak - left) / (8 * eng.n)
 
 
 # BZ-DP has no cluster-effect block, the one block that rebuilds d_scale

@@ -32,6 +32,7 @@ from recurjoint.sampler import (
 )
 from recurjoint.simulate import KAPPA_VALUES, simulate_dataset
 from recurjoint.study import build_summary, fit_manifest
+from test_load_state import valid_state
 
 
 def truth_state(dataset, truth, tau2=0.3):
@@ -217,7 +218,44 @@ class TestGibbsSusceptibility:
         assert draws.mean() == pytest.approx(0.5, abs=0.01)
 
 
+def pooled_chisquare(counts, expected):
+    """The chi-square p-value of the draws ``counts`` against the
+    ``expected`` counts, the least likely cells pooled until every cell
+    expects 5 draws; None when that leaves one cell."""
+    order = np.argsort(expected)
+    cut = max(np.searchsorted(np.cumsum(expected[order]), 5.0) + 1,
+              np.searchsorted(expected[order], 5.0))
+    observed = [counts[order[:cut]].sum(), *counts[order[cut:]]]
+    wanted = [expected[order[:cut]].sum(), *expected[order[cut:]]]
+    return stats.chisquare(observed, wanted).pvalue if len(wanted) > 1 else None
+
+
 class TestMuBlock:
+    @pytest.mark.parametrize("mode", LIKELIHOOD_MODES)
+    def test_assignment_draws_match_dense_softmax(self, mode):
+        # a frozen state whose four atoms share each cluster's probability,
+        # and whose eventless records are unsusceptible, so that the literal
+        # mode differs: every cluster's assignment, redrawn from the state
+        # each time, against the softmax of its dense scores plus log weights
+        dataset, _ = simulate_dataset(24, 6, seed=8)
+        state = dataclasses.replace(valid_state(dataset, "BMZ-DP", shift=1), cluster_effects=make_dp(
+            [-0.6, -0.1, 0.3, 0.8], np.arange(6) % 4, sticks=[0.3, 0.4, 0.5]))
+        eng = SamplerEngine(dataset, Hyperparams(), variant="BMZ-DP", likelihood_mode=mode)
+        eng.load_state(state)
+        scores = oracles.dense_mu_cluster_loglik(eng, eng.eta) + np.log(eng.mu_weights)
+        p = np.exp(scores - scores.max(axis=1, keepdims=True))
+        p /= p.sum(axis=1, keepdims=True)
+        reps = 4000
+        counts = np.zeros(p.shape, dtype=int)
+        rng = np.random.default_rng(17)
+        for _ in range(reps):
+            eng.load_state(state)
+            eng.update_mu_block(rng)
+            counts[np.arange(eng.j), eng.m] += 1
+        for c in range(eng.j):
+            pvalue = pooled_chisquare(counts[c], reps * p[c])
+            assert pvalue is not None and pvalue > 1e-6, (c, counts[c], reps * p[c])
+
     def test_dominant_atom_counts_and_stick(self, rng):
         dataset, truth = simulate_dataset(40, 4, seed=5)
         state = truth_state(dataset, truth)
@@ -386,7 +424,7 @@ class TestKappaBlock:
             span, bins = np.resize([0.0, 5e-324, 1e-323], m), 1
         eng = engine_for([make_record(participant=0)], make_state(n=1))
         lo, hi, todo, got, key, ordered = eng._kappa_bins(None, span)
-        assert not ordered and todo.tolist() == list(range(m)) and got is span
+        assert not ordered and todo is None and got is span
         assert lo.size == hi.size == bins
         assert np.isfinite(lo).all() and np.isfinite(hi).all()
         b = key >> 53
@@ -505,15 +543,9 @@ class TestKappaBlock:
             counts = np.bincount(v[t * reps:(t + 1) * reps], minlength=eng.level_kappa)
             expected = reps * np.array(oracles.kappa_probabilities(eng, t * reps))
             assert counts[expected == 0].sum() == 0, types[t]
-            # pool the least likely atoms until every cell expects 5 draws
-            order = np.argsort(expected)
-            cut = max(np.searchsorted(np.cumsum(expected[order]), 5.0) + 1,
-                      np.searchsorted(expected[order], 5.0))
-            observed = [counts[order[:cut]].sum(), *counts[order[cut:]]]
-            wanted = [expected[order[:cut]].sum(), *expected[order[cut:]]]
-            if len(wanted) > 1:
+            p = pooled_chisquare(counts, expected)
+            if p is not None:
                 tested += 1
-                p = stats.chisquare(observed, wanted).pvalue
                 assert p > 1e-6, (types[t], counts, expected)
         assert tested >= 8
 
