@@ -257,8 +257,8 @@ def _rank_bins(m: int, bins: int) -> tuple:
 
 @dataclass(frozen=True)
 class ProposalScales:
-    """Random-walk standard deviations, ``rho_<block>`` for each Metropolis
-    block."""
+    """Random-walk standard deviations, ``rho_<tally>`` for each tally of
+    ``_SWEEP`` that has an adaptation target."""
 
     rho_beta: float = 0.1
     rho_alpha: float = 0.1
@@ -489,6 +489,7 @@ class SamplerEngine:
                                + self._record_name(pos))
 
     def _prior_state(self, rng) -> ParamState:
+        """The starting point :meth:`init_state` draws."""
         h = self.hyper
         n, j = self.n, self.j
         beta = 0.1 * rng.standard_normal(self.x.shape[1])
