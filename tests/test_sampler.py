@@ -917,7 +917,8 @@ class TestRunChain:
         # acceptance metric empty
         tree = ast.parse((Path(__file__).parents[1] / "perfbench" / "layers.py").read_text())
         (names,) = [ast.literal_eval(node.value) for node in tree.body
-                    if isinstance(node, ast.Assign) and node.targets[0].id == "ACCEPT_BLOCKS"]
+                    if isinstance(node, ast.Assign)
+                    and getattr(node.targets[0], "id", None) == "ACCEPT_BLOCKS"]
         dataset, _ = simulate_dataset(40, 4, baseline, seed=5)
         config = McmcConfig(iterations=6, burn_in=2, adapt_window=2, baseline_variant=baseline)
         trace = run_chain(dataset, config, Hyperparams())
