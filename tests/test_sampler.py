@@ -238,8 +238,9 @@ class TestMuBlock:
         # mode differs: every cluster's assignment, redrawn from the state
         # each time, against the softmax of its dense scores plus log weights
         dataset, _ = simulate_dataset(24, 6, seed=8)
-        state = dataclasses.replace(valid_state(dataset, "BMZ-DP", shift=1), cluster_effects=make_dp(
-            [-0.6, -0.1, 0.3, 0.8], np.arange(6) % 4, sticks=[0.3, 0.4, 0.5]))
+        effects = make_dp([-0.6, -0.1, 0.3, 0.8], np.arange(6) % 4, sticks=[0.3, 0.4, 0.5])
+        state = dataclasses.replace(valid_state(dataset, "BMZ-DP", shift=1),
+                                    cluster_effects=effects)
         eng = SamplerEngine(dataset, Hyperparams(), variant="BMZ-DP", likelihood_mode=mode)
         eng.load_state(state)
         scores = oracles.dense_mu_cluster_loglik(eng, eng.eta) + np.log(eng.mu_weights)
