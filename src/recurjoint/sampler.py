@@ -1137,15 +1137,24 @@ class SamplerEngine:
     def _kappa_dense(self, rng, records: np.ndarray) -> np.ndarray:
         """Draw the shape atoms of ``records`` from their full scores, one
         uniform each in record order, scoring ``_CHUNK_ELEMENTS``-sized
-        chunks of the atoms-by-records matrix one at a time."""
+        chunks of the atoms-by-records matrix one at a time.  A literal-mode
+        record with su = 0 and its offset within the route limit scores
+        exactly log w: all such records search one column of the weights."""
         uniforms = rng.random(records.size)
         log_theta = np.log(self.theta)[:, None]
         with np.errstate(divide="ignore"):
             log_w = np.log(self.kappa_weights)[:, None]
+        v, todo = np.empty(records.size, dtype=np.int64), np.arange(records.size)
+        if self.literal and np.isfinite(top := log_w.max()):
+            limit = _KAPPA_ROUTE_LIMIT / max(float(self.theta.max()), 1.0)
+            shared = (self.su[records] == 0.0) & (np.abs(self.d_scale[records]) <= limit)
+            # the count that _categorical_columns takes, on the one column
+            cum = np.add.accumulate(np.exp(log_w[:, 0] - top))
+            v[shared] = cum.searchsorted(uniforms[shared] * cum[-1], side="left")
+            todo = (~shared).nonzero()[0]
         rows = max(1, _CHUNK_ELEMENTS // self.level_kappa)
-        v = np.empty(records.size, dtype=np.int64)
-        for start in range(0, records.size, rows):
-            c = slice(start, start + rows)
+        for start in range(0, todo.size, rows):
+            c = todo[start:start + rows]
             r = records[c]
             # two chunk-sized matrices: the powers become their exponentials
             powers = np.multiply.outer(self.theta, self.d_scale[r])
@@ -1175,14 +1184,19 @@ class SamplerEngine:
         h = self.hyper
         valid = prop > 0.0
         safe = np.where(valid, prop, 1.0)
-        # log(kp / kc) per atom, gathered per record
+        # log(kp / kc) per atom
         d_log = np.log(safe) - np.log(self.theta)
-        # each record's proposed and current shape, kp and kc, stacked so
-        # that one pass takes both capped exp(shape * d)
-        shapes = np.concatenate((safe, self.theta)).reshape(2, -1).take(self.v, axis=1)
-        e = _exp_capped(shapes * self.d_scale)
-        d_ll = (self.delta * (d_log[self.v] + (shapes[0] - shapes[1]) * self.d_scale)
-                - (e[0] - e[1]))
+        # d_ll = delta (d_log[v] + (kp - kc) d) - (exp(kp d) - exp(kc d)),
+        # exp capped, from each record's proposed and current shape kp, kc
+        d, v = self.d_scale, self.v
+        kp, kc = safe.take(v), self.theta.take(v)
+        e = _exp_capped(kp * d)
+        kp -= kc
+        e -= _exp_capped(np.multiply(kc, d, out=kc), out=kc)
+        d_ll = d_log.take(v, out=kc)
+        d_ll += kp * d
+        d_ll *= self.delta
+        d_ll -= e
         if self.literal:
             d_ll *= self.su
         # Gamma(a_kappa, b_kappa) base density keeps the conditional proper

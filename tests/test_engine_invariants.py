@@ -197,12 +197,12 @@ def test_engine_owns_its_record_arrays(variant, baseline):
 # N float64, for every variant, baseline and likelihood mode; measured:
 # beta 4, alpha 4, alpha0 2, tau2 2, gamma 7.3, cluster effects 5.0,
 # susceptibility 4, baseline 3 (piecewise) and 2 (power law), shapes 11.0
-# (corrected) and 15.5 (literal), xi1 3, xi2 3, zeta 3, variances 0.  The
+# (corrected) and 13.3 (literal), xi1 3, xi2 3, zeta 3, variances 0.  The
 # shapes' dense draw works in chunks of fixed size, 3.3 such arrays each
 BLOCK_TRANSIENTS = {"update_beta": 4.5, "update_alpha": 4.5, "update_alpha0": 2.5,
                     "update_tau2": 2.5, "update_gamma": 7.5, "update_mu_block": 5.5,
                     "update_susceptibility": 4.5, "update_baseline_block": 3.5,
-                    "update_kappa_block": 16.0, "update_xi1": 3.5, "update_xi2": 3.5,
+                    "update_kappa_block": 13.5, "update_xi1": 3.5, "update_xi2": 3.5,
                     "update_zeta": 3.5, "update_coef_variances": 0.5}
 # init_state's traced peak above the engine it leaves, in the same arrays;
 # measured 5.3: the check of the first likelihood, once the draws are freed
