@@ -78,9 +78,8 @@ assignment steps are blocked-Gibbs categorical draws (Ishwaran & James
   cancels), d_i its terminal offset ``d_scale``.  The draw is exact
   rejection from an envelope (Devroye 1986, II.3) at about one score per
   record, not K.  Once per sweep the records' offsets are cut into B
-  bins (when every record is routed to the rounds, as outside the literal
-  mode it nearly always is, straight from ``d_scale``, with no gather of
-  the routed records).  Below ``_KAPPA_SORT_LIMIT`` records a bin is a run
+  bins (from ``d_scale`` itself when every record is routed, as outside the
+  literal mode).  Below ``_KAPPA_SORT_LIMIT`` records a bin is a run
   of the sorted offsets, and its edges are the least and greatest offset
   it holds: up to ``_KAPPA_SORTED_BINS`` runs, no more than one per
   ``_KAPPA_SORTED_BIN_RECORDS`` records, starting at Chebyshev-spaced
@@ -98,17 +97,14 @@ assignment steps are blocked-Gibbs categorical draws (Ishwaran & James
   53-bit uniform: sorted records search the whole table at once, the
   others take a branchless binary search.  It accepts k with probability
   ``exp(s_k(d_i) - U)``; an accepted k is distributed exactly as the
-  target, whatever the bound's slack.  There are up to
-  ``_KAPPA_ROUNDS`` rounds; round r makes up to
-  ``_KAPPA_TRY_GROWTH ** (r - 1)`` proposals for each record left and
-  takes its first accepted one.  The records no round accepted, and those
-  whose scores the dense draw would clip or reject (non-finite d,
-  theta_max |d| near overflow, zero terminal weight in the literal mode),
-  are drawn from their full scores, built in cache-sized chunks laid out
-  atoms by records, one uniform each in record order; this dense draw
-  runs only when some record is left.  The number of uniforms drawn
-  depends on the acceptances, and which record reads which uniform on
-  ``_KAPPA_BLOCK``; the chunk size does not change the draws.
+  target p, whatever the bound's slack.  One pass makes one proposal per
+  record, in blocks of ``_KAPPA_BLOCK``; the records it rejects are drawn
+  from p again, so every draw is from p.  They, and the records whose
+  scores would be clipped (non-finite d, theta_max |d| near overflow) or
+  are log w (zero terminal weight in the literal mode: one shared column),
+  take the dense draw: full scores in cache-sized chunks, atoms by
+  records, one uniform each in record order.  Which record reads which
+  uniform depends on the acceptances and ``_KAPPA_BLOCK`` only.
 """
 
 from __future__ import annotations
@@ -168,19 +164,14 @@ _CHUNK_ELEMENTS = 16_384
 # asinh(d), one per _KAPPA_BIN_RECORDS records, so that for up to 64 atoms
 # each of the envelope's two tables (2 rows per bin) is no larger than a
 # per-record array, and at most _KAPPA_MAX_BINS of them, so that a row
-# number shifted past a 53-bit uniform fits an int64.  Then: rounds before
-# the dense draw takes the records left; records per block of a round, which
-# bounds its temporaries (a round makes no more proposals per record than
-# fill one block); and the growth from round to round of the proposals per
-# record
+# number shifted past a 53-bit uniform fits an int64.  Then the records per
+# block of the envelope pass, which bounds its temporaries
 _KAPPA_SORT_LIMIT = 4096
 _KAPPA_SORTED_BINS = 40
 _KAPPA_SORTED_BIN_RECORDS = 8
 _KAPPA_BIN_RECORDS = 128
 _KAPPA_MAX_BINS = 511
-_KAPPA_ROUNDS = 3
 _KAPPA_BLOCK = 4096
-_KAPPA_TRY_GROWTH = 8
 _TWO_53 = 2.0 ** 53
 # a record with |theta d| possibly past this takes the dense draw, since its
 # scores may reach the +-_SCORE_CLIP clip
@@ -955,14 +946,13 @@ class SamplerEngine:
     # -- shape-parameter block ---------------------------------------------------------------
 
     def _kappa_assignments(self, rng) -> np.ndarray:
-        """Draw every record's shape atom into ``v``, which it returns:
-        rejection rounds from the binned envelope, then the dense draw for
-        the records they leave."""
-        v = self.v
-        left = self._kappa_rejection_rounds(rng, v).nonzero()[0]
+        """Draw every record's shape atom into ``v``, which it returns: one
+        pass of rejection from the binned envelope, then the dense draw for
+        the records it leaves."""
+        left = self._kappa_rejection(rng).nonzero()[0]
         if left.size:
-            v[left] = self._kappa_dense(rng, left)
-        return v
+            self.v[left] = self._kappa_dense(rng, left)
+        return self.v
 
     def _kappa_bins(self, todo: np.ndarray | None, span: np.ndarray) -> tuple:
         """Cut the offsets ``span`` of the records ``todo`` (None: every
@@ -1002,29 +992,25 @@ class SamplerEngine:
         which <<= 53
         return np.sinh(edges[:-1] - slack), np.sinh(edges[1:] + slack), todo, span, which, False
 
-    def _kappa_rejection_rounds(self, rng, v: np.ndarray) -> np.ndarray:
-        """Up to ``_KAPPA_ROUNDS`` rounds of envelope rejection for each
-        record whose dense scores would not be clipped; writes each accepted
-        atom into ``v``, and a rejected proposal for each record left, which
-        the dense draw overwrites.  Round r, on m records, makes
-        ``min(_KAPPA_TRY_GROWTH ** (r - 1), _KAPPA_BLOCK // m)`` proposals per
-        record, at least one, and takes each record's first accepted one; it
-        works in blocks of ``_KAPPA_BLOCK`` records.  Returns the mask of
-        the records left to the dense draw."""
+    def _kappa_rejection(self, rng) -> np.ndarray:
+        """One envelope proposal, in blocks of ``_KAPPA_BLOCK`` records, for
+        each record whose dense scores would not be clipped, written into
+        ``v``.  Returns the mask of the records the dense draw then takes:
+        those rejected, whose ``v`` it overwrites, and those not routed."""
         d, theta = self.d_scale, self.theta
         limit = _KAPPA_ROUTE_LIMIT / max(float(theta.max()), 1.0)
         # NaN fails the comparison, so a non-finite offset is not routed and
         # the dense draw raises on it; without records there is none to route
         if self.literal or not (d.size and np.abs(d).max() <= limit):
-            routed = np.abs(d) <= limit
+            dense = ~(np.abs(d) <= limit)
             if self.literal:
-                routed &= self.su != 0.0
-            todo = routed.nonzero()[0]
+                dense |= self.su == 0.0
+            todo = (~dense).nonzero()[0]
             if not todo.size:
-                return ~routed
+                return dense
             span = d[todo]
         else:
-            routed, todo, span = None, None, d
+            dense, todo, span = np.zeros(self.n, dtype=bool), None, d
         lo, hi, todo, span, flag_key, ordered = self._kappa_bins(todo, span)
         flag = self.delta if todo is None else self.delta[todo]
         bound, cdf = self._kappa_envelope(lo, hi)
@@ -1047,60 +1033,35 @@ class SamplerEngine:
             probes = [(1 << s, keys[(1 << s) - 1:]) for s in reversed(range(top))]
         # a flagged record's row is its bin's row plus the number of bins
         np.add(flag_key, lo.size << 53, out=flag_key, where=flag != 0.0)
-        # (records, offsets, flags, row keys) of the records left, aligned;
-        # records None: every record, in order
-        left = todo, span, flag, flag_key
-        dense = np.zeros(self.n, dtype=bool) if routed is None else ~routed
         # the acceptance test takes the log of a uniform, which may be 0
         with np.errstate(divide="ignore"):
-            for r in range(_KAPPA_ROUNDS):
-                size = left[1].size
-                tries = max(1, min(_KAPPA_TRY_GROWTH ** r, _KAPPA_BLOCK // size))
-                parts = []
-                for start in range(0, size, _KAPPA_BLOCK):
-                    di, fi, ri = (left[1:] if size <= _KAPPA_BLOCK else
-                                  (a[start:start + _KAPPA_BLOCK] for a in left[1:]))
-                    idx = (np.arange(start, start + di.size) if left[0] is None else
-                           left[0][start:start + _KAPPA_BLOCK])
-                    u = rng.random((2, tries, idx.size))
-                    query = (u[0] * _TWO_53).astype(np.int64)
-                    query += ri
-                    if ordered:
-                        # records in order of d: their queries rise with their
-                        # bins, so one search of the whole table branches
-                        # predictably; on unordered queries it mispredicts
-                        # enough to cost several times the branchless search
-                        pos = keys.searchsorted(query, side="right")
-                    else:
-                        pos = (query >> 53) * k_atoms
-                        for step, probe in probes:
-                            pos += step * (probe[pos] <= query)
-                    # the atom: the position past its row's start (a remainder
-                    # by k_atoms costs several times as much)
-                    k = pos - (query >> 53) * k_atoms
-                    x = theta[k]
-                    x *= di
-                    log_ratio = fi * x
-                    log_ratio -= _exp_capped(x, out=x)
-                    log_ratio -= bound[pos]
-                    ok = np.log(u[1], out=u[1]) < log_ratio
-                    if tries > 1:
-                        # each record's first accepted proposal
-                        first = ok.argmax(axis=0), np.arange(idx.size)
-                        ok, k = ok[first], k[first]
-                    else:
-                        ok, k = ok[0], k[0]
-                    # a rejected record's atom is overwritten by a later round
-                    # or the dense draw
-                    v[idx] = k
-                    rest = (~ok).nonzero()[0]
-                    if rest.size:
-                        parts.append((idx[rest], di[rest], fi[rest], ri[rest]))
-                if not parts:
-                    return dense
-                left = parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
-        # indexing by None (every record) sets every entry
-        dense[left[0]] = True
+            for start in range(0, span.size, _KAPPA_BLOCK):
+                block = slice(start, start + _KAPPA_BLOCK)
+                di = span[block]
+                u = rng.random((2, di.size))
+                query = (u[0] * _TWO_53).astype(np.int64)
+                query += flag_key[block]
+                if ordered:
+                    # records in order of d: their queries rise with their
+                    # bins, so one search of the whole table branches
+                    # predictably; on unordered queries it mispredicts
+                    # enough to cost several times the branchless search
+                    pos = keys.searchsorted(query, side="right")
+                else:
+                    pos = (query >> 53) * k_atoms
+                    for step, probe in probes:
+                        pos += step * (probe[pos] <= query)
+                # the atom: the position past its row's start (a remainder
+                # by k_atoms costs several times as much)
+                k = pos - (query >> 53) * k_atoms
+                x = theta[k]
+                x *= di
+                log_ratio = flag[block] * x
+                log_ratio -= _exp_capped(x, out=x)
+                log_ratio -= bound[pos]
+                idx = block if todo is None else todo[block]
+                self.v[idx] = k
+                dense[idx] = ~(np.log(u[1], out=u[1]) < log_ratio)
         return dense
 
     def _kappa_envelope(self, lo: np.ndarray, hi: np.ndarray) -> tuple:

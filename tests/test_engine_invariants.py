@@ -446,7 +446,9 @@ def test_chunked_kappa_block_matches_dense_reference(n, mode, monkeypatch):
     # the engine draws the assignments into its own v
     monkeypatch.setattr(dense, "_kappa_assignments",
                         lambda rng: np.copyto(dense.v, oracles.dense_kappa_assignments(dense, rng)))
-    monkeypatch.setattr(sampler, "_KAPPA_ROUNDS", 0)
+    # every record of the engine under test takes the dense draw, and the
+    # envelope pass draws no uniforms
+    monkeypatch.setattr(chunked, "_kappa_rejection", lambda rng: np.ones(chunked.n, dtype=bool))
     rng_chunked = np.random.default_rng(5)
     rng_dense = copy.deepcopy(rng_chunked)
     for _ in range(3):

@@ -467,7 +467,7 @@ class TestKappaBlock:
                 assert cdf[row, k - 1] == 1.0
 
     @pytest.mark.parametrize("seed", [11, 12, 13])
-    def test_one_round_leaves_few_records_at_paper_scale(self, seed, monkeypatch):
+    def test_one_round_leaves_few_records_at_paper_scale(self, seed):
         # the paper's design point after 200 sweeps: the envelope is tight
         # enough that one proposal per record is accepted for at least 90%
         dataset, _ = simulate_dataset(600, 20, "piecewise", seed=seed)
@@ -476,43 +476,34 @@ class TestKappaBlock:
         eng.init_state(rng)
         for _ in range(200):
             eng.sweep(rng)
-        monkeypatch.setattr(sampler, "_KAPPA_ROUNDS", 1)
-        left = eng._kappa_rejection_rounds(rng, np.empty(eng.n, dtype=np.int64))
-        assert left.mean() <= 0.10
+        assert eng._kappa_rejection(rng).mean() <= 0.10
 
-    # the module's settings, one round, and one bin over the whole range,
-    # where the bounds are loose and the acceptance step shapes the draws;
-    # max_left caps the share of susceptible records left to the dense draw
-    @pytest.mark.parametrize("rounds,bin_records,max_left", [
-        (sampler._KAPPA_ROUNDS, None, 0.01), (1, None, 0.1), (sampler._KAPPA_ROUNDS, 10**9, 0.8)])
+    # the module's settings, and one bin over the whole range, where the
+    # bounds are loose and the acceptance step shapes the draws; max_left
+    # caps the share of susceptible records the pass leaves to the dense draw
+    @pytest.mark.parametrize("bin_records,max_left", [(None, 0.1), (10**9, 0.8)])
     @pytest.mark.parametrize("mode", LIKELIHOOD_MODES)
-    def test_rejection_draws_match_exact_softmax(self, mode, rounds, bin_records, max_left,
-                                                 monkeypatch):
+    def test_rejection_draws_match_exact_softmax(self, mode, bin_records, max_left, monkeypatch):
         # 400 records per type, at least _KAPPA_SORT_LIMIT: equal-width bins
         assert 12 * 400 >= sampler._KAPPA_SORT_LIMIT
-        self._check_rejection_draws(mode, rounds, bin_records, max_left, 400, monkeypatch)
+        self._check_rejection_draws(mode, bin_records, max_left, 400, monkeypatch)
 
-    @pytest.mark.parametrize("rounds,bin_records,max_left", [
-        (sampler._KAPPA_ROUNDS, None, 0.01), (1, None, 0.1), (sampler._KAPPA_ROUNDS, 10**9, 0.8)])
+    @pytest.mark.parametrize("bin_records,max_left", [(None, 0.1), (10**9, 0.8)])
     @pytest.mark.parametrize("mode", LIKELIHOOD_MODES)
-    def test_sorted_bin_draws_match_exact_softmax(self, mode, rounds, bin_records, max_left,
-                                                  monkeypatch):
+    def test_sorted_bin_draws_match_exact_softmax(self, mode, bin_records, max_left, monkeypatch):
         # 200 records per type, fewer than _KAPPA_SORT_LIMIT: sorted bins
         assert 14 * 200 < sampler._KAPPA_SORT_LIMIT
-        self._check_rejection_draws(mode, rounds, bin_records, max_left, 200, monkeypatch)
+        self._check_rejection_draws(mode, bin_records, max_left, 200, monkeypatch)
 
     def test_one_outlying_offset_keeps_the_bins_tight(self, monkeypatch):
         # the types above and one at d = 110, 400 records each: bins of
-        # equal width in d would be 16 times wider than without it, and one
-        # round left about half the records to the later rounds
+        # equal width in d would be 16 times wider than without it, and the
+        # pass would leave about half the records to the dense draw
         assert 14 * 400 >= sampler._KAPPA_SORT_LIMIT
-        self._check_rejection_draws("corrected", 1, None, 0.1, 400, monkeypatch,
-                                    outlier=110.0)
+        self._check_rejection_draws("corrected", None, 0.1, 400, monkeypatch, outlier=110.0)
 
     @staticmethod
-    def _check_rejection_draws(mode, rounds, bin_records, max_left, reps, monkeypatch,
-                               outlier=None):
-        monkeypatch.setattr(sampler, "_KAPPA_ROUNDS", rounds)
+    def _check_rejection_draws(mode, bin_records, max_left, reps, monkeypatch, outlier=None):
         if bin_records is not None:
             # one bin in either binning
             monkeypatch.setattr(sampler, "_KAPPA_BIN_RECORDS", bin_records)
@@ -533,9 +524,9 @@ class TestKappaBlock:
         eng.kappa_weights = np.array([0.1, 0.2, 0.25, 0.0, 0.2, 0.25])
         assert (eng.theta.max() * eng.d_scale > sampler._EXP_CAP).any()
 
-        # the rounds draw nearly every susceptible record; in the literal
+        # the pass accepts nearly every susceptible record; in the literal
         # mode the unsusceptible ones, whose scores are all 0, go dense
-        left = eng._kappa_rejection_rounds(np.random.default_rng(1), np.empty(n, dtype=np.int64))
+        left = eng._kappa_rejection(np.random.default_rng(1))
         assert left[flags == 0].mean() < max_left
         assert left[flags == 1].all()
         v = eng._kappa_assignments(np.random.default_rng(2))
