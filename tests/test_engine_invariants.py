@@ -6,8 +6,9 @@ no recomputation between them.  Also pinned: the two mixture
 assignment steps against their dense references, the overflow guards,
 engine memory linear in the number of records, the engine's ownership of
 its per-record arrays, the transient memory of each block and of the
-initial draw, the sweep's blocks against the sampler's table, and the peak
-memory of the shape-assignment step."""
+initial draw, the sweep's blocks against the sampler's table, the peak
+memory of the shape-assignment step, and the frailty block's draws against
+their full conditionals integrated on a grid."""
 
 import copy
 import dataclasses
@@ -18,6 +19,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import oracles
 from conftest import engine_for, make_dataset, make_record, make_state
@@ -97,6 +99,13 @@ def _engine(variant, baseline, mode, seed):
 def _oracle_loglik(eng, i, mode):
     """The oracle's log likelihood of participant ``i``, built from the
     engine's primary state (never from its caches)."""
+    likelihood = oracles.participant_likelihood(*_oracle_inputs(eng, i), mode)
+    return math.log(likelihood) if likelihood > 0 else -math.inf
+
+
+def _oracle_inputs(eng, i):
+    """Participant ``i``'s record and parameters in the oracle's form, from
+    the engine's primary state."""
     rec = eng.dataset.records[i]
     if eng.baseline_variant == "piecewise":
         baseline = {"variant": "piecewise", "grid": [float(g) for g in eng.grid],
@@ -112,8 +121,7 @@ def _oracle_loglik(eng, i, mode):
     }
     record = (rec.followup_time, rec.event_indicator, list(rec.recurrent_times),
               list(rec.covariates_x), list(rec.covariates_z))
-    likelihood = oracles.participant_likelihood(record, params, mode)
-    return math.log(likelihood) if likelihood > 0 else -math.inf
+    return record, params
 
 
 @pytest.mark.parametrize("variant,baseline,mode", CASES)
@@ -138,6 +146,59 @@ def _assert_caches_fresh(eng, present, label, tol=CACHE_REL_TOL):
         floor = tol * float(np.abs(fresh).max(initial=0.0))
         np.testing.assert_allclose(incremental[name], fresh, rtol=tol, atol=floor,
                                    err_msg=f"{name} after {label}")
+
+
+# the frailty block's exactness check: batches of update_gamma calls, and
+# per record the batch means of log gamma and of its squared deviation
+GAMMA_BATCHES, GAMMA_BATCH_CALLS = 50, 2000
+
+
+@pytest.mark.parametrize("mode", LIKELIHOOD_MODES)
+def test_gamma_draws_match_quadrature_of_their_full_conditionals(mode):
+    # a frozen 60-record BZ-DP state on the power-law baseline: with the rest
+    # fixed, record i's u = log gamma has the full conditional
+    # L_i(e^u) exp(-u^2 / (2 tau2_c)), L_i the oracle's likelihood (the
+    # log-normal prior's 1/gamma cancels the Jacobian of u).  Each record's
+    # draws of u meet its mean and variance on a grid
+    eng = _engine("BZ-DP", "powerlaw", mode, seed=61)
+    rng = np.random.default_rng(61)
+    for _ in range(20):
+        eng.sweep(rng)
+    # near the block's acceptance target the walk mixes several times
+    # faster than at the default scale; the block is exact at any scale
+    eng.scales["gamma"] = 0.8
+    u = np.linspace(-10.0, 10.0, 801)
+    exact = np.empty((2, eng.n))
+    for i in range(eng.n):
+        record, params = _oracle_inputs(eng, i)
+        half_precision = 0.5 / float(eng.tau2[eng.cluster_of[i]])
+        log_p = np.empty(u.size)
+        for k, uk in enumerate(u.tolist()):
+            params["gamma"] = math.exp(uk)
+            likelihood = oracles.participant_likelihood(record, params, mode)
+            log_p[k] = math.log(likelihood) - half_precision * uk * uk if likelihood > 0 else -math.inf
+        p = np.exp(log_p - log_p.max())
+        assert p[0] < 1e-12 and p[-1] < 1e-12, f"record {i}'s conditional runs past the grid"
+        p /= p.sum()
+        exact[0, i] = p @ u
+        exact[1, i] = p @ (u - exact[0, i]) ** 2
+    for _ in range(1000):
+        eng.update_gamma(rng)
+    draws = np.empty((GAMMA_BATCH_CALLS, eng.n))
+    batches = np.empty((2, GAMMA_BATCHES, eng.n))
+    for b in range(GAMMA_BATCHES):
+        for s in range(GAMMA_BATCH_CALLS):
+            eng.update_gamma(rng)
+            np.log(eng.gamma, out=draws[s])
+        batches[0, b] = draws.mean(axis=0)
+        batches[1, b] = ((draws - exact[0]) ** 2).mean(axis=0)
+    z = ((batches.mean(axis=1) - exact)
+         / (batches.std(axis=1, ddof=1) / math.sqrt(GAMMA_BATCHES)))
+    # Bonferroni over the 2N statistics: all stay within the bound with
+    # probability 0.999 when each z is t-distributed
+    bound = stats.t.ppf(1.0 - 1e-3 / (2 * z.size), GAMMA_BATCHES - 1)
+    worst = np.unravel_index(np.abs(z).argmax(), z.shape)
+    assert np.abs(z).max() <= bound, (("mean", "variance")[worst[0]], int(worst[1]), z[worst])
 
 
 @pytest.mark.parametrize("variant,baseline,mode", CASES)
@@ -196,8 +257,8 @@ def test_engine_owns_its_record_arrays(variant, baseline):
 # each block's traced peak above its starting size at N = 5000, in arrays of
 # N float64, for every variant, baseline and likelihood mode; measured:
 # beta 4, alpha 4, alpha0 2, tau2 2, gamma 7.3, cluster effects 5.0,
-# susceptibility 4, baseline 3 (piecewise) and 2 (power law), shapes 11.0
-# (corrected) and 13.3 (literal), xi1 3, xi2 3, zeta 3, variances 0.  The
+# susceptibility 4, baseline 3 (piecewise) and 2 (power law), shapes 10.3
+# (corrected) and 13.1 (literal), xi1 3, xi2 3, zeta 3, variances 0.  The
 # shapes' dense draw works in chunks of fixed size, 3.3 such arrays each
 BLOCK_TRANSIENTS = {"update_beta": 4.5, "update_alpha": 4.5, "update_alpha0": 2.5,
                     "update_tau2": 2.5, "update_gamma": 7.5, "update_mu_block": 5.5,
