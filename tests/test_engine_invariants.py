@@ -176,7 +176,8 @@ def test_gamma_draws_match_quadrature_of_their_full_conditionals(mode):
         for k, uk in enumerate(u.tolist()):
             params["gamma"] = math.exp(uk)
             likelihood = oracles.participant_likelihood(record, params, mode)
-            log_p[k] = math.log(likelihood) - half_precision * uk * uk if likelihood > 0 else -math.inf
+            log_l = math.log(likelihood) if likelihood > 0 else -math.inf
+            log_p[k] = log_l - half_precision * uk * uk
         p = np.exp(log_p - log_p.max())
         assert p[0] < 1e-12 and p[-1] < 1e-12, f"record {i}'s conditional runs past the grid"
         p /= p.sum()
