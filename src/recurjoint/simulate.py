@@ -135,20 +135,9 @@ def _sample_events(rates: np.ndarray, baseline: BaselineHazard, horizons: np.nda
                          f"is too large to sample")
     counts = rng.poisson(budget)
     owner = np.repeat(np.arange(rates.size), counts)
-    total = owner.size
-    if rates.size * total >= 2 ** 63:
-        raise ValueError(f"{rates.size} records and {total} events overflow the int64 "
-                         f"sort key record * events + rank")
-    u = 1.0 - rng.random(total)
-    # sorted within each record by one exact integer key, record * total +
-    # the rank of u among all draws (a float key such as owner + u loses the
-    # low bits of u at large owner values); owner already rises, so the
-    # sorted keys' records line up with it and their remainders are ranks
-    by_value = np.argsort(u)
-    rank = np.empty(total, dtype=np.int64)
-    rank[by_value] = np.arange(total)
-    base = owner * total
-    u = u[by_value[np.sort(base + rank) - base]]
+    # complex numbers sort by real part, then imaginary part, and both parts
+    # hold owner and u exactly, so this orders u within each record
+    u = np.sort(owner + 1j * (1.0 - rng.random(owner.size))).imag
     times = np.minimum(_inverse_cumulative(u * hazard[owner], baseline), horizons[owner])
     keep = np.ones(times.size, dtype=bool)
     keep[1:] = (times[1:] > times[:-1]) | (owner[1:] != owner[:-1])
