@@ -54,7 +54,7 @@ def cmd_fit(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     for trace in traces:
         write_chain_trace(trace, out / f"chain{trace.chain_index:02d}")
-    manifest = fit_manifest(traces, config, hyper)
+    manifest = fit_manifest(traces, config, hyper, scales)
     write_json(manifest, out / "manifest.json")
     summary = build_summary(traces, manifest)
     write_json(summary, out / "summary.json")

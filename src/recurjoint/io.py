@@ -367,13 +367,15 @@ def parse_config(doc: dict) -> tuple:
     return (McmcConfig(**model, **mcmc), *config_objects(hyper, scales, "the config"))
 
 
-def config_to_dict(config: McmcConfig, hyper: Hyperparams) -> dict:
+def config_to_dict(config: McmcConfig, hyper: Hyperparams,
+                   scales: ProposalScales | None = None) -> dict:
     """The fully resolved configuration, embedded in every output document:
-    a fit config that :func:`parse_config` reads back to ``config`` and
-    ``hyper``."""
+    a fit config that :func:`parse_config` reads back to ``config``,
+    ``hyper`` and ``scales`` (None: the default scales)."""
     mcmc = {f.name: getattr(config, f.name) for f in fields(config)}
     model = {name: mcmc.pop(name) for name in _MODEL_FIELDS}
-    return {"model": model, "mcmc": mcmc, "hyper": dict(vars(hyper))}
+    return {"model": model, "mcmc": mcmc, "hyper": dict(vars(hyper)),
+            "scales": dict(vars(scales or ProposalScales()))}
 
 
 # ---------------------------------------------------------------------------

@@ -91,10 +91,11 @@ def run_fit(dataset: Dataset, config: McmcConfig, hyper: Hyperparams,
     return _map(_chain_task, tasks, threads)
 
 
-def fit_manifest(traces, config: McmcConfig, hyper: Hyperparams) -> dict:
+def fit_manifest(traces, config: McmcConfig, hyper: Hyperparams,
+                 scales: ProposalScales | None = None) -> dict:
     first = traces[0]
     return {
-        "config": config_to_dict(config, hyper),
+        "config": config_to_dict(config, hyper, scales),
         "seed": config.seed,
         "chains": len(traces),
         "columns": list(first.columns),
@@ -209,7 +210,7 @@ def _study_task(args) -> dict:
         variant_index = study["variants"].index(variant)
         config = replace(config, seed=_task_seed(study["seed"], 2, replicate, variant_index))
         traces = run_fit(dataset, config, hyper, scales=scales)
-        manifest = fit_manifest(traces, config, hyper)
+        manifest = fit_manifest(traces, config, hyper, scales)
         summary = build_summary(traces, manifest)
         scored = scored_parameters(manifest["columns"])
         return {

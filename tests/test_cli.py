@@ -488,8 +488,7 @@ class TestConfigDocuments:
         hyper = Hyperparams(a0=2.0, fixed_p=0.25, update_concentrations=False, truncation_mu=4)
         scales = ProposalScales(**{f.name: 0.05 * (k + 1)
                                    for k, f in enumerate(dataclasses.fields(ProposalScales))})
-        doc = json.loads(json.dumps(config_to_dict(config, hyper)))
-        doc["scales"] = dataclasses.asdict(scales)
+        doc = json.loads(json.dumps(config_to_dict(config, hyper, scales)))
         assert parse_config(doc) == (config, hyper, scales)
         # fixed_p read from the model section instead of the hyper section
         doc[section]["fixed_p"] = doc["hyper"].pop("fixed_p")
@@ -762,6 +761,31 @@ class TestCliCommands:
         assert (a / "chain00.csv").read_bytes() == (b / "chain00.csv").read_bytes()
         assert (a / "chain00_loglik.npy").read_bytes() == (b / "chain00_loglik.npy").read_bytes()
         assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
+
+    def test_recorded_config_reproduces_the_fit(self, tmp_path):
+        # the proposal scales change the chain, so the recorded config holds
+        # them; a fit directory recorded without them still summarizes
+        out = self._simulate(tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"mcmc": {"iterations": 30, "burn_in": 10, "seed": 11,
+                                               "adapt_window": 10},
+                                      "scales": {"rho_gamma": 0.8, "rho_theta": 0.05}}))
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert main(["fit", "--data", str(out / "events.csv"), "--config", str(config),
+                     "--out", str(first)]) == 0
+        recorded = read_json(first / "summary.json")["config"]
+        assert recorded["scales"]["rho_gamma"] == 0.8 and recorded["scales"]["rho_beta"] == 0.1
+        config.write_text(json.dumps(recorded))
+        assert main(["fit", "--data", str(out / "events.csv"), "--config", str(config),
+                     "--out", str(again)]) == 0
+        for name in ("chain00.csv", "summary.json"):
+            assert (first / name).read_bytes() == (again / name).read_bytes()
+        manifest = read_json(first / "manifest.json")
+        del manifest["config"]["scales"]
+        write_json(manifest, first / "manifest.json")
+        assert main(["summarize", "--fit-dir", str(first), "--out",
+                     str(tmp_path / "old.json")]) == 0
+        assert "scales" not in read_json(tmp_path / "old.json")["config"]
 
     def test_replicate_study_smoke_and_determinism(self, tmp_path):
         study = {"n": 20, "j": 2, "replicates": 1, "variants": ["BMZ-DP"],
