@@ -7,8 +7,9 @@ assignment steps against their dense references, the overflow guards,
 engine memory linear in the number of records, the engine's ownership of
 its per-record arrays, the transient memory of each block and of the
 initial draw, the sweep's blocks against the sampler's table, the peak
-memory of the shape-assignment step, and the frailty block's draws against
-their full conditionals integrated on a grid."""
+memory of the shape-assignment step, and the draws of the frailty block and
+of the alpha0, xi1, xi2 and psi blocks against their full conditionals
+integrated on a grid."""
 
 import copy
 import dataclasses
@@ -88,9 +89,9 @@ def test_each_block_replaced_on_the_class_runs_once_per_sweep(monkeypatch):
     assert calls == dict.fromkeys(BLOCKS, 3)
 
 
-def _engine(variant, baseline, mode, seed):
+def _engine(variant, baseline, mode, seed, hyper=Hyperparams()):
     dataset, _ = simulate_dataset(60, 4, baseline, seed=seed)
-    eng = SamplerEngine(dataset, Hyperparams(), variant=variant, baseline_variant=baseline,
+    eng = SamplerEngine(dataset, hyper, variant=variant, baseline_variant=baseline,
                         likelihood_mode=mode)
     eng.init_state(np.random.default_rng(seed))
     return eng
@@ -148,6 +149,37 @@ def _assert_caches_fresh(eng, present, label, tol=CACHE_REL_TOL):
                                    err_msg=f"{name} after {label}")
 
 
+def _grid_moments(u, log_p, what):
+    """The mean and variance of the density ``exp(log_p)`` on the grid
+    ``u``, whose ends must lie below 1e-12 of its peak."""
+    p = np.exp(log_p - log_p.max())
+    assert p[0] < 1e-12 and p[-1] < 1e-12, f"{what}'s conditional runs past the grid"
+    p /= p.sum()
+    mean = p @ u
+    return mean, p @ (u - mean) ** 2
+
+
+def _assert_draws_match(draw, exact, batches, calls):
+    """Make ``batches`` batches of ``calls`` draws, ``draw(out)`` writing one
+    draw of the coordinates into ``out``, and compare each coordinate's
+    batch means of itself and of its squared deviation from ``exact[0]``
+    with its exact mean and variance ``exact``, by batch-means standard
+    errors."""
+    draws = np.empty((calls, exact.shape[1]))
+    stat = np.empty((2, batches, exact.shape[1]))
+    for b in range(batches):
+        for s in range(calls):
+            draw(draws[s])
+        stat[0, b] = draws.mean(axis=0)
+        stat[1, b] = ((draws - exact[0]) ** 2).mean(axis=0)
+    z = (stat.mean(axis=1) - exact) / (stat.std(axis=1, ddof=1) / math.sqrt(batches))
+    # Bonferroni over the statistics: all stay within the bound with
+    # probability 0.999 when each z is t-distributed
+    bound = stats.t.ppf(1.0 - 1e-3 / (2 * z.size), batches - 1)
+    worst = np.unravel_index(np.abs(z).argmax(), z.shape)
+    assert np.abs(z).max() <= bound, (("mean", "variance")[worst[0]], int(worst[1]), z[worst])
+
+
 # the frailty block's exactness check: batches of update_gamma calls, and
 # per record the batch means of log gamma and of its squared deviation
 GAMMA_BATCHES, GAMMA_BATCH_CALLS = 50, 2000
@@ -178,28 +210,65 @@ def test_gamma_draws_match_quadrature_of_their_full_conditionals(mode):
             likelihood = oracles.participant_likelihood(record, params, mode)
             log_l = math.log(likelihood) if likelihood > 0 else -math.inf
             log_p[k] = log_l - half_precision * uk * uk
-        p = np.exp(log_p - log_p.max())
-        assert p[0] < 1e-12 and p[-1] < 1e-12, f"record {i}'s conditional runs past the grid"
-        p /= p.sum()
-        exact[0, i] = p @ u
-        exact[1, i] = p @ (u - exact[0, i]) ** 2
+        exact[:, i] = _grid_moments(u, log_p, f"record {i}")
     for _ in range(1000):
         eng.update_gamma(rng)
-    draws = np.empty((GAMMA_BATCH_CALLS, eng.n))
-    batches = np.empty((2, GAMMA_BATCHES, eng.n))
-    for b in range(GAMMA_BATCHES):
-        for s in range(GAMMA_BATCH_CALLS):
-            eng.update_gamma(rng)
-            np.log(eng.gamma, out=draws[s])
-        batches[0, b] = draws.mean(axis=0)
-        batches[1, b] = ((draws - exact[0]) ** 2).mean(axis=0)
-    z = ((batches.mean(axis=1) - exact)
-         / (batches.std(axis=1, ddof=1) / math.sqrt(GAMMA_BATCHES)))
-    # Bonferroni over the 2N statistics: all stay within the bound with
-    # probability 0.999 when each z is t-distributed
-    bound = stats.t.ppf(1.0 - 1e-3 / (2 * z.size), GAMMA_BATCHES - 1)
-    worst = np.unravel_index(np.abs(z).argmax(), z.shape)
-    assert np.abs(z).max() <= bound, (("mean", "variance")[worst[0]], int(worst[1]), z[worst])
+
+    def draw(out):
+        eng.update_gamma(rng)
+        np.log(eng.gamma, out=out)
+
+    _assert_draws_match(draw, exact, GAMMA_BATCHES, GAMMA_BATCH_CALLS)
+
+
+# priors set so that each block's prior term moves its conditional: xi1's
+# and xi2's N(0, sigma2) about as wide as their likelihoods, and psi's
+# Gamma(a_psi, b_psi) far from flat (alpha0's prior is flat)
+SCALAR_HYPER = Hyperparams(sigma2_xi1=0.02, sigma2_xi2=0.05, a_psi=20.0, b_psi=10.0)
+SCALAR_LOG_PRIORS = {
+    "alpha0": lambda x: 0.0,
+    "xi1": lambda x: -x * x / (2.0 * SCALAR_HYPER.sigma2_xi1),
+    "xi2": lambda x: -x * x / (2.0 * SCALAR_HYPER.sigma2_xi2),
+    "psi": lambda x: (SCALAR_HYPER.a_psi - 1.0) * math.log(x) - SCALAR_HYPER.b_psi * x,
+}
+SCALAR_BATCHES, SCALAR_BATCH_CALLS = 50, 1000
+
+
+@pytest.mark.parametrize("name,variant,baseline,mode", [
+    *(("alpha0", "BZ-DP", "powerlaw", mode) for mode in LIKELIHOOD_MODES),
+    *(("xi1", "BZ-DP", "powerlaw", mode) for mode in LIKELIHOOD_MODES),
+    *(("xi2", "BMZ-DP", "piecewise", mode) for mode in LIKELIHOOD_MODES),
+    ("psi", "BZ-DP", "powerlaw", "corrected"),
+])
+def test_scalar_draws_match_quadrature_of_their_full_conditionals(name, variant, baseline, mode):
+    # a frozen 60-record state, half its records with delta = 1: with the
+    # rest fixed, the scalar's full conditional is the product of the
+    # oracle's likelihoods times its prior.  Its block, run alone, meets
+    # the conditional's mean and variance on a grid
+    eng = _engine(variant, baseline, mode, seed=62, hyper=SCALAR_HYPER)
+    rng = np.random.default_rng(62)
+    for _ in range(20):
+        eng.sweep(rng)
+    current = float(getattr(eng, name))
+    u = np.linspace(0.1, 6.1, 201) if name == "psi" else np.linspace(-3.0, 3.0, 201)
+    log_p = np.empty(u.size)
+    for k, uk in enumerate(u.tolist()):
+        setattr(eng, name, uk)
+        log_p[k] = SCALAR_LOG_PRIORS[name](uk) + sum(_oracle_loglik(eng, i, mode)
+                                                    for i in range(eng.n))
+    setattr(eng, name, current)
+    exact = np.array(_grid_moments(u, log_p, name)).reshape(2, 1)
+    # about the acceptance-optimal scale of a walk on a normal target
+    eng.scales[name] = 2.4 * math.sqrt(exact[1, 0])
+    block = getattr(eng, "update_baseline_block" if name == "psi" else f"update_{name}")
+    for _ in range(500):
+        block(rng)
+
+    def draw(out):
+        block(rng)
+        out[0] = getattr(eng, name)
+
+    _assert_draws_match(draw, exact, SCALAR_BATCHES, SCALAR_BATCH_CALLS)
 
 
 @pytest.mark.parametrize("variant,baseline,mode", CASES)

@@ -1,6 +1,7 @@
 import ast
 import copy
 import dataclasses
+import itertools
 import math
 import tracemalloc
 from pathlib import Path
@@ -231,17 +232,19 @@ def pooled_chisquare(counts, expected):
 
 
 class TestMuBlock:
-    @pytest.mark.parametrize("mode", LIKELIHOOD_MODES)
-    def test_assignment_draws_match_dense_softmax(self, mode):
+    @pytest.mark.parametrize("variant,mode",
+                             itertools.product(("BMZ-DP", "BM-DP"), LIKELIHOOD_MODES))
+    def test_assignment_draws_match_dense_softmax(self, variant, mode):
         # a frozen state whose four atoms share each cluster's probability,
-        # and whose eventless records are unsusceptible, so that the literal
-        # mode differs: every cluster's assignment, redrawn from the state
-        # each time, against the softmax of its dense scores plus log weights
+        # and, in BMZ-DP, whose eventless records are unsusceptible, so that
+        # the literal mode differs: every cluster's assignment, redrawn from
+        # the state each time, so with the atoms, sticks and concentration
+        # fixed, against the softmax of its dense scores plus log weights
         dataset, _ = simulate_dataset(24, 6, seed=8)
         effects = make_dp([-0.6, -0.1, 0.3, 0.8], np.arange(6) % 4, sticks=[0.3, 0.4, 0.5])
-        state = dataclasses.replace(valid_state(dataset, "BMZ-DP", shift=1),
+        state = dataclasses.replace(valid_state(dataset, variant, shift=1),
                                     cluster_effects=effects)
-        eng = SamplerEngine(dataset, Hyperparams(), variant="BMZ-DP", likelihood_mode=mode)
+        eng = SamplerEngine(dataset, Hyperparams(), variant=variant, likelihood_mode=mode)
         eng.load_state(state)
         scores = oracles.dense_mu_cluster_loglik(eng, eng.eta) + np.log(eng.mu_weights)
         p = np.exp(scores - scores.max(axis=1, keepdims=True))
