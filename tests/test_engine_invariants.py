@@ -241,8 +241,8 @@ SCALAR_BATCHES, SCALAR_BATCH_CALLS = 50, 1000
     ("psi", "BZ-DP", "powerlaw", "corrected"),
 ])
 def test_scalar_draws_match_quadrature_of_their_full_conditionals(name, variant, baseline, mode):
-    # a frozen 60-record state, half its records with delta = 1: with the
-    # rest fixed, the scalar's full conditional is the product of the
+    # a frozen 60-record state, about half its records with delta = 1: with
+    # the rest fixed, the scalar's full conditional is the product of the
     # oracle's likelihoods times its prior.  Its block, run alone, meets
     # the conditional's mean and variance on a grid
     eng = _engine(variant, baseline, mode, seed=62, hyper=SCALAR_HYPER)
